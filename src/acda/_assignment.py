@@ -1,145 +1,15 @@
-"""Exact square assignment solver (Jonker-Volgenant style, O(n^3)).
+"""Names the solver behind the equal-size path of ``transport.exact_w1``.
 
-Shortest-augmenting-path assignment with dual potentials.  Two backends:
-
-* a scalar-loop kernel compiled with numba ``@njit`` (default when numba
-  imports cleanly), and
-* a numpy-vectorized fallback with the inner column scan done in bulk.
-
-Set the environment variable ``ACDA_DISABLE_NUMBA`` to any non-empty value
-other than ``0`` to force the fallback.  Both backends produce an optimal
-assignment; on degenerate ties they may pick different optimal matchings, so
-compare objective values, not permutations, across backends.
+That path calls ``scipy.optimize.linear_sum_assignment``, a shortest-
+augmenting-path solver in C++ (Crouse, IEEE TAES 2016).
 """
 
 from __future__ import annotations
 
-import os
-
-import numpy as np
-
-__all__ = ["solve_assignment", "backend", "solve_assignment_numpy", "solve_assignment_loops"]
+__all__ = ["backend"]
 
 
-def _loops_kernel(cost):
-    """1-indexed shortest augmenting path; column 0 is the virtual root."""
-    n = cost.shape[0]
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    p = np.zeros(n + 1, dtype=np.int64)
-    way = np.zeros(n + 1, dtype=np.int64)
-    minv = np.empty(n + 1)
-    used = np.empty(n + 1, dtype=np.bool_)
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        for j in range(n + 1):
-            minv[j] = np.inf
-            used[j] = False
-        while True:
-            used[j0] = True
-            i0 = p[j0]
-            delta = np.inf
-            j1 = 0
-            for j in range(1, n + 1):
-                if not used[j]:
-                    cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
-                    if cur < minv[j]:
-                        minv[j] = cur
-                        way[j] = j0
-                    if minv[j] < delta:
-                        delta = minv[j]
-                        j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if p[j0] == 0:
-                break
-        while j0 != 0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-    row_to_col = np.empty(n, dtype=np.int64)
-    for j in range(1, n + 1):
-        row_to_col[p[j] - 1] = j - 1
-    return row_to_col
-
-
-def solve_assignment_numpy(cost: np.ndarray) -> np.ndarray:
-    """Fallback backend: same algorithm with the column scan vectorized."""
-    n = cost.shape[0]
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    p = np.zeros(n + 1, dtype=np.int64)
-    way = np.zeros(n + 1, dtype=np.int64)
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv = np.full(n + 1, np.inf)
-        used = np.zeros(n + 1, dtype=bool)
-        minv_cols = minv[1:]
-        way_cols = way[1:]
-        while True:
-            used[j0] = True
-            i0 = p[j0]
-            unused = ~used[1:]
-            cur = cost[i0 - 1, :] - u[i0] - v[1:]
-            better = unused & (cur < minv_cols)
-            minv_cols[better] = cur[better]
-            way_cols[better] = j0
-            masked = np.where(unused, minv_cols, np.inf)
-            jm = int(np.argmin(masked))
-            delta = masked[jm]
-            u[p[used]] += delta
-            v[used] -= delta
-            minv_cols[unused] -= delta
-            j0 = jm + 1
-            if p[j0] == 0:
-                break
-        while j0 != 0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-    row_to_col = np.empty(n, dtype=np.int64)
-    row_to_col[p[1:] - 1] = np.arange(n)
-    return row_to_col
-
-
-def _numba_disabled() -> bool:
-    flag = os.environ.get("ACDA_DISABLE_NUMBA", "")
-    return flag not in ("", "0")
-
-
-solve_assignment_loops = _loops_kernel
-_BACKEND = "numpy"
-if not _numba_disabled():
-    try:
-        from numba import njit
-
-        solve_assignment_loops = njit(cache=True)(_loops_kernel)
-        _BACKEND = "numba"
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        pass
-
-
+# perfbench/run.py reports backend() after every run, so this module stays.
 def backend() -> str:
-    """Active backend name: 'numba' or 'numpy'."""
-    return _BACKEND
-
-
-def solve_assignment(cost: np.ndarray) -> np.ndarray:
-    """Minimum-cost row->column assignment for a square cost matrix."""
-    cost = np.ascontiguousarray(cost, dtype=np.float64)
-    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
-        raise ValueError(f"assignment needs a square cost matrix, got {cost.shape}")
-    if cost.shape[0] == 0:
-        return np.empty(0, dtype=np.int64)
-    if not np.isfinite(cost).all():
-        raise ValueError("assignment costs must be finite")
-    if _BACKEND == "numba":
-        return solve_assignment_loops(cost)
-    return solve_assignment_numpy(cost)
+    """Name of the square assignment solver: always 'scipy'."""
+    return "scipy"

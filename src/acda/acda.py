@@ -18,7 +18,7 @@ import numpy as np
 from . import nets, transport
 from .autodiff import Graph, forward_eval
 from .data import Dataset, batch_iterator
-from .errors import CapacityError, TrainingDivergedError
+from .errors import CapacityError, DataError, TrainingDivergedError
 from .nets import NetworkParams
 from .optim import Adam
 from .seeding import derive_seed, make_rng
@@ -578,14 +578,14 @@ def _unpack(params: dict, f_params, c_params, d_params):
 
 
 def stage1_train(source: Dataset, target: Dataset, f_params, c_params, d_params,
-                 config: TrainConfig, seed: int | None = None):
+                 config: TrainConfig, seed: int | None = None, eval_cb=None):
     """Adversarial pre-adaptation on the unlabeled target pool."""
     if len(source) == 0 or len(target) == 0:
         raise ValueError("stage 1 needs non-empty source and target pools")
     if seed is None:
         seed = derive_seed(config.seed, "stage", 1)
     return _adversarial_fit(f_params, c_params, d_params, source, target,
-                            config, config.stage1_epochs, seed)
+                            config, config.stage1_epochs, seed, eval_cb=eval_cb)
 
 
 def stage3_train(f_params, c_params, d_params, source: Dataset, query_x, query_y,
@@ -628,11 +628,15 @@ def run_algorithm_1(source: Dataset, target: Dataset, config: TrainConfig,
     (and is never read otherwise).  The per-round budget is
     ``config.budget / config.query_rounds`` of the then-current pool.
     ``eval_cb_factory(stage_tag)`` may supply a per-epoch metrics callback.
+    Every target label must be a source class (DataError otherwise).
     """
     if source.labels is None:
         raise ValueError("source pool must be labeled")
     n_classes = int(source.labels.max()) + 1 if source.labels.size else 2
     n_classes = max(n_classes, 2)
+    if target.labels is not None and target.labels.size and target.labels.max() >= n_classes:
+        raise DataError(f"target label {int(target.labels.max())} is not a source class "
+                        f"(the source has {n_classes} classes)")
     f_spec = nets.default_feature_spec(source.dim)
     c_spec = nets.default_classifier_spec(n_classes)
     d_spec = nets.default_critic_spec()
@@ -643,11 +647,8 @@ def run_algorithm_1(source: Dataset, target: Dataset, config: TrainConfig,
     def cb(tag):
         return None if eval_cb_factory is None else eval_cb_factory(tag)
 
-    f_params, c_params, d_params, hist1 = _adversarial_fit(
-        f_params, c_params, d_params, source, target, config,
-        config.stage1_epochs, derive_seed(config.seed, "stage", 1),
-        eval_cb=cb("stage1"),
-    )
+    f_params, c_params, d_params, hist1 = stage1_train(
+        source, target, f_params, c_params, d_params, config, eval_cb=cb("stage1"))
 
     cur_source = source
     cur_target = target

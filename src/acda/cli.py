@@ -14,6 +14,7 @@ out_dir, else ./runs.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from dataclasses import replace
@@ -25,7 +26,8 @@ from .acda import (TrainConfig, lambda_w, query_scores, select_queries,
                    uncertainty_weights, weighted_query_loss)
 from .data import export_csv
 from .errors import AcdaError
-from .experiments import ExperimentConfig, compare_strategies, parse_config, run_experiment
+from .experiments import (ExperimentConfig, compare_strategies, parse_config,
+                          parse_seeds, run_experiment)
 
 OUT_ROOT_ENV = "ACDA_OUT_ROOT"
 
@@ -93,14 +95,6 @@ def _resolve_out(args, config: ExperimentConfig) -> str:
     return config.out_dir
 
 
-def _parse_seed_list(raw: str) -> list:
-    raw = raw.strip()
-    if ".." in raw:
-        lo, _, hi = raw.partition("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(p) for p in raw.split(",") if p.strip()]
-
-
 def _cmd_run(args) -> int:
     config = _apply_overrides(parse_config(args.config), args)
     return run_experiment(config, out_dir=_resolve_out(args, config))
@@ -109,9 +103,11 @@ def _cmd_run(args) -> int:
 def _cmd_compare(args) -> int:
     config = _apply_overrides(parse_config(args.config), args)
     strategies = [s for s in args.strategies.split(",") if s.strip()]
-    seeds = _parse_seed_list(args.seeds) if args.seeds else config.seeds
-    compare_strategies(config, strategies, seeds, out_dir=_resolve_out(args, config))
-    return 0
+    seeds = parse_seeds(args.seeds) if args.seeds else config.seeds
+    out = _resolve_out(args, config)
+    compare_strategies(config, strategies, seeds, out_dir=out)
+    with open(os.path.join(out, "MANIFEST.json"), encoding="utf-8") as fh:
+        return 0 if json.load(fh)["status"] == "ok" else 1
 
 
 def _cmd_gen(args) -> int:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import nets
-from .acda import RunRecord, TrainConfig, run_algorithm_1
+from .acda import RunRecord, TrainConfig, accuracy, run_algorithm_1
 from .data import (Dataset, export_csv, gen_gaussian_shift_pair,
                    gen_two_moons_pair, load_idx, standardize_features)
 from .errors import ConfigError, TrainingDivergedError
@@ -25,6 +25,7 @@ from .seeding import derive_seed
 __all__ = [
     "ExperimentConfig",
     "parse_config",
+    "parse_seeds",
     "build_pair",
     "run_experiment",
     "compare_strategies",
@@ -94,25 +95,34 @@ def _parse_scalar(key: str, raw: str, line_no: int):
     raise ConfigError(f"line {line_no}: unknown key '{key}'")
 
 
+def _at(line_no) -> str:
+    return "" if line_no is None else f"line {line_no}: "
+
+
 def _coerce(raw, typ, key, line_no):
     try:
         return typ(raw.strip())
     except ValueError:
         raise ConfigError(
-            f"line {line_no}: key '{key}' expects {typ.__name__}, got '{raw.strip()}'"
+            f"{_at(line_no)}key '{key}' expects {typ.__name__}, got '{raw.strip()}'"
         ) from None
 
 
-def _parse_seeds(raw: str, line_no: int) -> list:
+def parse_seeds(raw: str, line_no: int | None = None) -> list:
+    """Seeds from 'lo..hi' (inclusive) or 'a,b,c'; ConfigError if malformed
+    or empty.  ``line_no`` locates a config-file value in the message."""
     raw = raw.strip()
     if ".." in raw:
         lo, _, hi = raw.partition("..")
         lo = _coerce(lo, int, "seeds", line_no)
         hi = _coerce(hi, int, "seeds", line_no)
         if hi < lo:
-            raise ConfigError(f"line {line_no}: seeds range '{raw}' is empty")
+            raise ConfigError(f"{_at(line_no)}seeds range '{raw}' is empty")
         return list(range(lo, hi + 1))
-    return [_coerce(p, int, "seeds", line_no) for p in raw.split(",") if p.strip()]
+    seeds = [_coerce(p, int, "seeds", line_no) for p in raw.split(",") if p.strip()]
+    if not seeds:
+        raise ConfigError(f"{_at(line_no)}seeds list is empty")
+    return seeds
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -135,7 +145,7 @@ def parse_config(path: str) -> ExperimentConfig:
             if key == "out_dir":
                 out_dir = raw
             elif key == "seeds":
-                seeds = _parse_seeds(raw, line_no)
+                seeds = parse_seeds(raw, line_no)
             elif key == "standardize":
                 if raw.lower() not in ("true", "false"):
                     raise ConfigError(f"line {line_no}: standardize expects true/false")
@@ -187,8 +197,6 @@ def parse_config(path: str) -> ExperimentConfig:
     if out_dir is not None:
         cfg.out_dir = out_dir
     if seeds is not None:
-        if not seeds:
-            raise ConfigError("seeds list is empty")
         cfg.seeds = seeds
     if standardize is not None:
         cfg.standardize = standardize
@@ -237,20 +245,17 @@ def _run_one(config: ExperimentConfig, run_seed: int, strategy: str) -> RunRecor
 
     def eval_cb_factory(tag):
         def cb(f_params, c_params):
-            out = {"source_accuracy": _acc(f_params, c_params, source)}
+            out = {"source_accuracy": accuracy(f_params, c_params, source.features,
+                                               source.labels)}
             if target.labels is not None:
-                out["target_accuracy"] = _acc(f_params, c_params, target)
+                out["target_accuracy"] = accuracy(f_params, c_params, target.features,
+                                                  target.labels)
             else:
                 out["target_accuracy"] = float("nan")
             return out
         return cb
 
     return run_algorithm_1(source, target, train, eval_cb_factory=eval_cb_factory)
-
-
-def _acc(f_params, c_params, pool: Dataset) -> float:
-    probs = nets.forward(c_params, nets.forward(f_params, pool.features))
-    return float((probs.argmax(axis=1) == pool.labels).mean())
 
 
 def _metrics_rows(record: RunRecord, strategy: str, seed: int) -> list:
@@ -273,32 +278,37 @@ def _metrics_rows(record: RunRecord, strategy: str, seed: int) -> list:
     return rows
 
 
-def _write_record(path: str, record: RunRecord):
+def _write_json(path: str, obj: dict):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(record.to_dict(), fh, sort_keys=True, indent=1)
+        json.dump(obj, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
 
-def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> int:
-    """One run per seed under config.train.strategy; returns exit status."""
-    out = out_dir if out_dir is not None else config.out_dir
+def _run_pairs(config: ExperimentConfig, pairs: list, out: str):
+    """Run each (strategy, seed) pair; returns ``(finals, status)``.
+
+    Writes a RunRecord JSON and a checkpoint per finished run, one
+    ``metrics.csv`` over all of them, and a ``MANIFEST.json`` that marks a
+    diverged run and sets the status to "failed" without stopping the rest.
+    ``finals`` maps each strategy to its finished runs' final target accuracy.
+    """
     os.makedirs(out, exist_ok=True)
     rows = []
     manifest = {"runs": [], "status": "ok"}
-    status = 0
-    for run_seed in config.seeds:
-        tag = f"{config.train.strategy}-seed{run_seed}"
+    finals: dict = {}
+    for strategy, run_seed in pairs:
+        tag = f"{strategy}-seed{run_seed}"
         try:
-            record = _run_one(config, run_seed, config.train.strategy)
+            record = _run_one(config, run_seed, strategy)
         except TrainingDivergedError as exc:
             manifest["runs"].append({"run": tag, "status": "diverged",
                                      "epoch": exc.epoch})
             manifest["status"] = "failed"
-            status = 1
             continue
-        rows.extend(_metrics_rows(record, config.train.strategy, run_seed))
+        finals.setdefault(strategy, []).append(record.final_target_accuracy)
+        rows.extend(_metrics_rows(record, strategy, run_seed))
         record_path = os.path.join(out, f"run-{tag}.json")
-        _write_record(record_path, record)
+        _write_json(record_path, record.to_dict())
         ckpt_path = os.path.join(out, f"run-{tag}.ckpt")
         nets.save_checkpoint(ckpt_path, record.params)
         manifest["runs"].append({
@@ -309,10 +319,16 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> int:
             "final_target_accuracy": record.final_target_accuracy,
         })
     _write_metrics(os.path.join(out, "metrics.csv"), rows)
-    with open(os.path.join(out, "MANIFEST.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-    return status
+    _write_json(os.path.join(out, "MANIFEST.json"), manifest)
+    return finals, manifest["status"]
+
+
+def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> int:
+    """One run per seed under config.train.strategy; returns exit status."""
+    out = out_dir if out_dir is not None else config.out_dir
+    pairs = [(config.train.strategy, run_seed) for run_seed in config.seeds]
+    _, status = _run_pairs(config, pairs, out)
+    return 0 if status == "ok" else 1
 
 
 def _write_metrics(path: str, rows: list):
@@ -327,27 +343,19 @@ def compare_strategies(config: ExperimentConfig, strategies: list, seeds: list,
                        out_dir: str | None = None) -> list:
     """Run every (strategy, seed) pair; summarize final target accuracy.
 
-    Returns summary rows [(strategy, mean, sd)], writes summary.csv and a
-    metrics.csv covering all runs, and prints a small table.  The
-    active − random mean difference is appended when both are present.
+    Writes the same per-run files and MANIFEST as :func:`run_experiment`, a
+    diverged run included.  Returns summary rows [(strategy, mean, sd)] over
+    the finished runs, writes them to summary.csv, and prints a small table.
+    Pairwise mean differences (e.g. active − random) follow the rows; a
+    strategy with no finished run has neither.
     """
     if not strategies or not seeds:
         raise ValueError("compare_strategies needs >= 1 strategy and seed")
     out = out_dir if out_dir is not None else config.out_dir
-    os.makedirs(out, exist_ok=True)
-    finals: dict = {}
-    rows = []
-    for strategy in strategies:
-        for run_seed in seeds:
-            record = _run_one(config, run_seed, strategy)
-            finals.setdefault(strategy, []).append(record.final_target_accuracy)
-            rows.extend(_metrics_rows(record, strategy, run_seed))
-            _write_record(os.path.join(out, f"run-{strategy}-seed{run_seed}.json"),
-                          record)
-    _write_metrics(os.path.join(out, "metrics.csv"), rows)
+    finals, _ = _run_pairs(config, [(s, seed) for s in strategies for seed in seeds], out)
 
     summary = [(s, float(np.mean(finals[s])), float(np.std(finals[s])))
-               for s in dict.fromkeys(strategies)]
+               for s in dict.fromkeys(strategies) if s in finals]
     lines = ["strategy,mean_target_accuracy,sd_target_accuracy"]
     print(f"{'strategy':10s} {'mean':>8s} {'sd':>8s}   (n={len(seeds)} seeds)")
     for s, mean, sd in summary:
@@ -356,7 +364,7 @@ def compare_strategies(config: ExperimentConfig, strategies: list, seeds: list,
     seen = set()
     for i, a in enumerate(strategies):
         for b in strategies[i + 1:]:
-            if (a, b) in seen:
+            if (a, b) in seen or a not in finals or b not in finals:
                 continue
             seen.add((a, b))
             diff = float(np.mean(finals[a]) - np.mean(finals[b]))

@@ -21,7 +21,6 @@ __all__ = [
     "NetworkParams",
     "init_network",
     "forward",
-    "features_forward",
     "build_forward",
     "param_bindings",
     "cross_entropy",
@@ -147,11 +146,6 @@ def forward(params: NetworkParams, x: np.ndarray) -> np.ndarray:
     if act == "sigmoid":
         return 0.5 * (np.tanh(0.5 * h) + 1.0)
     return h
-
-
-def features_forward(params: NetworkParams, x: np.ndarray) -> np.ndarray:
-    """Inference without the output activation (raw logits / scores)."""
-    return _pre_output(params, x)
 
 
 def _pre_output(params: NetworkParams, x: np.ndarray) -> np.ndarray:

@@ -12,11 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 from scipy.spatial.distance import cdist
 
 from . import nets
-from ._assignment import solve_assignment
 from .autodiff import Graph, forward_eval
 from .errors import CapacityError, TransportError
 from .nets import NetworkParams, NetworkSpec
@@ -81,14 +80,16 @@ def _check_points(points, label: str) -> np.ndarray:
     x = np.asarray(points, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError(f"{label} must be a non-empty (n, d) array, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{label} must be finite (no NaN or inf)")
     return x
 
 
 def exact_w1(a_points, b_points, size_limit: int = EXACT_W1_SIZE_LIMIT):
     """Exact W1 between uniform empirical measures on two point sets.
 
-    Equal sizes go through the assignment solver; unequal sizes through a
-    transportation linear program.  Returns ``(value, TransportPlan)``.
+    Equal sizes go through ``scipy.optimize.linear_sum_assignment``; unequal
+    sizes through a transportation linear program.  Returns ``(value, TransportPlan)``.
     ``size_limit`` (default 512) bounds either side; pass ``None`` to lift it
     explicitly for one-off large instances.
     """
@@ -103,7 +104,7 @@ def exact_w1(a_points, b_points, size_limit: int = EXACT_W1_SIZE_LIMIT):
         )
     cost = cdist(a, b)
     if m == n:
-        col = solve_assignment(cost)
+        _, col = linear_sum_assignment(cost)
         coupling = np.zeros((m, n))
         coupling[np.arange(m), col] = 1.0 / m
         value = float(cost[np.arange(m), col].mean())

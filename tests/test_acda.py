@@ -12,7 +12,7 @@ from acda.acda import (QueryResult, TrainConfig, WeightVector, lambda_w,
                        select_queries, stage1_train, stage3_train,
                        uncertainty_weights, update_pools, weighted_query_loss)
 from acda.data import Dataset, gen_gaussian_shift_pair, gen_two_moons_pair
-from acda.errors import CapacityError, TrainingDivergedError
+from acda.errors import CapacityError, DataError, TrainingDivergedError
 from acda.nets import (default_classifier_spec, default_critic_spec,
                        default_feature_spec, init_network, predictive_entropy)
 from acda.seeding import derive_seed
@@ -377,3 +377,18 @@ def test_run_algorithm_is_bitwise_deterministic():
             np.testing.assert_array_equal(wa, wb)
     assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(),
                                                                  sort_keys=True)
+
+
+def test_run_algorithm_rejects_target_only_class_before_stage1(monkeypatch):
+    import acda.acda as algorithm
+
+    def stage1_must_not_run(*args, **kwargs):
+        raise AssertionError("stage 1 ran before the class check")
+
+    monkeypatch.setattr(algorithm, "_adversarial_fit", stage1_must_not_run)
+    source, target = _small_pair(seed=14, n=40)
+    target = Dataset(target.features, np.where(target.labels == 1, 2, 0), "target")
+    cfg = TrainConfig(budget=0.1, stage1_epochs=2, stage3_epochs=2,
+                      batch_size=20, seed=7, strategy="active")
+    with pytest.raises(DataError, match="target label 2"):
+        run_algorithm_1(source, target, cfg)

@@ -87,6 +87,12 @@ def test_config_range_error_for_budget(tmp_path):
         parse_config(write_cfg(tmp_path, "budget = 1.5\n"))
 
 
+@pytest.mark.parametrize("body", ["seeds = 5..1\n", "seeds = x\n", "seeds = ,\n"])
+def test_config_bad_seeds_rejected_with_line(tmp_path, body):
+    with pytest.raises(ConfigError, match="line 1.*seeds"):
+        parse_config(write_cfg(tmp_path, body))
+
+
 def test_config_dataset_key_for_wrong_kind_rejected(tmp_path):
     body = "dataset.kind = two_moons\ndataset.mean_shift = 2.0\n"
     with pytest.raises(ConfigError, match="line 2.*mean_shift"):
@@ -232,6 +238,49 @@ def test_cli_compare_seed_list(tmp_path):
     assert code == 0
     assert os.path.exists(os.path.join(out, "summary.csv"))
     assert os.path.exists(os.path.join(out, "run-none-seed2.json"))
+
+
+@pytest.mark.parametrize("seeds", ["5..1", "x", "1..y"])
+def test_cli_compare_bad_seed_list_exits_with_config_error(tmp_path, capsys, seeds):
+    cfg_path = write_cfg(tmp_path, SMALL_TRAIN + SMALL_DATASET)
+    code = main(["compare", cfg_path, "--seeds", seeds, "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "seeds" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_compare_records_diverged_seed_and_finishes(tmp_path, monkeypatch):
+    import acda.experiments as experiments
+    from acda.errors import TrainingDivergedError
+
+    real_run_one = experiments._run_one
+
+    def run_one(config, run_seed, strategy):
+        if (strategy, run_seed) == ("random", 2):
+            raise TrainingDivergedError(3)
+        return real_run_one(config, run_seed, strategy)
+
+    monkeypatch.setattr(experiments, "_run_one", run_one)
+    cfg_path = write_cfg(tmp_path, SMALL_TRAIN + SMALL_DATASET)
+    out = tmp_path / "cmp-out"
+    code = main(["compare", cfg_path, "--strategies", "active,random",
+                 "--seeds", "1,2", "--out", str(out)])
+    assert code == 1
+    manifest = json.load(open(out / "MANIFEST.json"))
+    assert manifest["status"] == "failed"
+    status = {r["run"]: r["status"] for r in manifest["runs"]}
+    assert status == {"active-seed1": "ok", "active-seed2": "ok",
+                      "random-seed1": "ok", "random-seed2": "diverged"}
+    assert [r["epoch"] for r in manifest["runs"] if r["status"] == "diverged"] == [3]
+    for tag in ("active-seed1", "active-seed2", "random-seed1"):
+        assert (out / f"run-{tag}.json").exists()
+        assert (out / f"run-{tag}.ckpt").exists()
+    assert not (out / "run-random-seed2.json").exists()
+    summary = (out / "summary.csv").read_text().splitlines()
+    assert [l.split(",")[0] for l in summary] == [
+        "strategy", "active", "random", "active_minus_random"]
+    lines = (out / "metrics.csv").read_text().splitlines()
+    assert len(lines) == 2 + 3 * 4
 
 
 def test_cli_bad_config_exits_with_error(tmp_path, capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from acda._assignment import backend, solve_assignment, solve_assignment_numpy
+from acda._assignment import backend
 from acda.data import gen_two_moons_pair
 from acda.errors import CapacityError
 from acda.nets import NetworkSpec, init_network
@@ -109,37 +109,29 @@ def test_empty_and_mismatched_inputs_rejected():
         exact_w1(np.zeros((3, 2)), np.zeros((3, 3)))
 
 
-def test_assignment_backends_agree():
-    rng = np.random.default_rng(3)
-    cost = rng.random((40, 40))
-    cols = solve_assignment(cost)
-    cols_np = solve_assignment_numpy(cost)
-    assert cost[np.arange(40), cols].sum() == pytest.approx(
-        cost[np.arange(40), cols_np].sum(), abs=1e-12)
-    assert backend() in ("numba", "numpy")
+def test_non_finite_points_rejected_on_both_paths():
+    rng = np.random.default_rng(4)
+    for bad in (np.nan, np.inf, -np.inf):
+        for m, n in ((5, 5), (5, 7)):
+            a = rng.normal(size=(m, 2))
+            b = rng.normal(size=(n, 2))
+            a[2, 1] = bad
+            with pytest.raises(ValueError, match="a_points must be finite"):
+                exact_w1(a, b)
+            with pytest.raises(ValueError, match="b_points must be finite"):
+                exact_w1(b, a)
 
 
-def test_disable_flag_selects_numpy_backend_with_same_answer():
-    import subprocess
-    import sys
-
-    code = (
-        "import numpy as np\n"
-        "from acda._assignment import backend\n"
-        "from acda.transport import exact_w1\n"
-        "assert backend() == 'numpy', backend()\n"
-        "rng = np.random.default_rng(3)\n"
-        "a = rng.normal(size=(30, 2)); b = rng.normal(size=(30, 2)) + 1.0\n"
-        "print(repr(exact_w1(a, b)[0]))\n"
-    )
-    env = dict(**__import__('os').environ, ACDA_DISABLE_NUMBA="1")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env, check=True)
+def test_equal_size_coupling_is_a_scaled_permutation():
+    assert backend() == "scipy"
     rng = np.random.default_rng(3)
     a = rng.normal(size=(30, 2))
     b = rng.normal(size=(30, 2)) + 1.0
-    here, _ = exact_w1(a, b)
-    assert float(out.stdout.strip()) == pytest.approx(here, abs=1e-12)
+    value, plan = exact_w1(a, b)
+    assert sorted(np.unique(plan.coupling)) == [0.0, 1.0 / 30]
+    assert (plan.coupling > 0).sum(axis=0).tolist() == [1] * 30
+    assert (plan.coupling > 0).sum(axis=1).tolist() == [1] * 30
+    assert value == pytest.approx((plan.coupling * plan.cost).sum(), abs=1e-12)
 
 
 def test_interpolates_lie_on_segments_and_are_seeded():
