@@ -567,14 +567,8 @@ def _adversarial_fit(f_params, c_params, d_params, source: Dataset, target: Data
 
 
 def _unpack(params: dict, f_params, c_params, d_params):
-    out = []
-    for name, net in (("F", f_params), ("C", c_params), ("D", d_params)):
-        fresh = net.copy()
-        for i in range(fresh.spec.n_layers):
-            fresh.weights[i] = params[f"{name}.W{i}"]
-            fresh.biases[i] = params[f"{name}.b{i}"]
-        out.append(fresh)
-    return tuple(out)
+    return tuple(nets.params_from_bindings(params, net, name)
+                 for name, net in (("F", f_params), ("C", c_params), ("D", d_params)))
 
 
 def stage1_train(source: Dataset, target: Dataset, f_params, c_params, d_params,

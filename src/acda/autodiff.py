@@ -8,6 +8,10 @@ is itself a differentiable expression.  That property is what makes the
 input-gradient penalty used by adversarial training differentiable with
 respect to network parameters (double backpropagation).
 
+A primitive is one builder method on ``Graph`` plus one entry in each of two
+module-level tables: ``_FORWARD`` (its numpy value, used by ``forward_eval``)
+and ``_GRAD`` (its adjoint nodes, used by ``Graph.add_gradient_nodes``).
+
 Tensors are 64-bit float numpy arrays, row-major.  No fusion, no dynamic
 shapes: correctness and determinism over speed.
 """
@@ -192,15 +196,16 @@ class Graph:
             return tuple(1 if i == axis else s for i, s in enumerate(sa))
         return tuple(s for i, s in enumerate(sa) if i != axis)
 
-    def sum(self, a: int, axis=None, keepdims: bool = False) -> int:
+    def _reduce(self, op: str, a: int, axis, keepdims: bool) -> int:
         a = self._check(a)
         shape = self._reduced_shape(a, axis, keepdims)
-        return self._append("sum", (a,), shape, axis=axis, keepdims=keepdims)
+        return self._append(op, (a,), shape, axis=axis, keepdims=keepdims)
+
+    def sum(self, a: int, axis=None, keepdims: bool = False) -> int:
+        return self._reduce("sum", a, axis, keepdims)
 
     def mean(self, a: int, axis=None, keepdims: bool = False) -> int:
-        a = self._check(a)
-        shape = self._reduced_shape(a, axis, keepdims)
-        return self._append("mean", (a,), shape, axis=axis, keepdims=keepdims)
+        return self._reduce("mean", a, axis, keepdims)
 
     def max_detached(self, a: int, axis=None, keepdims: bool = True) -> int:
         """Maximum treated as a constant by differentiation.
@@ -208,9 +213,7 @@ class Graph:
         Used to stabilize log-sum-exp: the subtracted maximum cancels in
         value, so a zero derivative for this node leaves all gradients exact.
         """
-        a = self._check(a)
-        shape = self._reduced_shape(a, axis, keepdims)
-        return self._append("max_detached", (a,), shape, axis=axis, keepdims=keepdims)
+        return self._reduce("max_detached", a, axis, keepdims)
 
     def broadcast_to(self, a: int, shape) -> int:
         a = self._check(a)
@@ -353,7 +356,9 @@ class Graph:
         adj: dict[int, int] = {}
         adj[scalar_node] = self.constant(np.ones(self.shapes[scalar_node]))
 
-        def accumulate(p: int, contrib: int):
+        def accumulate(p: int, contrib):
+            if contrib is None:
+                return
             if p in adj:
                 adj[p] = self.add(adj[p], contrib)
             else:
@@ -362,119 +367,155 @@ class Graph:
         for n in range(scalar_node, -1, -1):
             if n not in adj or not active[n]:
                 continue
-            g = adj[n]
-            op = self.ops[n]
-            ps = self.parents[n]
-            at = self.attrs[n]
-            if op in ("leaf", "const"):
+            rule = _GRAD[self.ops[n]]
+            if rule is None:
                 continue
-            if op == "add":
-                for p in ps:
-                    if active[p]:
-                        accumulate(p, self._unbroadcast(g, self.shapes[p]))
-            elif op == "mul":
-                a, b = ps
-                if active[a]:
-                    accumulate(a, self._unbroadcast(self.mul(g, b), self.shapes[a]))
-                if active[b]:
-                    accumulate(b, self._unbroadcast(self.mul(g, a), self.shapes[b]))
-            elif op == "matmul":
-                a, b = ps
-                if active[a]:
-                    accumulate(a, self.matmul(g, self.transpose(b)))
-                if active[b]:
-                    accumulate(b, self.matmul(self.transpose(a), g))
-            elif op == "affine":
-                if active[ps[0]]:
-                    accumulate(ps[0], self.affine(g, at["scale"], 0.0))
-            elif op == "tanh":
-                if active[ps[0]]:
-                    accumulate(ps[0], self.mul(g, self.affine(self.square(n), -1.0, 1.0)))
-            elif op == "sigmoid":
-                if active[ps[0]]:
-                    accumulate(ps[0], self.mul(g, self.mul(n, self.affine(n, -1.0, 1.0))))
-            elif op == "relu":
-                if active[ps[0]]:
-                    self._warn_once(
-                        f"relu at node {ps[0]}: subgradient 0 at 0; second-order "
-                        "paths through it are piecewise-constant"
-                    )
-                    accumulate(ps[0], self.mul(g, self.gtzero(ps[0])))
-            elif op == "exp":
-                if active[ps[0]]:
-                    accumulate(ps[0], self.mul(g, n))
-            elif op == "log":
-                if active[ps[0]]:
-                    accumulate(ps[0], self.mul(g, self.reciprocal(ps[0])))
-            elif op == "square":
-                if active[ps[0]]:
-                    accumulate(ps[0], self.mul(g, self.affine(ps[0], 2.0, 0.0)))
-            elif op == "sqrt":
-                if active[ps[0]]:
-                    accumulate(ps[0], self.mul(g, self.affine(self.reciprocal(n), 0.5, 0.0)))
-            elif op == "reciprocal":
-                if active[ps[0]]:
-                    accumulate(ps[0], self.mul(g, self.affine(self.square(n), -1.0, 0.0)))
-            elif op in ("sum", "mean"):
-                if active[ps[0]]:
-                    sa = self.shapes[ps[0]]
-                    axis, keepdims = at["axis"], at["keepdims"]
-                    gk = g
-                    if not keepdims:
-                        kd = self._reduced_shape(ps[0], axis, True)
-                        gk = self.reshape(g, kd)
-                    spread = self.broadcast_to(gk, sa)
-                    if op == "mean":
-                        count = (
-                            int(np.prod(sa, dtype=np.int64))
-                            if axis is None
-                            else sa[axis % len(sa)]
-                        )
-                        spread = self.affine(spread, 1.0 / count, 0.0)
-                    accumulate(ps[0], spread)
-            elif op == "broadcast_to":
-                if active[ps[0]]:
-                    accumulate(ps[0], self._unbroadcast(g, self.shapes[ps[0]]))
-            elif op == "reshape":
-                if active[ps[0]]:
-                    accumulate(ps[0], self.reshape(g, self.shapes[ps[0]]))
-            elif op == "transpose":
-                if active[ps[0]]:
-                    accumulate(ps[0], self.transpose(g))
-            elif op == "concat":
-                axis = at["axis"]
-                offset = 0
-                for p in ps:
-                    extent = self.shapes[p][axis]
-                    if active[p]:
-                        accumulate(p, self.slice_axis(g, axis, offset, offset + extent))
-                    offset += extent
-            elif op == "slice":
-                if active[ps[0]]:
-                    axis, start = at["axis"], at["start"]
-                    total = self.shapes[ps[0]][axis]
-                    after = total - at["stop"]
-                    accumulate(ps[0], self.pad_axis(g, axis, start, after))
-            elif op == "pad":
-                if active[ps[0]]:
-                    axis, before = at["axis"], at["before"]
-                    extent = self.shapes[ps[0]][axis]
-                    accumulate(ps[0], self.slice_axis(g, axis, before, before + extent))
-            elif op == "gtzero":
-                if active[ps[0]]:
-                    self._warn_once(
-                        f"gtzero at node {n}: derivative is zero almost everywhere; "
-                        "higher-order contribution dropped"
-                    )
-            elif op == "max_detached":
-                pass  # detached by design; cancels in value, zero derivative is exact
-            else:  # pragma: no cover - construction guards make this unreachable
-                raise GraphError(f"no gradient rule for op {op!r}")
+            for i, p in enumerate(self.parents[n]):
+                if active[p]:
+                    accumulate(p, rule(self, n, i, adj[n]))
 
         out = {}
         for w in wrt_ids:
             out[w] = adj[w] if w in adj else self.constant(np.zeros(self.shapes[w]))
         return out
+
+
+# ----------------------------------------------------------------------
+# the op table: one forward rule and one gradient rule per primitive
+#
+# ``_FORWARD[op](vals, parents, attrs)`` returns the node's value from the
+# values of its parents.  ``_GRAD[op](graph, node, i, adjoint)`` appends the
+# nodes of the adjoint contribution to parent ``i`` and returns the last of
+# them, or None when there is none; the entry itself is None for ops that pass
+# no gradient on.  Gradient rules read forward values only through nodes
+# (``node`` itself or its parents), which keeps them differentiable.
+
+
+def _reduction(fn):
+    return lambda vals, ps, at: np.asarray(
+        fn(vals[ps[0]], axis=at["axis"], keepdims=at["keepdims"])
+    )
+
+
+def _slice(vals, ps, at):
+    index = (slice(None),) * at["axis"] + (slice(at["start"], at["stop"]),)
+    return vals[ps[0]][index]
+
+
+def _pad(vals, ps, at):
+    x = vals[ps[0]]
+    width = [(0, 0)] * x.ndim
+    width[at["axis"]] = (at["before"], at["after"])
+    return np.pad(x, width)
+
+
+_FORWARD = {
+    "const": lambda vals, ps, at: at["value"],
+    "add": lambda vals, ps, at: vals[ps[0]] + vals[ps[1]],
+    "mul": lambda vals, ps, at: vals[ps[0]] * vals[ps[1]],
+    "matmul": lambda vals, ps, at: vals[ps[0]] @ vals[ps[1]],
+    "affine": lambda vals, ps, at: vals[ps[0]] * at["scale"] + at["shift"],
+    "tanh": lambda vals, ps, at: np.tanh(vals[ps[0]]),
+    "relu": lambda vals, ps, at: np.maximum(vals[ps[0]], 0.0),
+    "sigmoid": lambda vals, ps, at: 0.5 * (np.tanh(0.5 * vals[ps[0]]) + 1.0),
+    "exp": lambda vals, ps, at: np.exp(vals[ps[0]]),
+    "log": lambda vals, ps, at: np.log(vals[ps[0]]),
+    "square": lambda vals, ps, at: np.square(vals[ps[0]]),
+    "sqrt": lambda vals, ps, at: np.sqrt(vals[ps[0]]),
+    "reciprocal": lambda vals, ps, at: 1.0 / vals[ps[0]],
+    "gtzero": lambda vals, ps, at: (vals[ps[0]] > 0.0).astype(np.float64),
+    "sum": _reduction(np.sum),
+    "mean": _reduction(np.mean),
+    "max_detached": _reduction(np.max),
+    "broadcast_to": lambda vals, ps, at: np.broadcast_to(vals[ps[0]], at["target"]),
+    "reshape": lambda vals, ps, at: np.reshape(vals[ps[0]], at["target"]),
+    "transpose": lambda vals, ps, at: vals[ps[0]].T,
+    "concat": lambda vals, ps, at: np.concatenate([vals[p] for p in ps], axis=at["axis"]),
+    "slice": _slice,
+    "pad": _pad,
+}
+
+
+def _spread(g: Graph, n: int, adj: int) -> int:
+    """Broadcast a reduction's adjoint back over the reduced operand."""
+    p = g.parents[n][0]
+    if not g.attrs[n]["keepdims"]:
+        adj = g.reshape(adj, g._reduced_shape(p, g.attrs[n]["axis"], True))
+    return g.broadcast_to(adj, g.shapes[p])
+
+
+def _grad_mean(g: Graph, n: int, i: int, adj: int) -> int:
+    sa, axis = g.shapes[g.parents[n][0]], g.attrs[n]["axis"]
+    count = int(np.prod(sa, dtype=np.int64)) if axis is None else sa[axis]
+    return g.affine(_spread(g, n, adj), 1.0 / count, 0.0)
+
+
+def _grad_relu(g: Graph, n: int, i: int, adj: int) -> int:
+    x = g.parents[n][0]
+    g._warn_once(
+        f"relu at node {x}: subgradient 0 at 0; second-order "
+        "paths through it are piecewise-constant"
+    )
+    return g.mul(adj, g.gtzero(x))
+
+
+def _grad_gtzero(g: Graph, n: int, i: int, adj: int) -> None:
+    g._warn_once(
+        f"gtzero at node {n}: derivative is zero almost everywhere; "
+        "higher-order contribution dropped"
+    )
+
+
+def _grad_concat(g: Graph, n: int, i: int, adj: int) -> int:
+    ps, axis = g.parents[n], g.attrs[n]["axis"]
+    start = sum(g.shapes[p][axis] for p in ps[:i])
+    return g.slice_axis(adj, axis, start, start + g.shapes[ps[i]][axis])
+
+
+def _grad_slice(g: Graph, n: int, i: int, adj: int) -> int:
+    at = g.attrs[n]
+    after = g.shapes[g.parents[n][0]][at["axis"]] - at["stop"]
+    return g.pad_axis(adj, at["axis"], at["start"], after)
+
+
+def _grad_pad(g: Graph, n: int, i: int, adj: int) -> int:
+    axis, before = g.attrs[n]["axis"], g.attrs[n]["before"]
+    extent = g.shapes[g.parents[n][0]][axis]
+    return g.slice_axis(adj, axis, before, before + extent)
+
+
+_GRAD = {
+    "leaf": None,
+    "const": None,
+    "add": lambda g, n, i, adj: g._unbroadcast(adj, g.shapes[g.parents[n][i]]),
+    "mul": lambda g, n, i, adj: g._unbroadcast(
+        g.mul(adj, g.parents[n][1 - i]), g.shapes[g.parents[n][i]]
+    ),
+    "matmul": lambda g, n, i, adj: (
+        g.matmul(adj, g.transpose(g.parents[n][1])) if i == 0
+        else g.matmul(g.transpose(g.parents[n][0]), adj)
+    ),
+    "affine": lambda g, n, i, adj: g.affine(adj, g.attrs[n]["scale"], 0.0),
+    "tanh": lambda g, n, i, adj: g.mul(adj, g.affine(g.square(n), -1.0, 1.0)),
+    "relu": _grad_relu,
+    "sigmoid": lambda g, n, i, adj: g.mul(adj, g.mul(n, g.affine(n, -1.0, 1.0))),
+    "exp": lambda g, n, i, adj: g.mul(adj, n),
+    "log": lambda g, n, i, adj: g.mul(adj, g.reciprocal(g.parents[n][0])),
+    "square": lambda g, n, i, adj: g.mul(adj, g.affine(g.parents[n][0], 2.0, 0.0)),
+    "sqrt": lambda g, n, i, adj: g.mul(adj, g.affine(g.reciprocal(n), 0.5, 0.0)),
+    "reciprocal": lambda g, n, i, adj: g.mul(adj, g.affine(g.square(n), -1.0, 0.0)),
+    "gtzero": _grad_gtzero,
+    "sum": lambda g, n, i, adj: _spread(g, n, adj),
+    "mean": _grad_mean,
+    # detached by design: the maximum cancels in value, so zero is exact
+    "max_detached": None,
+    "broadcast_to": lambda g, n, i, adj: g._unbroadcast(adj, g.shapes[g.parents[n][0]]),
+    "reshape": lambda g, n, i, adj: g.reshape(adj, g.shapes[g.parents[n][0]]),
+    "transpose": lambda g, n, i, adj: g.transpose(adj),
+    "concat": _grad_concat,
+    "slice": _grad_slice,
+    "pad": _grad_pad,
+}
 
 
 # ----------------------------------------------------------------------
@@ -488,10 +529,7 @@ def forward_eval(graph: Graph, bindings: dict) -> list:
     superset (e.g. a full parameter dictionary) can be fed to many graphs.
     """
     vals: list = [None] * graph.num_nodes
-    for n in range(graph.num_nodes):
-        op = graph.ops[n]
-        ps = graph.parents[n]
-        at = graph.attrs[n]
+    for n, (op, ps, at) in enumerate(zip(graph.ops, graph.parents, graph.attrs)):
         if op == "leaf":
             name = at["name"]
             if name not in bindings:
@@ -502,65 +540,8 @@ def forward_eval(graph: Graph, bindings: dict) -> list:
                     f"leaf {name!r} expects shape {graph.shapes[n]}, got {x.shape}"
                 )
             vals[n] = x
-        elif op == "const":
-            vals[n] = at["value"]
-        elif op == "add":
-            vals[n] = vals[ps[0]] + vals[ps[1]]
-        elif op == "mul":
-            vals[n] = vals[ps[0]] * vals[ps[1]]
-        elif op == "matmul":
-            vals[n] = vals[ps[0]] @ vals[ps[1]]
-        elif op == "affine":
-            vals[n] = vals[ps[0]] * at["scale"] + at["shift"]
-        elif op == "tanh":
-            vals[n] = np.tanh(vals[ps[0]])
-        elif op == "relu":
-            vals[n] = np.maximum(vals[ps[0]], 0.0)
-        elif op == "sigmoid":
-            vals[n] = 0.5 * (np.tanh(0.5 * vals[ps[0]]) + 1.0)
-        elif op == "exp":
-            vals[n] = np.exp(vals[ps[0]])
-        elif op == "log":
-            vals[n] = np.log(vals[ps[0]])
-        elif op == "square":
-            x = vals[ps[0]]
-            vals[n] = x * x
-        elif op == "sqrt":
-            vals[n] = np.sqrt(vals[ps[0]])
-        elif op == "reciprocal":
-            vals[n] = 1.0 / vals[ps[0]]
-        elif op == "gtzero":
-            vals[n] = (vals[ps[0]] > 0.0).astype(np.float64)
-        elif op == "sum":
-            vals[n] = np.asarray(
-                np.sum(vals[ps[0]], axis=at["axis"], keepdims=at["keepdims"])
-            )
-        elif op == "mean":
-            vals[n] = np.asarray(
-                np.mean(vals[ps[0]], axis=at["axis"], keepdims=at["keepdims"])
-            )
-        elif op == "max_detached":
-            vals[n] = np.asarray(
-                np.max(vals[ps[0]], axis=at["axis"], keepdims=at["keepdims"])
-            )
-        elif op == "broadcast_to":
-            vals[n] = np.broadcast_to(vals[ps[0]], at["target"])
-        elif op == "reshape":
-            vals[n] = np.reshape(vals[ps[0]], at["target"])
-        elif op == "transpose":
-            vals[n] = vals[ps[0]].T
-        elif op == "concat":
-            vals[n] = np.concatenate([vals[p] for p in ps], axis=at["axis"])
-        elif op == "slice":
-            idx = [slice(None)] * len(graph.shapes[ps[0]])
-            idx[at["axis"]] = slice(at["start"], at["stop"])
-            vals[n] = vals[ps[0]][tuple(idx)]
-        elif op == "pad":
-            width = [(0, 0)] * len(graph.shapes[ps[0]])
-            width[at["axis"]] = (at["before"], at["after"])
-            vals[n] = np.pad(vals[ps[0]], width)
-        else:  # pragma: no cover
-            raise GraphError(f"no forward rule for op {op!r}")
+        else:
+            vals[n] = _FORWARD[op](vals, ps, at)
     return vals
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import nets
-from .acda import RunRecord, TrainConfig, accuracy, run_algorithm_1
+from .acda import _STRATEGIES, RunRecord, TrainConfig, accuracy, run_algorithm_1
 from .data import (Dataset, export_csv, gen_gaussian_shift_pair,
                    gen_two_moons_pair, load_idx, standardize_features)
 from .errors import ConfigError, TrainingDivergedError
@@ -76,23 +76,17 @@ _TRAIN_TYPES = {f.name: f.type for f in fields(TrainConfig)}
 
 
 def _parse_scalar(key: str, raw: str, line_no: int):
-    raw = raw.strip()
-    if key in ("stage1_epochs", "stage3_epochs", "batch_size", "query_rounds",
-               "critic_steps_per_update", "seed", "early_stop_patience"):
-        return _coerce(raw, int, key, line_no)
-    if key in ("budget", "lambda_div", "delta", "learning_rate", "gp_coeff",
-               "early_stop_tol"):
-        return _coerce(raw, float, key, line_no)
-    if key == "lambda_w_override":
+    typ = _TRAIN_TYPES[key]  # the annotation as written, e.g. "float | None"
+    if typ == "str":
+        return raw
+    if typ == "float | None":
         return None if raw.lower() in ("none", "") else _coerce(raw, float, key, line_no)
-    if key == "adam_betas":
+    if typ == "tuple":
         parts = [p for p in raw.replace("(", "").replace(")", "").split(",") if p.strip()]
         if len(parts) != 2:
             raise ConfigError(f"line {line_no}: adam_betas needs two comma-separated floats")
         return (_coerce(parts[0], float, key, line_no), _coerce(parts[1], float, key, line_no))
-    if key in ("strategy", "diversity_normalization", "query_sign", "penalty_mode"):
-        return raw
-    raise ConfigError(f"line {line_no}: unknown key '{key}'")
+    return _coerce(raw, {"int": int, "float": float}[typ], key, line_no)
 
 
 def _at(line_no) -> str:
@@ -109,8 +103,8 @@ def _coerce(raw, typ, key, line_no):
 
 
 def parse_seeds(raw: str, line_no: int | None = None) -> list:
-    """Seeds from 'lo..hi' (inclusive) or 'a,b,c'; ConfigError if malformed
-    or empty.  ``line_no`` locates a config-file value in the message."""
+    """Seeds from 'lo..hi' (inclusive) or 'a,b,c'; ConfigError if malformed,
+    empty or repeated.  ``line_no`` locates a config-file value in the message."""
     raw = raw.strip()
     if ".." in raw:
         lo, _, hi = raw.partition("..")
@@ -122,6 +116,8 @@ def parse_seeds(raw: str, line_no: int | None = None) -> list:
     seeds = [_coerce(p, int, "seeds", line_no) for p in raw.split(",") if p.strip()]
     if not seeds:
         raise ConfigError(f"{_at(line_no)}seeds list is empty")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"{_at(line_no)}seeds list '{raw}' repeats a seed")
     return seeds
 
 
@@ -343,32 +339,37 @@ def compare_strategies(config: ExperimentConfig, strategies: list, seeds: list,
                        out_dir: str | None = None) -> list:
     """Run every (strategy, seed) pair; summarize final target accuracy.
 
-    Writes the same per-run files and MANIFEST as :func:`run_experiment`, a
-    diverged run included.  Returns summary rows [(strategy, mean, sd)] over
-    the finished runs, writes them to summary.csv, and prints a small table.
+    Raises ConfigError before any training for an unknown or repeated
+    strategy.  Writes the same per-run files and MANIFEST as
+    :func:`run_experiment`, a diverged run included.  Returns summary rows
+    [(strategy, mean, sd)] over the finished runs, writes them with each
+    strategy's finished-run count to summary.csv, and prints a small table.
     Pairwise mean differences (e.g. active − random) follow the rows; a
     strategy with no finished run has neither.
     """
     if not strategies or not seeds:
         raise ValueError("compare_strategies needs >= 1 strategy and seed")
+    for i, s in enumerate(strategies):
+        if s not in _STRATEGIES:
+            raise ConfigError(f"unknown strategy '{s}' (choose from {list(_STRATEGIES)})")
+        if s in strategies[:i]:
+            raise ConfigError(f"strategy '{s}' is named twice")
     out = out_dir if out_dir is not None else config.out_dir
     finals, _ = _run_pairs(config, [(s, seed) for s in strategies for seed in seeds], out)
 
     summary = [(s, float(np.mean(finals[s])), float(np.std(finals[s])))
-               for s in dict.fromkeys(strategies) if s in finals]
-    lines = ["strategy,mean_target_accuracy,sd_target_accuracy"]
-    print(f"{'strategy':10s} {'mean':>8s} {'sd':>8s}   (n={len(seeds)} seeds)")
+               for s in strategies if s in finals]
+    lines = ["strategy,mean_target_accuracy,sd_target_accuracy,finished_runs"]
+    print(f"{'strategy':10s} {'mean':>8s} {'sd':>8s} {'runs':>5s}")
     for s, mean, sd in summary:
-        lines.append(f"{s},{mean!r},{sd!r}")
-        print(f"{s:10s} {mean:8.4f} {sd:8.4f}")
-    seen = set()
+        lines.append(f"{s},{mean!r},{sd!r},{len(finals[s])}")
+        print(f"{s:10s} {mean:8.4f} {sd:8.4f} {len(finals[s]):5d}")
     for i, a in enumerate(strategies):
         for b in strategies[i + 1:]:
-            if (a, b) in seen or a not in finals or b not in finals:
+            if a not in finals or b not in finals:
                 continue
-            seen.add((a, b))
             diff = float(np.mean(finals[a]) - np.mean(finals[b]))
-            lines.append(f"{a}_minus_{b},{diff!r},")
+            lines.append(f"{a}_minus_{b},{diff!r},,")
             print(f"{a} - {b} mean difference: {diff:+.4f}")
     with open(os.path.join(out, "summary.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -23,6 +23,7 @@ __all__ = [
     "forward",
     "build_forward",
     "param_bindings",
+    "params_from_bindings",
     "cross_entropy",
     "cross_entropy_from_logits",
     "predictive_entropy",
@@ -198,6 +199,16 @@ def param_bindings(params: NetworkParams, name: str) -> dict:
         out[f"{name}.W{i}"] = w
         out[f"{name}.b{i}"] = b
     return out
+
+
+def params_from_bindings(bindings: dict, like: NetworkParams, name: str) -> NetworkParams:
+    """Inverse of :func:`param_bindings`: ``like``'s spec and init seed with
+    the arrays bound to ``{name}.W{i}`` / ``{name}.b{i}``."""
+    layers = range(like.spec.n_layers)
+    return NetworkParams(spec=like.spec,
+                         weights=[bindings[f"{name}.W{i}"] for i in layers],
+                         biases=[bindings[f"{name}.b{i}"] for i in layers],
+                         init_seed=like.init_seed)
 
 
 def param_leaf_names(spec: NetworkSpec, name: str) -> list:

@@ -251,11 +251,7 @@ def fit_critic(points_a, points_b, steps: int = 2000, learning_rate: float = 1e-
         params = opt.step_ascent(params, step_grads)
         if (step + 1) % record_every == 0 or step == steps - 1:
             history.append((step + 1, float(vals[terms["w1"]])))
-    d_out = d_params.copy()
-    for i in range(d_out.spec.n_layers):
-        d_out.weights[i] = params[f"D.W{i}"]
-        d_out.biases[i] = params[f"D.b{i}"]
-    return d_out, f_params, history
+    return nets.params_from_bindings(params, d_params, "D"), f_params, history
 
 
 # ----------------------------------------------------------------------

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acda.autodiff import (Graph, finite_difference_check, forward_eval,
-                           gradient, input_gradient_node)
+from acda.autodiff import (_FORWARD, _GRAD, Graph, finite_difference_check,
+                           forward_eval, gradient, input_gradient_node)
 from acda.errors import GraphError
 
 
@@ -190,4 +190,40 @@ def test_elementwise_chain_gradients_fuzz(rows, cols, data):
     x = g.leaf("x", (rows, cols))
     y = g.sum(g.sigmoid(g.mul(g.tanh(x), x)))
     xv = np.random.default_rng(data).normal(size=(rows, cols))
+    assert finite_difference_check(g, y, "x", {"x": xv}) < 1e-5
+
+
+def test_every_op_has_a_gradient_rule():
+    assert set(_GRAD) == set(_FORWARD) | {"leaf"}
+
+
+# (op applied to leaf x, shape of x, inputs kept positive)
+_OP_CASES = {
+    "reciprocal": (lambda g, x: g.reciprocal(x), (2, 3), True),
+    "sqrt": (lambda g, x: g.sqrt(x), (2, 3), True),
+    "log": (lambda g, x: g.log(x), (2, 3), True),
+    "exp": (lambda g, x: g.exp(x), (2, 3), False),
+    "affine": (lambda g, x: g.affine(x, -1.5, 0.3), (2, 3), False),
+    "broadcast_to": (lambda g, x: g.broadcast_to(x, (4, 3)), (1, 3), False),
+    "transpose": (lambda g, x: g.transpose(x), (2, 3), False),
+    "pad": (lambda g, x: g.pad_axis(x, 1, 1, 2), (2, 3), False),
+    "max_detached": (lambda g, x: g.logsumexp(x, axis=1), (2, 3), False),
+    "mean_axis": (lambda g, x: g.mean(x, axis=0), (2, 3), False),
+    "mean_axis_keepdims": (lambda g, x: g.mean(x, axis=-1, keepdims=True), (2, 3), False),
+}
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("case", sorted(_OP_CASES))
+def test_op_gradients_match_finite_differences(case, order):
+    """First order: d sum(tanh(op(x)))/dx.  Second order: the gradient of
+    the norm of that gradient, which differentiates the op's gradient rule."""
+    build, shape, positive = _OP_CASES[case]
+    g = Graph()
+    x = g.leaf("x", shape)
+    y = g.sum(g.tanh(build(g, x)))
+    if order == 2:
+        y = g.l2norm(g.add_gradient_nodes(y, [x])[x])
+    rng = np.random.default_rng(6)
+    xv = rng.uniform(0.5, 2.0, size=shape) if positive else rng.normal(size=shape)
     assert finite_difference_check(g, y, "x", {"x": xv}) < 1e-5

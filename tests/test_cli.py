@@ -87,7 +87,8 @@ def test_config_range_error_for_budget(tmp_path):
         parse_config(write_cfg(tmp_path, "budget = 1.5\n"))
 
 
-@pytest.mark.parametrize("body", ["seeds = 5..1\n", "seeds = x\n", "seeds = ,\n"])
+@pytest.mark.parametrize("body", ["seeds = 5..1\n", "seeds = x\n", "seeds = ,\n",
+                                  "seeds = 1,1\n"])
 def test_config_bad_seeds_rejected_with_line(tmp_path, body):
     with pytest.raises(ConfigError, match="line 1.*seeds"):
         parse_config(write_cfg(tmp_path, body))
@@ -177,14 +178,16 @@ def test_compare_single_strategy_has_no_difference_rows(tmp_path, capsys):
     assert lines[1].startswith("active,")
 
 
-def test_compare_identical_strategy_twice_gives_zero_difference(tmp_path):
+@pytest.mark.parametrize("strategies,message", [
+    (["random", "random"], "named twice"),
+    (["random", "bogus"], "unknown strategy 'bogus'"),
+], ids=["repeated", "unknown"])
+def test_compare_rejects_bad_strategies_before_training(tmp_path, strategies, message):
     cfg = parse_config(write_cfg(tmp_path, SMALL_TRAIN + SMALL_DATASET))
-    out = str(tmp_path / "cmp")
-    compare_strategies(cfg, ["random", "random"], [1], out_dir=out)
-    lines = open(os.path.join(out, "summary.csv")).read().splitlines()
-    diff_rows = [l for l in lines if "minus" in l]
-    assert len(diff_rows) == 1
-    assert float(diff_rows[0].split(",")[1]) == 0.0
+    out = tmp_path / "cmp"
+    with pytest.raises(ConfigError, match=message):
+        compare_strategies(cfg, strategies, [1], out_dir=str(out))
+    assert not out.exists()
 
 
 def test_compare_reports_active_minus_random(tmp_path):
@@ -240,7 +243,7 @@ def test_cli_compare_seed_list(tmp_path):
     assert os.path.exists(os.path.join(out, "run-none-seed2.json"))
 
 
-@pytest.mark.parametrize("seeds", ["5..1", "x", "1..y"])
+@pytest.mark.parametrize("seeds", ["5..1", "x", "1..y", "1,1"])
 def test_cli_compare_bad_seed_list_exits_with_config_error(tmp_path, capsys, seeds):
     cfg_path = write_cfg(tmp_path, SMALL_TRAIN + SMALL_DATASET)
     code = main(["compare", cfg_path, "--seeds", seeds, "--out", str(tmp_path / "o")])
@@ -279,6 +282,8 @@ def test_cli_compare_records_diverged_seed_and_finishes(tmp_path, monkeypatch):
     summary = (out / "summary.csv").read_text().splitlines()
     assert [l.split(",")[0] for l in summary] == [
         "strategy", "active", "random", "active_minus_random"]
+    assert summary[0].split(",")[3] == "finished_runs"
+    assert [l.split(",")[3] for l in summary[1:3]] == ["2", "1"]
     lines = (out / "metrics.csv").read_text().splitlines()
     assert len(lines) == 2 + 3 * 4
 
