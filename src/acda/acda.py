@@ -349,7 +349,10 @@ class _StepGraphs:
     The critic graph ascends the adversarial objective in theta_d; the model
     graph descends classification (+ weighted query) loss plus the W1 term
     in (theta_f, theta_c).  Parameters enter as leaves so the same graph
-    serves every step.
+    serves every step.  F is frozen while the critic steps, so the critic's
+    W1 term reads the features F(xs_adv), F(xt) as leaves ``fs_adv``, ``ft``;
+    its gradient penalty still differentiates D(F(.)) at the input-space
+    interpolates ``xhat``.
     """
 
     def __init__(self, dims, specs, config: TrainConfig, n_classes: int):
@@ -360,25 +363,29 @@ class _StepGraphs:
 
         g = Graph()
         if self.has_target:
-            xs_adv = g.leaf("xs_adv", (ns_adv, d))
-            xt = g.leaf("xt", (nt, d))
+            fs_adv = g.leaf("fs_adv", (ns_adv, f_spec.output_dim))
+            ft = g.leaf("ft", (nt, f_spec.output_dim))
             xhat = g.leaf("xhat", (min(ns_adv, nt), d))
             lamw = g.leaf("lambda_w", ())
-            terms = transport.build_critic_terms(g, f_spec, d_spec, xs_adv, xt, xhat)
+            # D(fs) < D(ft) < w1 < penalty path: the order in which the
+            # D-gradient sums accumulate, kept from the D(F(.)) composition
+            w1 = transport.build_critic_w1(g, d_spec, fs_adv, ft)
+            penalty = transport.build_gradient_penalty(g, f_spec, d_spec, xhat)
             if config.penalty_mode == "as_written":
-                objective = g.mul(lamw, g.sub(terms["w1"], terms["penalty"]))
+                objective = g.mul(lamw, g.sub(w1, penalty))
             else:
-                objective = g.sub(g.mul(lamw, terms["w1"]),
-                                  g.affine(terms["penalty"], config.gp_coeff, 0.0))
-            d_leaves = [g.leaves[nm] for nm in nets.param_leaf_names(d_spec, "D")]
-            grads = g.add_gradient_nodes(objective, d_leaves)
+                objective = g.sub(g.mul(lamw, w1), g.affine(penalty, config.gp_coeff, 0.0))
+            d_names = nets.param_leaf_names(d_spec, "D")
+            grads = g.add_gradient_nodes(objective, [g.leaves[nm] for nm in d_names])
             self.critic_graph = g
             self.critic_nodes = {
                 "objective": objective,
-                "w1": terms["w1"],
-                "penalty": terms["penalty"],
-                "grads": {nm: grads[g.leaves[nm]] for nm in nets.param_leaf_names(d_spec, "D")},
+                "w1": w1,
+                "penalty": penalty,
+                "grads": {nm: grads[g.leaves[nm]] for nm in d_names},
             }
+            # a critic step reads its D-gradients and the penalty
+            self.critic_outputs = [penalty] + list(self.critic_nodes["grads"].values())
 
         m = Graph()
         xs_cls = m.leaf("xs_cls", (ns_cls, d))
@@ -402,8 +409,8 @@ class _StepGraphs:
             xs_adv_m = m.leaf("xs_adv", (ns_adv, d))
             xt_m = m.leaf("xt", (nt, d))
             lamw_m = m.leaf("lambda_w", ())
-            terms_m = transport.build_critic_terms(m, f_spec, d_spec, xs_adv_m, xt_m, None)
-            w1_node = terms_m["w1"]
+            w1_node = transport.build_critic_w1(m, d_spec, nets.build_forward(m, f_spec, xs_adv_m, "F"),
+                                                nets.build_forward(m, f_spec, xt_m, "F"))
             objective = m.add(objective, m.mul(lamw_m, w1_node))
         model_names = nets.param_leaf_names(f_spec, "F") + nets.param_leaf_names(c_spec, "C")
         grads = m.add_gradient_nodes(objective, [m.leaves[nm] for nm in model_names])
@@ -415,6 +422,8 @@ class _StepGraphs:
             "w1": w1_node,
             "grads": {nm: grads[m.leaves[nm]] for nm in model_names},
         }
+        self.model_outputs = [n for n in (objective, l_cls, l_wq, w1_node) if n is not None]
+        self.model_outputs += self.model_nodes["grads"].values()
 
 
 def _adversarial_fit(f_params, c_params, d_params, source: Dataset, target: Dataset,
@@ -500,13 +509,13 @@ def _adversarial_fit(f_params, c_params, d_params, source: Dataset, target: Data
 
             if has_target:
                 bindings = dict(params)
-                bindings["xs_adv"] = xs_adv
-                bindings["xt"] = xt
+                bindings["fs_adv"] = nets.forward_bound(f_params.spec, params, "F", xs_adv)
+                bindings["ft"] = nets.forward_bound(f_params.spec, params, "F", xt)
                 bindings["lambda_w"] = np.asarray(lamw)
                 for critic_step in range(config.critic_steps_per_update):
                     eps_seed = derive_seed(seed, "eps", epoch, step, critic_step)
                     bindings["xhat"] = transport.interpolates(xs_adv, xt, eps_seed)
-                    vals = forward_eval(sg.critic_graph, bindings)
+                    vals = forward_eval(sg.critic_graph, bindings, sg.critic_outputs)
                     cgrads = {nm: vals[sg.critic_nodes["grads"][nm]] for nm in d_names}
                     params = opt_critic.step_ascent(params, cgrads)
                     for nm in d_names:
@@ -524,7 +533,7 @@ def _adversarial_fit(f_params, c_params, d_params, source: Dataset, target: Data
                 bindings["xs_adv"] = xs_adv
                 bindings["xt"] = xt
                 bindings["lambda_w"] = np.asarray(lamw)
-            vals = forward_eval(sg.model_graph, bindings)
+            vals = forward_eval(sg.model_graph, bindings, sg.model_outputs)
             obj = float(vals[sg.model_nodes["objective"]])
             if not np.isfinite(obj):
                 raise TrainingDivergedError(epoch)

@@ -9,8 +9,16 @@ input-gradient penalty used by adversarial training differentiable with
 respect to network parameters (double backpropagation).
 
 A primitive is one builder method on ``Graph`` plus one entry in each of two
-module-level tables: ``_FORWARD`` (its numpy value, used by ``forward_eval``)
-and ``_GRAD`` (its adjoint nodes, used by ``Graph.add_gradient_nodes``).
+module-level tables: ``_FORWARD`` (a factory for its numpy kernel) and
+``_GRAD`` (its adjoint nodes, used by ``Graph.add_gradient_nodes``).
+
+``forward_eval`` runs a graph through a plan that ``Graph.compile`` makes on
+first use and keeps until the graph grows.  The plan resolves every node's
+kernel once, drops the nodes the requested outputs do not need, collapses
+nodes that repeat an earlier node's (op, parents, attrs), and evaluates
+constant-only nodes once.  Kernels call numpy's ufuncs directly and repeat
+numpy's own arithmetic, so a plan's values equal those of a node-by-node
+evaluation bit for bit.
 
 Tensors are 64-bit float numpy arrays, row-major.  No fusion, no dynamic
 shapes: correctness and determinism over speed.
@@ -62,6 +70,8 @@ class Graph:
         self.shapes: list[tuple] = []
         self.leaves: dict[str, int] = {}
         self.warnings: list[str] = []
+        self._plans: dict = {}
+        self._planned_nodes = 0
 
     # ------------------------------------------------------------------
     # plumbing
@@ -72,6 +82,18 @@ class Graph:
 
     def node_shape(self, node: int) -> tuple:
         return self.shapes[node]
+
+    def compile(self, outputs=None) -> "_Plan":
+        """The evaluation plan for ``outputs`` (node ids; None means every
+        node), compiled on first request and reused until the graph grows."""
+        if self._planned_nodes != self.num_nodes:
+            self._plans = {}
+            self._planned_nodes = self.num_nodes
+        key = None if outputs is None else tuple(outputs)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = _Plan(self, key)
+        return plan
 
     def clone(self) -> "Graph":
         g = Graph()
@@ -383,54 +405,87 @@ class Graph:
 # ----------------------------------------------------------------------
 # the op table: one forward rule and one gradient rule per primitive
 #
-# ``_FORWARD[op](vals, parents, attrs)`` returns the node's value from the
-# values of its parents.  ``_GRAD[op](graph, node, i, adjoint)`` appends the
+# ``_FORWARD[op](attrs)`` is a kernel factory: it returns ``fn`` with
+# ``fn(*parent_values)`` the node's value; a plan resolves it once per node.
+# ``_GRAD[op](graph, node, i, adjoint)`` appends the
 # nodes of the adjoint contribution to parent ``i`` and returns the last of
 # them, or None when there is none; the entry itself is None for ops that pass
 # no gradient on.  Gradient rules read forward values only through nodes
 # (``node`` itself or its parents), which keeps them differentiable.
 
 
-def _reduction(fn):
-    return lambda vals, ps, at: np.asarray(
-        fn(vals[ps[0]], axis=at["axis"], keepdims=at["keepdims"])
+def _reduction(ufunc):
+    """``np.sum``/``np.max`` without their Python wrappers: the same
+    ``ufunc.reduce`` call, so the same bits."""
+    def factory(at):
+        axis, keepdims = at["axis"], at["keepdims"]
+        if axis is None and not keepdims:
+            return lambda x: np.asarray(ufunc.reduce(x, axis=None))
+        return lambda x: ufunc.reduce(x, axis=axis, keepdims=keepdims)
+    return factory
+
+
+def _mean(at):
+    """``np.mean``'s arithmetic without its wrapper: a sum, then one
+    division by the element count."""
+    axis, keepdims = at["axis"], at["keepdims"]
+    if axis is None and not keepdims:
+        return lambda x: np.asarray(np.add.reduce(x, axis=None) / x.size)
+    return lambda x: np.true_divide(
+        np.add.reduce(x, axis=axis, keepdims=keepdims),
+        x.size if axis is None else x.shape[axis],
     )
 
 
-def _slice(vals, ps, at):
+def _affine(at):
+    scale, shift = at["scale"], at["shift"]
+    if scale == 1.0:  # x * 1.0 == x exactly, so one pass suffices
+        return lambda x: np.add(x, shift)
+    return lambda x: np.add(np.multiply(x, scale), shift)
+
+
+def _slice(at):
     index = (slice(None),) * at["axis"] + (slice(at["start"], at["stop"]),)
-    return vals[ps[0]][index]
+    return lambda x: x[index]
 
 
-def _pad(vals, ps, at):
-    x = vals[ps[0]]
-    width = [(0, 0)] * x.ndim
-    width[at["axis"]] = (at["before"], at["after"])
-    return np.pad(x, width)
+def _pad(at):
+    axis, before, after = at["axis"], at["before"], at["after"]
+
+    def pad(x):
+        width = [(0, 0)] * x.ndim
+        width[axis] = (before, after)
+        return np.pad(x, width)
+    return pad
+
+
+def _plain(fn):
+    """Factory for a kernel that reads no attrs."""
+    return lambda at: fn
 
 
 _FORWARD = {
-    "const": lambda vals, ps, at: at["value"],
-    "add": lambda vals, ps, at: vals[ps[0]] + vals[ps[1]],
-    "mul": lambda vals, ps, at: vals[ps[0]] * vals[ps[1]],
-    "matmul": lambda vals, ps, at: vals[ps[0]] @ vals[ps[1]],
-    "affine": lambda vals, ps, at: vals[ps[0]] * at["scale"] + at["shift"],
-    "tanh": lambda vals, ps, at: np.tanh(vals[ps[0]]),
-    "relu": lambda vals, ps, at: np.maximum(vals[ps[0]], 0.0),
-    "sigmoid": lambda vals, ps, at: 0.5 * (np.tanh(0.5 * vals[ps[0]]) + 1.0),
-    "exp": lambda vals, ps, at: np.exp(vals[ps[0]]),
-    "log": lambda vals, ps, at: np.log(vals[ps[0]]),
-    "square": lambda vals, ps, at: np.square(vals[ps[0]]),
-    "sqrt": lambda vals, ps, at: np.sqrt(vals[ps[0]]),
-    "reciprocal": lambda vals, ps, at: 1.0 / vals[ps[0]],
-    "gtzero": lambda vals, ps, at: (vals[ps[0]] > 0.0).astype(np.float64),
-    "sum": _reduction(np.sum),
-    "mean": _reduction(np.mean),
-    "max_detached": _reduction(np.max),
-    "broadcast_to": lambda vals, ps, at: np.broadcast_to(vals[ps[0]], at["target"]),
-    "reshape": lambda vals, ps, at: np.reshape(vals[ps[0]], at["target"]),
-    "transpose": lambda vals, ps, at: vals[ps[0]].T,
-    "concat": lambda vals, ps, at: np.concatenate([vals[p] for p in ps], axis=at["axis"]),
+    "const": lambda at: lambda: at["value"],
+    "add": _plain(np.add),
+    "mul": _plain(np.multiply),
+    "matmul": _plain(np.matmul),
+    "affine": _affine,
+    "tanh": _plain(np.tanh),
+    "relu": _plain(lambda x: np.maximum(x, 0.0)),
+    "sigmoid": _plain(lambda x: 0.5 * (np.tanh(0.5 * x) + 1.0)),
+    "exp": _plain(np.exp),
+    "log": _plain(np.log),
+    "square": _plain(np.square),
+    "sqrt": _plain(np.sqrt),
+    "reciprocal": _plain(lambda x: 1.0 / x),
+    "gtzero": _plain(lambda x: (x > 0.0).astype(np.float64)),
+    "sum": _reduction(np.add),
+    "mean": _mean,
+    "max_detached": _reduction(np.maximum),
+    "broadcast_to": lambda at: lambda x: np.broadcast_to(x, at["target"]),
+    "reshape": lambda at: lambda x: x.reshape(at["target"]),
+    "transpose": _plain(lambda x: x.T),
+    "concat": lambda at: lambda *xs: np.concatenate(xs, axis=at["axis"]),
     "slice": _slice,
     "pad": _pad,
 }
@@ -522,27 +577,105 @@ _GRAD = {
 # module-level operations
 
 
-def forward_eval(graph: Graph, bindings: dict) -> list:
-    """Evaluate every node; returns a list indexed by node id.
+class _Plan:
+    """A graph's evaluation compiled for one set of requested nodes.
 
-    ``bindings`` maps leaf names to arrays.  Extra keys are ignored so a
-    superset (e.g. a full parameter dictionary) can be fed to many graphs.
+    ``leaves`` are bound and checked on every run; ``steps`` are
+    ``(node, kernel, parents, done)`` in topological order, with each kernel
+    resolved from ``_FORWARD`` once.  Compiling drops the nodes the requested
+    ones do not need and collapses a node that repeats an earlier one's
+    (op, parents, attrs) onto it (``aliases``).  Nodes whose inputs are all
+    constants are evaluated once, into ``preset``.  ``done`` lists the
+    unrequested values whose last reader is this step; a run lets go of them
+    there, so the allocator hands their memory to later steps instead of
+    returning a large heap to the operating system after every run and
+    faulting it back in on the next.  Every value a run returns is computed
+    by the same kernel from the same inputs as a node-by-node evaluation,
+    so the two agree bit for bit.
     """
-    vals: list = [None] * graph.num_nodes
-    for n, (op, ps, at) in enumerate(zip(graph.ops, graph.parents, graph.attrs)):
-        if op == "leaf":
-            name = at["name"]
+
+    def __init__(self, graph: Graph, outputs):
+        n_nodes = graph.num_nodes
+        rep = list(range(n_nodes))
+        seen: dict = {}
+        for n, (op, ps, at) in enumerate(zip(graph.ops, graph.parents, graph.attrs)):
+            if op != "leaf":
+                rep[n] = seen.setdefault((op, tuple(rep[p] for p in ps), _attr_key(op, at)), n)
+
+        wanted = range(n_nodes) if outputs is None else [graph._check(o) for o in outputs]
+        live = [False] * n_nodes
+        stack = [rep[o] for o in wanted]
+        while stack:
+            n = stack.pop()
+            if not live[n]:
+                live[n] = True
+                stack.extend(rep[p] for p in graph.parents[n])
+
+        self.preset: list = [None] * n_nodes
+        self.leaves: list = []
+        self.steps: list = []
+        static = [False] * n_nodes
+        for n in range(n_nodes):
+            if not live[n]:
+                continue
+            op, at = graph.ops[n], graph.attrs[n]
+            if op == "leaf":
+                self.leaves.append((n, at["name"], graph.shapes[n]))
+                continue
+            ps = tuple(rep[p] for p in graph.parents[n])
+            kernel = _FORWARD[op](at)
+            if all(static[p] for p in ps):
+                self.preset[n] = kernel(*[self.preset[p] for p in ps])
+                static[n] = True
+            else:
+                self.steps.append((n, kernel, ps))
+        self.aliases = [(n, rep[n]) for n in wanted if rep[n] != n]
+
+        last_reader = {p: i for i, (_, _, ps) in enumerate(self.steps) for p in ps}
+        done: list = [[] for _ in self.steps]
+        kept = {rep[n] for n in wanted}
+        for p, i in last_reader.items():
+            if p not in kept:
+                done[i].append(p)
+        self.steps = [step + (tuple(d),) for step, d in zip(self.steps, done)]
+
+    def run(self, bindings: dict) -> list:
+        vals = list(self.preset)
+        for n, name, shape in self.leaves:
             if name not in bindings:
                 raise GraphError(f"unbound leaf {name!r}")
             x = np.asarray(bindings[name], dtype=np.float64)
-            if x.shape != graph.shapes[n]:
-                raise GraphError(
-                    f"leaf {name!r} expects shape {graph.shapes[n]}, got {x.shape}"
-                )
+            if x.shape != shape:
+                raise GraphError(f"leaf {name!r} expects shape {shape}, got {x.shape}")
             vals[n] = x
-        else:
-            vals[n] = _FORWARD[op](vals, ps, at)
-    return vals
+        for n, kernel, ps, done in self.steps:
+            vals[n] = kernel(*[vals[p] for p in ps])
+            for p in done:
+                vals[p] = None
+        for n, r in self.aliases:
+            vals[n] = vals[r]
+        return vals
+
+
+def _attr_key(op: str, at: dict):
+    """Hashable attrs; repr keeps -0.0 apart from 0.0, and a constant is
+    keyed by its bytes."""
+    if op == "const":
+        return at["value"].shape, at["value"].tobytes()
+    return repr(sorted(at.items()))
+
+
+def forward_eval(graph: Graph, bindings: dict, outputs=None) -> list:
+    """Evaluate the graph; returns a list indexed by node id.
+
+    ``bindings`` maps leaf names to arrays.  Extra keys are ignored so a
+    superset (e.g. a full parameter dictionary) can be fed to many graphs.
+    With ``outputs`` (node ids) only those nodes and the nodes they need are
+    evaluated, and only those leaves must be bound; other entries may be
+    None.  The plan is compiled on first use and kept on the graph until
+    the graph grows (see :meth:`Graph.compile`).
+    """
+    return graph.compile(outputs).run(bindings)
 
 
 def _leaf_id(graph: Graph, leaf) -> int:
@@ -563,7 +696,7 @@ def gradient(graph: Graph, scalar_node: int, wrt, bindings: dict) -> dict:
     g2 = graph.clone()
     ids = [_leaf_id(g2, w) for w in wrt]
     adjoints = g2.add_gradient_nodes(scalar_node, ids)
-    vals = forward_eval(g2, bindings)
+    vals = forward_eval(g2, bindings, [adjoints[i] for i in ids])
     return {key: vals[adjoints[i]] for key, i in zip(wrt, ids)}
 
 
@@ -601,11 +734,11 @@ def finite_difference_check(
         plus = base.copy().reshape(-1)
         plus[k] += step
         shifted[name] = plus.reshape(base.shape)
-        f_plus = float(forward_eval(graph, shifted)[scalar_node])
+        f_plus = float(forward_eval(graph, shifted, [scalar_node])[scalar_node])
         minus = base.copy().reshape(-1)
         minus[k] -= step
         shifted[name] = minus.reshape(base.shape)
-        f_minus = float(forward_eval(graph, shifted)[scalar_node])
+        f_minus = float(forward_eval(graph, shifted, [scalar_node])[scalar_node])
         fd = (f_plus - f_minus) / (2.0 * step)
         adk = float(ad.reshape(-1)[k])
         if not (np.isfinite(fd) and np.isfinite(adk)):

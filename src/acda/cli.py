@@ -6,7 +6,8 @@ Subcommands:
   gen <config>       materialize the configured dataset as CSV (no training)
   check              run fast self-diagnostics, printing PASS/FAIL per item
 
-Flags --budget, --lambda-div, --seed, --strategy override config keys.
+Flags --budget, --lambda-div, --seed, --strategy override config keys;
+compare takes --seed or --seeds, not both.
 Output root resolution: --out, else $ACDA_OUT_ROOT, else the config's
 out_dir, else ./runs.
 """
@@ -14,7 +15,6 @@ out_dir, else ./runs.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import replace
@@ -25,7 +25,7 @@ from . import experiments, transport
 from .acda import (TrainConfig, lambda_w, query_scores, select_queries,
                    uncertainty_weights, weighted_query_loss)
 from .data import export_csv
-from .errors import AcdaError
+from .errors import AcdaError, ConfigError
 from .experiments import (ExperimentConfig, compare_strategies, parse_config,
                           parse_seeds, run_experiment)
 
@@ -101,13 +101,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    if args.seed is not None and args.seeds:
+        raise ConfigError("give either --seed or --seeds, not both")
     config = _apply_overrides(parse_config(args.config), args)
     strategies = [s for s in args.strategies.split(",") if s.strip()]
     seeds = parse_seeds(args.seeds) if args.seeds else config.seeds
-    out = _resolve_out(args, config)
-    compare_strategies(config, strategies, seeds, out_dir=out)
-    with open(os.path.join(out, "MANIFEST.json"), encoding="utf-8") as fh:
-        return 0 if json.load(fh)["status"] == "ok" else 1
+    _, status = compare_strategies(config, strategies, seeds, out_dir=_resolve_out(args, config))
+    return status
 
 
 def _cmd_gen(args) -> int:

@@ -281,12 +281,13 @@ def _write_json(path: str, obj: dict):
 
 
 def _run_pairs(config: ExperimentConfig, pairs: list, out: str):
-    """Run each (strategy, seed) pair; returns ``(finals, status)``.
+    """Run each (strategy, seed) pair; returns ``(finals, exit_status)``.
 
     Writes a RunRecord JSON and a checkpoint per finished run, one
     ``metrics.csv`` over all of them, and a ``MANIFEST.json`` that marks a
     diverged run and sets the status to "failed" without stopping the rest.
-    ``finals`` maps each strategy to its finished runs' final target accuracy.
+    ``finals`` maps each strategy to its finished runs' final target accuracy;
+    the exit status is 0, or 1 when a run diverged.
     """
     os.makedirs(out, exist_ok=True)
     rows = []
@@ -316,7 +317,7 @@ def _run_pairs(config: ExperimentConfig, pairs: list, out: str):
         })
     _write_metrics(os.path.join(out, "metrics.csv"), rows)
     _write_json(os.path.join(out, "MANIFEST.json"), manifest)
-    return finals, manifest["status"]
+    return finals, 0 if manifest["status"] == "ok" else 1
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> int:
@@ -324,7 +325,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> int:
     out = out_dir if out_dir is not None else config.out_dir
     pairs = [(config.train.strategy, run_seed) for run_seed in config.seeds]
     _, status = _run_pairs(config, pairs, out)
-    return 0 if status == "ok" else 1
+    return status
 
 
 def _write_metrics(path: str, rows: list):
@@ -336,14 +337,16 @@ def _write_metrics(path: str, rows: list):
 
 
 def compare_strategies(config: ExperimentConfig, strategies: list, seeds: list,
-                       out_dir: str | None = None) -> list:
+                       out_dir: str | None = None) -> tuple:
     """Run every (strategy, seed) pair; summarize final target accuracy.
 
     Raises ConfigError before any training for an unknown or repeated
     strategy.  Writes the same per-run files and MANIFEST as
-    :func:`run_experiment`, a diverged run included.  Returns summary rows
-    [(strategy, mean, sd)] over the finished runs, writes them with each
-    strategy's finished-run count to summary.csv, and prints a small table.
+    :func:`run_experiment`, a diverged run included.  Returns
+    ``(summary, status)``: summary rows [(strategy, mean, sd)] over the
+    finished runs, and :func:`run_experiment`'s exit status (1 when a run
+    diverged).  Writes the rows with each strategy's finished-run count to
+    summary.csv, and prints a small table.
     Pairwise mean differences (e.g. active − random) follow the rows; a
     strategy with no finished run has neither.
     """
@@ -355,7 +358,7 @@ def compare_strategies(config: ExperimentConfig, strategies: list, seeds: list,
         if s in strategies[:i]:
             raise ConfigError(f"strategy '{s}' is named twice")
     out = out_dir if out_dir is not None else config.out_dir
-    finals, _ = _run_pairs(config, [(s, seed) for s in strategies for seed in seeds], out)
+    finals, status = _run_pairs(config, [(s, seed) for s in strategies for seed in seeds], out)
 
     summary = [(s, float(np.mean(finals[s])), float(np.std(finals[s])))
                for s in strategies if s in finals]
@@ -373,4 +376,4 @@ def compare_strategies(config: ExperimentConfig, strategies: list, seeds: list,
             print(f"{a} - {b} mean difference: {diff:+.4f}")
     with open(os.path.join(out, "summary.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-    return summary
+    return summary, status

@@ -21,6 +21,7 @@ __all__ = [
     "NetworkParams",
     "init_network",
     "forward",
+    "forward_bound",
     "build_forward",
     "param_bindings",
     "params_from_bindings",
@@ -140,7 +141,7 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 def forward(params: NetworkParams, x: np.ndarray) -> np.ndarray:
     """Batch inference; applies the configured output activation."""
-    h = _pre_output(params, x)
+    h = _pre_output(params.spec, params.weights, params.biases, x)
     act = params.spec.output_activation
     if act == "softmax":
         return _softmax(h)
@@ -149,18 +150,28 @@ def forward(params: NetworkParams, x: np.ndarray) -> np.ndarray:
     return h
 
 
-def _pre_output(params: NetworkParams, x: np.ndarray) -> np.ndarray:
+def forward_bound(spec: NetworkSpec, bindings: dict, name: str, x: np.ndarray) -> np.ndarray:
+    """The value of :func:`build_forward`'s output node, in numpy: the
+    network's output before its output activation, with parameters read
+    from ``bindings`` as :func:`param_bindings` lays them out.  It builds no
+    :class:`NetworkParams`, so it is cheap to call once per training step."""
+    layers = range(spec.n_layers)
+    return _pre_output(spec, [bindings[f"{name}.W{i}"] for i in layers],
+                       [bindings[f"{name}.b{i}"] for i in layers], x)
+
+
+def _pre_output(spec: NetworkSpec, weights, biases, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.spec.input_dim:
+    if x.ndim != 2 or x.shape[1] != spec.input_dim:
         raise ValueError(
-            f"expected input of shape (n, {params.spec.input_dim}), got {x.shape}"
+            f"expected input of shape (n, {spec.input_dim}), got {x.shape}"
         )
-    hidden = np.tanh if params.spec.hidden_activation == "tanh" else (
+    hidden = np.tanh if spec.hidden_activation == "tanh" else (
         lambda v: np.maximum(v, 0.0)
     )
     h = x
-    last = params.spec.n_layers - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+    last = spec.n_layers - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
         h = h @ w + b
         if i != last:
             h = hidden(h)

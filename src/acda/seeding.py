@@ -9,9 +9,12 @@ stage happened to make.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = ["derive_seed", "make_rng"]
+
 
 # Stable tag -> integer mapping so string tags hash identically across
 # processes (the builtin hash() is salted per-process).
@@ -19,13 +22,20 @@ def _tag_to_int(tag) -> int:
     if isinstance(tag, (int, np.integer)):
         return int(tag)
     if isinstance(tag, str):
-        # FNV-1a, 64-bit: tiny, stable, good enough for namespacing.
-        h = 0xCBF29CE484222325
-        for byte in tag.encode("utf8"):
-            h ^= byte
-            h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-        return h
+        return _fnv1a(tag)
     raise TypeError(f"seed tags must be int or str, got {type(tag).__name__}")
+
+
+# The package derives seeds from a few dozen literal string tags, tens of
+# thousands of times per run; the bound only caps what odd callers can add.
+@functools.lru_cache(maxsize=1024)
+def _fnv1a(tag: str) -> int:
+    """FNV-1a, 64-bit: tiny, stable, good enough for namespacing."""
+    h = 0xCBF29CE484222325
+    for byte in tag.encode("utf8"):
+        h ^= byte
+        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
 
 
 def derive_seed(root: int, *tags) -> int:

@@ -28,7 +28,8 @@ __all__ = [
     "exact_w1",
     "critic_w1_estimate",
     "gradient_penalty",
-    "build_critic_terms",
+    "build_critic_w1",
+    "build_gradient_penalty",
     "fit_critic",
     "identity_network",
     "lipschitz_normalize",
@@ -150,27 +151,29 @@ def critic_w1_estimate(f_params: NetworkParams, d_params: NetworkParams,
     return float(score_s.mean() - score_t.mean())
 
 
-def build_critic_terms(graph: Graph, f_spec: NetworkSpec, d_spec: NetworkSpec,
-                       xs_node: int, xt_node: int, xhat_node: int | None,
-                       f_name: str = "F", d_name: str = "D") -> dict:
-    """Append the empirical-W1 estimate (and optionally the gradient penalty)
-    for the critic composition D(F(.)) to ``graph``.
+def build_critic_w1(graph: Graph, d_spec: NetworkSpec, fs_node: int, ft_node: int) -> int:
+    """Append the empirical-W1 estimate  mean D(fs) - mean D(ft)  on two
+    feature nodes (leaves, or F's output nodes) to ``graph``; returns its id.
+    D's parameters are the leaves ``D.W{i}`` / ``D.b{i}``."""
+    ds = nets.build_forward(graph, d_spec, fs_node, "D")
+    dt = nets.build_forward(graph, d_spec, ft_node, "D")
+    return graph.sub(graph.mean(ds), graph.mean(dt))
 
-    ``xhat_node`` must be a *leaf* holding precomputed interpolates (the
-    penalty differentiates the critic with respect to it); pass ``None`` to
-    skip the penalty.  Returns node ids: ``{"w1": ..., "penalty": ...}``.
+
+def build_gradient_penalty(graph: Graph, f_spec: NetworkSpec, d_spec: NetworkSpec,
+                           xhat_node: int) -> int:
+    """Append the input-space gradient penalty of the critic composition
+    D(F(.)): the mean over rows of (||grad_x D(F(x))||_2 - 1)^2 at x = xhat.
+
+    ``xhat_node`` must be a *leaf* holding precomputed interpolates, since
+    the penalty differentiates the critic with respect to it.  F's and D's
+    parameters are the leaves ``F.*`` and ``D.*``.  Returns the penalty
+    node id.
     """
-    ds = nets.build_forward(graph, d_spec, nets.build_forward(graph, f_spec, xs_node, f_name), d_name)
-    dt = nets.build_forward(graph, d_spec, nets.build_forward(graph, f_spec, xt_node, f_name), d_name)
-    w1 = graph.sub(graph.mean(ds), graph.mean(dt))
-    out = {"w1": w1, "penalty": None}
-    if xhat_node is not None:
-        dhat = nets.build_forward(graph, d_spec, nets.build_forward(graph, f_spec, xhat_node, f_name), d_name)
-        total = graph.sum(dhat)
-        grad_x = graph.add_gradient_nodes(total, [xhat_node])[xhat_node]
-        norms = graph.l2norm(grad_x, axis=1)
-        out["penalty"] = graph.mean(graph.square(graph.affine(norms, 1.0, -1.0)))
-    return out
+    dhat = nets.build_forward(graph, d_spec, nets.build_forward(graph, f_spec, xhat_node, "F"), "D")
+    grad_x = graph.add_gradient_nodes(graph.sum(dhat), [xhat_node])[xhat_node]
+    norms = graph.l2norm(grad_x, axis=1)
+    return graph.mean(graph.square(graph.affine(norms, 1.0, -1.0)))
 
 
 def interpolates(batch_s: np.ndarray, batch_t: np.ndarray, seed: int) -> np.ndarray:
@@ -190,13 +193,11 @@ def gradient_penalty(f_params: NetworkParams, d_params: NetworkParams,
     xt = _check_points(batch_t, "batch_t")
     xhat = interpolates(xs, xt, seed)
     g = Graph()
-    xhat_leaf = g.leaf("xhat", xhat.shape)
-    terms = build_critic_terms(g, f_params.spec, d_params.spec,
-                               xhat_leaf, xhat_leaf, xhat_leaf)
+    penalty = build_gradient_penalty(g, f_params.spec, d_params.spec, g.leaf("xhat", xhat.shape))
     bindings = {"xhat": xhat}
     bindings.update(nets.param_bindings(f_params, "F"))
     bindings.update(nets.param_bindings(d_params, "D"))
-    return float(forward_eval(g, bindings)[terms["penalty"]])
+    return float(forward_eval(g, bindings, [penalty])[penalty])
 
 
 def identity_network(dim: int) -> NetworkParams:
@@ -215,7 +216,9 @@ def fit_critic(points_a, points_b, steps: int = 2000, learning_rate: float = 1e-
 
     Full-batch ascent on  W1_estimate - gp_coeff * penalty.  Returns
     ``(d_params, f_params, history)`` where history is a list of
-    ``(step, estimate)`` pairs.  The feature map defaults to identity.
+    ``(step, estimate)`` pairs.  The feature map defaults to identity; it is
+    frozen, so the W1 term reads features computed once, while the penalty
+    differentiates D(F(.)) at the input-space interpolates.
     """
     xs = _check_points(points_a, "points_a")
     xt = _check_points(points_b, "points_b")
@@ -228,29 +231,31 @@ def fit_critic(points_a, points_b, steps: int = 2000, learning_rate: float = 1e-
             make_rng(seed, "critic-init").integers(2**63),
         )
     k = min(xs.shape[0], xt.shape[0])
-    g = Graph()
-    xs_leaf = g.leaf("xs", xs.shape)
-    xt_leaf = g.leaf("xt", xt.shape)
-    xhat_leaf = g.leaf("xhat", (k, dim))
-    terms = build_critic_terms(g, f_params.spec, d_params.spec, xs_leaf, xt_leaf, xhat_leaf)
-    objective = g.sub(terms["w1"], g.affine(terms["penalty"], gp_coeff, 0.0))
-    d_names = nets.param_leaf_names(d_params.spec, "D")
-    grads = g.add_gradient_nodes(objective, [g.leaves[nm] for nm in d_names])
-
     params = dict(nets.param_bindings(f_params, "F"))
     params.update(nets.param_bindings(d_params, "D"))
+    fs = nets.forward_bound(f_params.spec, params, "F", xs)
+    ft = nets.forward_bound(f_params.spec, params, "F", xt)
+
+    g = Graph()
+    w1 = build_critic_w1(g, d_params.spec, g.leaf("fs", fs.shape), g.leaf("ft", ft.shape))
+    penalty = build_gradient_penalty(g, f_params.spec, d_params.spec, g.leaf("xhat", (k, dim)))
+    objective = g.sub(w1, g.affine(penalty, gp_coeff, 0.0))
+    d_names = nets.param_leaf_names(d_params.spec, "D")
+    grads = g.add_gradient_nodes(objective, [g.leaves[nm] for nm in d_names])
+    outputs = [w1] + [grads[g.leaves[nm]] for nm in d_names]
+
     opt = Adam(learning_rate)
     history = []
     for step in range(steps):
         bindings = dict(params)
-        bindings["xs"] = xs
-        bindings["xt"] = xt
+        bindings["fs"] = fs
+        bindings["ft"] = ft
         bindings["xhat"] = interpolates(xs, xt, make_rng(seed, "step", step).integers(2**63))
-        vals = forward_eval(g, bindings)
+        vals = forward_eval(g, bindings, outputs)
         step_grads = {nm: vals[grads[g.leaves[nm]]] for nm in d_names}
         params = opt.step_ascent(params, step_grads)
         if (step + 1) % record_every == 0 or step == steps - 1:
-            history.append((step + 1, float(vals[terms["w1"]])))
+            history.append((step + 1, float(vals[w1])))
     return nets.params_from_bindings(params, d_params, "D"), f_params, history
 
 

@@ -295,6 +295,56 @@ def test_stage1_adapts_identical_pools_toward_zero_w1():
     assert last <= max(0.1 * first, 0.05)
 
 
+@pytest.mark.parametrize("penalty_mode", ["as_written", "separate"])
+def test_hoisted_critic_graph_matches_critic_on_f_of_inputs(penalty_mode):
+    """The critic graph reads F(xs_adv) and F(xt) as leaves; its objective,
+    W1, penalty and D-gradients are bit for bit those of the graph that
+    passes the inputs through F itself."""
+    from acda import nets, transport
+    from acda.acda import _StepGraphs
+    from acda.autodiff import Graph, forward_eval
+
+    f_spec, c_spec, d_spec = (default_feature_spec(2), default_classifier_spec(2),
+                              default_critic_spec())
+    config = TrainConfig(penalty_mode=penalty_mode)
+    sg = _StepGraphs((128, 100, 128, 0, 2), (f_spec, c_spec, d_spec), config, 2)
+
+    g = Graph()
+    xs, xt = g.leaf("xs_adv", (128, 2)), g.leaf("xt", (100, 2))
+    xhat, lamw = g.leaf("xhat", (100, 2)), g.leaf("lambda_w", ())
+    w1 = transport.build_critic_w1(g, d_spec, nets.build_forward(g, f_spec, xs, "F"),
+                                   nets.build_forward(g, f_spec, xt, "F"))
+    penalty = transport.build_gradient_penalty(g, f_spec, d_spec, xhat)
+    if penalty_mode == "as_written":
+        objective = g.mul(lamw, g.sub(w1, penalty))
+    else:
+        objective = g.sub(g.mul(lamw, w1), g.affine(penalty, config.gp_coeff, 0.0))
+    d_names = nets.param_leaf_names(d_spec, "D")
+    grads = g.add_gradient_nodes(objective, [g.leaves[nm] for nm in d_names])
+
+    rng = np.random.default_rng(9)
+    bindings = {"xs_adv": rng.normal(size=(128, 2)), "xt": rng.normal(size=(100, 2)) + 1.0,
+                "lambda_w": np.asarray(0.7)}
+    bindings["xhat"] = transport.interpolates(bindings["xs_adv"], bindings["xt"], 11)
+    f, _, d = _nets_for(seed=4)
+    bindings.update(nets.param_bindings(f, "F"))
+    bindings.update(nets.param_bindings(d, "D"))
+    composed = forward_eval(g, bindings)
+    bindings["fs_adv"] = nets.forward_bound(f_spec, bindings, "F", bindings["xs_adv"])
+    bindings["ft"] = nets.forward_bound(f_spec, bindings, "F", bindings["xt"])
+    hoisted = forward_eval(sg.critic_graph, bindings)
+    step = forward_eval(sg.critic_graph, bindings, sg.critic_outputs)
+
+    nodes = sg.critic_nodes
+    pairs = [(nodes["objective"], objective), (nodes["w1"], w1), (nodes["penalty"], penalty)]
+    pairs += [(nodes["grads"][nm], grads[g.leaves[nm]]) for nm in d_names]
+    for mine, theirs in pairs:
+        assert hoisted[mine].tobytes() == composed[theirs].tobytes()
+    for mine in sg.critic_outputs:
+        assert step[mine].tobytes() == hoisted[mine].tobytes()
+    assert sg.critic_graph.num_nodes < g.num_nodes
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_training_diverged_error_carries_epoch():
     source, target = _small_pair(seed=7, n=30)

@@ -227,3 +227,158 @@ def test_op_gradients_match_finite_differences(case, order):
     rng = np.random.default_rng(6)
     xv = rng.uniform(0.5, 2.0, size=shape) if positive else rng.normal(size=shape)
     assert finite_difference_check(g, y, "x", {"x": xv}) < 1e-5
+
+
+# ---------------------------------------------------------------- the plan
+
+
+def _reference_eval(graph, bindings):
+    """Node-by-node evaluation with no plan: every node, in id order."""
+    vals = []
+    for op, ps, at in zip(graph.ops, graph.parents, graph.attrs):
+        if op == "leaf":
+            vals.append(np.asarray(bindings[at["name"]], dtype=np.float64))
+        else:
+            vals.append(_FORWARD[op](at)(*[vals[p] for p in ps]))
+    return vals
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _all_op_graph():
+    """Every primitive, differentiated twice: the parameter gradient of the
+    norm of an input gradient."""
+    g = Graph()
+    x = g.leaf("x", (3, 2))
+    w = g.leaf("w", (2, 4))
+    h = g.add(g.matmul(x, w), g.constant(np.full(4, 0.1)))
+    h = g.sigmoid(g.tanh(h))
+    h = g.mul(h, g.relu(g.affine(h, 1.0, 0.0)))
+    h = g.add(g.exp(h), g.sqrt(g.square(h)))
+    h = g.mul(h, g.reciprocal(g.affine(g.log(g.affine(h, 1.0, 2.0)), 1.0, 1.0)))
+    h = g.mul(h, g.affine(g.gtzero(h), 0.5, 0.5))
+    joined = g.concat([h, g.transpose(g.reshape(h, (4, 3)))], axis=0)
+    joined = g.pad_axis(g.slice_axis(joined, 0, 1, 6), 1, 1, 0)
+    rows = g.broadcast_to(g.mean(joined, axis=0, keepdims=True), (5, 5))
+    y = g.add(g.sum(g.logsumexp(rows, axis=1)), g.mean(joined))
+    gx = g.add_gradient_nodes(y, [x])[x]
+    z = g.l2norm(gx)
+    gw = g.add_gradient_nodes(z, [w])[w]
+    rng = np.random.default_rng(7)
+    bindings = {"x": rng.normal(size=(3, 2)), "w": rng.normal(size=(2, 4))}
+    return g, bindings, [y, z, gw]
+
+
+def _step_graphs(query: bool):
+    """The criterion-7 step graphs (two-moons, batch 128) with random bindings."""
+    from acda import nets
+    from acda.acda import TrainConfig, _StepGraphs
+
+    specs = (nets.default_feature_spec(2), nets.default_classifier_spec(2),
+             nets.default_critic_spec())
+    sg = _StepGraphs((128, 128, 128, 5 if query else 0, 2), specs,
+                     TrainConfig(lambda_div=0.0), 2)
+    rng = np.random.default_rng(8)
+    bindings = {}
+    for spec, name in zip(specs, "FCD"):
+        bindings.update(nets.param_bindings(nets.init_network(spec, 3), name))
+    for graph in (sg.critic_graph, sg.model_graph):
+        for name, nid in graph.leaves.items():
+            bindings.setdefault(name, rng.normal(size=graph.shapes[nid]))
+    return sg, bindings
+
+
+def _plan_case(case):
+    if case == "all_ops":
+        return _all_op_graph()
+    sg, bindings = _step_graphs(query=case == "model_query")
+    if case == "critic":
+        return sg.critic_graph, bindings, sg.critic_outputs
+    return sg.model_graph, bindings, sg.model_outputs
+
+
+@pytest.mark.parametrize("case", ["all_ops", "critic", "model", "model_query"])
+def test_plan_matches_node_by_node_reference(case):
+    graph, bindings, outputs = _plan_case(case)
+    if case == "all_ops":
+        assert set(graph.ops) == set(_FORWARD) | {"leaf"}
+    reference = _reference_eval(graph, bindings)
+    full = forward_eval(graph, bindings)
+    assert all(_same_bits(a, b) for a, b in zip(full, reference))
+    for _ in range(2):  # the second call reuses the compiled plan
+        vals = forward_eval(graph, bindings, outputs)
+        assert all(_same_bits(vals[n], reference[n]) for n in outputs)
+    assert len(graph.compile(outputs).steps) < len(graph.compile().steps)
+
+
+_NUMPY = [  # (op, attrs, numpy expression the kernel must reproduce)
+    ("affine", {"scale": 1.0, "shift": 0.0}, lambda x: x * 1.0 + 0.0),
+    ("affine", {"scale": 1.0, "shift": -0.0}, lambda x: x * 1.0 + -0.0),
+    ("affine", {"scale": -1.0, "shift": 0.0}, lambda x: x * -1.0 + 0.0),
+    ("affine", {"scale": 0.3, "shift": 1e-24}, lambda x: x * 0.3 + 1e-24),
+    ("sum", {"axis": None, "keepdims": False}, lambda x: np.asarray(np.sum(x))),
+    ("sum", {"axis": 1, "keepdims": True}, lambda x: np.sum(x, axis=1, keepdims=True)),
+    ("mean", {"axis": None, "keepdims": False}, lambda x: np.asarray(np.mean(x))),
+    ("mean", {"axis": None, "keepdims": True}, lambda x: np.mean(x, keepdims=True)),
+    ("mean", {"axis": 0, "keepdims": False}, lambda x: np.mean(x, axis=0)),
+    ("mean", {"axis": -1, "keepdims": True}, lambda x: np.mean(x, axis=-1, keepdims=True)),
+    ("max_detached", {"axis": 1, "keepdims": True}, lambda x: np.max(x, axis=1, keepdims=True)),
+    ("reshape", {"target": (7, 5)}, lambda x: np.reshape(x, (7, 5))),
+    ("sigmoid", {}, lambda x: 0.5 * (np.tanh(0.5 * x) + 1.0)),
+    ("reciprocal", {}, lambda x: 1.0 / x),
+]
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero")
+@pytest.mark.parametrize("op,attrs,expression", _NUMPY,
+                         ids=[f"{op}-{i}" for i, (op, _, _) in enumerate(_NUMPY)])
+def test_kernels_repeat_numpy_arithmetic(op, attrs, expression):
+    """Kernels skip numpy's Python wrappers but not its arithmetic: the bits,
+    signed zeros included, are those of the plain numpy expression."""
+    x = np.random.default_rng(10).normal(size=(5, 7))
+    x[0, :2] = -0.0, 0.0
+    assert _same_bits(_FORWARD[op](attrs)(x), expression(x))
+
+
+def test_plan_collapses_repeats_but_keeps_signed_zero_shifts():
+    g = Graph()
+    x = g.leaf("x", (2,))
+    t1, t2 = g.tanh(x), g.tanh(x)
+    plus, minus = g.affine(x, 1.0, 0.0), g.affine(x, 1.0, -0.0)
+    plan = g.compile()
+    assert (t2, t1) in plan.aliases
+    assert len(plan.steps) == 3
+    vals = forward_eval(g, {"x": np.array([-0.0, 1.5])})
+    assert not np.signbit(vals[plus][0]) and np.signbit(vals[minus][0])
+    assert vals[t1] is vals[t2]
+
+
+def test_plan_is_recompiled_when_the_graph_grows():
+    g = Graph()
+    x = g.leaf("x", (3,))
+    s = g.sum(x)
+    xv = np.array([0.5, -1.0, 2.0])
+    assert forward_eval(g, {"x": xv})[s] == 1.5
+    first = g.compile()
+    e = g.exp(s)
+    assert g.compile() is not first
+    assert forward_eval(g, {"x": xv})[e] == np.exp(1.5)
+    assert forward_eval(g, {"x": xv}, [e])[e] == np.exp(1.5)
+
+
+def test_compiled_plan_still_checks_leaves():
+    g = Graph()
+    x = g.leaf("x", (2, 2))
+    u = g.leaf("unused", (1,))
+    s = g.sum(x)
+    forward_eval(g, {"x": np.ones((2, 2)), "unused": np.ones(1)})
+    forward_eval(g, {"x": np.ones((2, 2))}, [s])  # u is not needed for s
+    with pytest.raises(GraphError, match="unbound leaf 'unused'"):
+        forward_eval(g, {"x": np.ones((2, 2))})
+    with pytest.raises(GraphError, match="expects shape"):
+        forward_eval(g, {"x": np.ones((2, 3))}, [s])
+    with pytest.raises(GraphError, match="unbound leaf 'x'"):
+        forward_eval(g, {"unused": np.ones(1)}, [s, u])

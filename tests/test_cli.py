@@ -193,7 +193,8 @@ def test_compare_rejects_bad_strategies_before_training(tmp_path, strategies, me
 def test_compare_reports_active_minus_random(tmp_path):
     cfg = parse_config(write_cfg(tmp_path, SMALL_TRAIN + SMALL_DATASET))
     out = str(tmp_path / "cmp")
-    summary = compare_strategies(cfg, ["active", "random"], [1, 2], out_dir=out)
+    summary, status = compare_strategies(cfg, ["active", "random"], [1, 2], out_dir=out)
+    assert status == 0
     assert [s for s, _, _ in summary] == ["active", "random"]
     lines = open(os.path.join(out, "summary.csv")).read().splitlines()
     assert any(l.startswith("active_minus_random,") for l in lines)
@@ -249,6 +250,15 @@ def test_cli_compare_bad_seed_list_exits_with_config_error(tmp_path, capsys, see
     code = main(["compare", cfg_path, "--seeds", seeds, "--out", str(tmp_path / "o")])
     assert code == 2
     assert "seeds" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_compare_rejects_seed_with_seed_list(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path, SMALL_TRAIN + SMALL_DATASET)
+    code = main(["compare", cfg_path, "--strategies", "none", "--seed", "3",
+                 "--seeds", "1", "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "--seed" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
