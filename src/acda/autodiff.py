@@ -15,8 +15,9 @@ module-level tables: ``_FORWARD`` (a factory for its numpy kernel) and
 ``forward_eval`` runs a graph through a plan that ``Graph.compile`` makes on
 first use and keeps until the graph grows.  The plan resolves every node's
 kernel once, drops the nodes the requested outputs do not need, collapses
-nodes that repeat an earlier node's (op, parents, attrs), and evaluates
-constant-only nodes once.  Kernels call numpy's ufuncs directly and repeat
+nodes that repeat an earlier node's (op, parents, attrs), evaluates
+constant-only nodes once, and releases each intermediate value after its
+last reader.  Kernels call numpy's ufuncs directly and repeat
 numpy's own arithmetic, so a plan's values equal those of a node-by-node
 evaluation bit for bit.
 
