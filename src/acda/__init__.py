@@ -11,11 +11,10 @@ from .acda import (QueryResult, RunRecord, TrainConfig, WeightVector, lambda_w,
                    query_scores, random_queries, run_algorithm_1, select_queries,
                    stage1_train, stage3_train, uncertainty_weights, update_pools,
                    weighted_query_loss)
-from .autodiff import (Graph, Tensor, finite_difference_check, forward_eval,
-                       gradient, input_gradient_node)
+from .autodiff import Graph, Tensor, finite_difference_check, forward_eval, gradient
 from .data import (Dataset, DomainPair, LabelingFunction, batch_iterator,
                    export_csv, gen_gaussian_shift_pair, gen_two_moons_pair,
-                   load_csv, load_idx, oracle_label, standardize_features)
+                   load_csv, load_idx, standardize_features)
 from .errors import (AcdaError, CapacityError, CheckpointError, ConfigError,
                      DataError, GraphError, TrainingDivergedError, TransportError)
 from .experiments import (ExperimentConfig, compare_strategies, parse_config,

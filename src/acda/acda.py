@@ -11,7 +11,7 @@ queried set.  Everything is deterministic in the configured seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
@@ -47,19 +47,15 @@ __all__ = [
 _STRATEGIES = ("active", "random", "none")
 _NORMALIZATIONS = ("raw", "minmax", "zscore")
 _QUERY_SIGNS = ("as_written", "far_from_source")
-_PENALTY_MODES = ("as_written", "separate")
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters for the full pipeline, with documented defaults.
 
-    ``penalty_mode`` selects how the gradient penalty enters the critic
-    objective: ``as_written`` folds it inside the lambda_w factor
-    (lambda_w * (W1 - penalty)); ``separate`` uses the conventional
-    independently weighted form (lambda_w * W1 - gp_coeff * penalty).
-    ``lambda_w_override`` pins the adversarial weight to a constant
-    (0 disables adaptation entirely); None keeps the sigmoid schedule.
+    The critic ascends lambda_w * (W1 - penalty), the gradient penalty
+    folded inside the adversarial weight, and lambda_w follows the
+    :func:`lambda_w` schedule (steepness ``delta``) over the stage's steps.
     """
 
     budget: float = 0.1
@@ -76,11 +72,8 @@ class TrainConfig:
     strategy: str = "active"
     diversity_normalization: str = "minmax"
     query_sign: str = "as_written"
-    penalty_mode: str = "as_written"
-    gp_coeff: float = 10.0
     early_stop_patience: int = 5
     early_stop_tol: float = 1e-4
-    lambda_w_override: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.budget < 1.0:
@@ -99,8 +92,6 @@ class TrainConfig:
             raise ValueError(f"diversity_normalization must be one of {_NORMALIZATIONS}")
         if self.query_sign not in _QUERY_SIGNS:
             raise ValueError(f"query_sign must be one of {_QUERY_SIGNS}")
-        if self.penalty_mode not in _PENALTY_MODES:
-            raise ValueError(f"penalty_mode must be one of {_PENALTY_MODES}")
         object.__setattr__(self, "adam_betas", tuple(float(b) for b in self.adam_betas))
 
 
@@ -293,7 +284,6 @@ def update_pools(source: Dataset, target: Dataset, query_indices,
         features=target.features[keep],
         labels=None if target.labels is None else target.labels[keep],
         domain_tag="target",
-        groups=None if target.groups is None else target.groups[keep],
     )
     return new_source, new_target
 
@@ -355,7 +345,7 @@ class _StepGraphs:
     interpolates ``xhat``.
     """
 
-    def __init__(self, dims, specs, config: TrainConfig, n_classes: int):
+    def __init__(self, dims, specs, n_classes: int):
         ns_cls, nt, ns_adv, nq, d = dims
         f_spec, c_spec, d_spec = specs
         self.has_query = nq > 0
@@ -371,10 +361,7 @@ class _StepGraphs:
             # D-gradient sums accumulate, kept from the D(F(.)) composition
             w1 = transport.build_critic_w1(g, d_spec, fs_adv, ft)
             penalty = transport.build_gradient_penalty(g, f_spec, d_spec, xhat)
-            if config.penalty_mode == "as_written":
-                objective = g.mul(lamw, g.sub(w1, penalty))
-            else:
-                objective = g.sub(g.mul(lamw, w1), g.affine(penalty, config.gp_coeff, 0.0))
+            objective = g.mul(lamw, g.sub(w1, penalty))
             d_names = nets.param_leaf_names(d_spec, "D")
             grads = g.add_gradient_nodes(objective, [g.leaves[nm] for nm in d_names])
             self.critic_graph = g
@@ -464,8 +451,7 @@ def _adversarial_fit(f_params, c_params, d_params, source: Dataset, target: Data
         nq = len(query_x) if has_query else 0
         key = (ns_cls, nt, ns_adv)
         if key not in graphs:
-            graphs[key] = _StepGraphs((ns_cls, nt, ns_adv, nq, source.dim),
-                                      specs, config, n_classes)
+            graphs[key] = _StepGraphs((ns_cls, nt, ns_adv, nq, source.dim), specs, n_classes)
         return graphs[key]
 
     cls_seed = derive_seed(seed, "batches-cls")
@@ -500,10 +486,7 @@ def _adversarial_fit(f_params, c_params, d_params, source: Dataset, target: Data
             yb = y_source[idx_cls]
             xt = target.features[tgt_batches[step % len(tgt_batches)]] if has_target else None
 
-            if config.lambda_w_override is not None:
-                lamw = float(config.lambda_w_override)
-            else:
-                lamw = lambda_w(global_step / max(1, total_model_steps - 1), config.delta)
+            lamw = lambda_w(global_step / max(1, total_model_steps - 1), config.delta)
 
             sg = graphs_for(len(idx_cls), len(xt) if has_target else 0, len(idx_adv))
 

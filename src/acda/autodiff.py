@@ -10,7 +10,10 @@ respect to network parameters (double backpropagation).
 
 A primitive is one builder method on ``Graph`` plus one entry in each of two
 module-level tables: ``_FORWARD`` (a factory for its numpy kernel) and
-``_GRAD`` (its adjoint nodes, used by ``Graph.add_gradient_nodes``).
+``_GRAD`` (its adjoint nodes, used by ``Graph.add_gradient_nodes``).  The
+primitives are the ones the training graphs build: tanh networks, the
+log-sum-exp cross-entropy, the critic's W1 term and the gradient-norm
+penalty, and the adjoints of those.
 
 ``forward_eval`` runs a graph through a plan that ``Graph.compile`` makes on
 first use and keeps until the graph grows.  The plan resolves every node's
@@ -44,7 +47,6 @@ __all__ = [
     "Graph",
     "forward_eval",
     "gradient",
-    "input_gradient_node",
     "finite_difference_check",
 ]
 
@@ -70,7 +72,6 @@ class Graph:
         self.attrs: list[dict] = []
         self.shapes: list[tuple] = []
         self.leaves: dict[str, int] = {}
-        self.warnings: list[str] = []
         self._plans: dict = {}
         self._planned_nodes = 0
 
@@ -103,7 +104,6 @@ class Graph:
         g.attrs = list(self.attrs)  # attr dicts are never mutated after creation
         g.shapes = list(self.shapes)
         g.leaves = dict(self.leaves)
-        g.warnings = list(self.warnings)
         return g
 
     def _check(self, node) -> int:
@@ -180,12 +180,6 @@ class Graph:
     def tanh(self, a: int) -> int:
         return self._unary("tanh", a)
 
-    def relu(self, a: int) -> int:
-        return self._unary("relu", a)
-
-    def sigmoid(self, a: int) -> int:
-        return self._unary("sigmoid", a)
-
     def exp(self, a: int) -> int:
         return self._unary("exp", a)
 
@@ -200,10 +194,6 @@ class Graph:
 
     def reciprocal(self, a: int) -> int:
         return self._unary("reciprocal", a)
-
-    def gtzero(self, a: int) -> int:
-        """Indicator (a > 0) as floats; derivative defined as zero."""
-        return self._unary("gtzero", a)
 
     # ------------------------------------------------------------------
     # reductions and shape ops
@@ -262,39 +252,6 @@ class Graph:
             raise GraphError(f"transpose expects a matrix, got shape {sa}")
         return self._append("transpose", (a,), (sa[1], sa[0]))
 
-    def concat(self, nodes, axis: int = 0) -> int:
-        nodes = tuple(self._check(n) for n in nodes)
-        if not nodes:
-            raise GraphError("concat of zero nodes")
-        base = self.shapes[nodes[0]]
-        axis %= max(1, len(base))
-        total = 0
-        for n in nodes:
-            s = self.shapes[n]
-            if len(s) != len(base) or any(
-                s[i] != base[i] for i in range(len(base)) if i != axis
-            ):
-                raise GraphError(f"concat: mismatched shapes {base} vs {s}")
-            total += s[axis]
-        shape = tuple(total if i == axis else s for i, s in enumerate(base))
-        return self._append("concat", nodes, shape, axis=axis)
-
-    def slice_axis(self, a: int, axis: int, start: int, stop: int) -> int:
-        a = self._check(a)
-        sa = self.shapes[a]
-        axis %= len(sa)
-        if not 0 <= start <= stop <= sa[axis]:
-            raise GraphError(f"slice [{start}:{stop}] out of range for shape {sa}")
-        shape = tuple(stop - start if i == axis else s for i, s in enumerate(sa))
-        return self._append("slice", (a,), shape, axis=axis, start=start, stop=stop)
-
-    def pad_axis(self, a: int, axis: int, before: int, after: int) -> int:
-        a = self._check(a)
-        sa = self.shapes[a]
-        axis %= len(sa)
-        shape = tuple(s + (before + after if i == axis else 0) for i, s in enumerate(sa))
-        return self._append("pad", (a,), shape, axis=axis, before=before, after=after)
-
     # ------------------------------------------------------------------
     # composites built from primitives (fully differentiable)
 
@@ -347,10 +304,6 @@ class Graph:
         if self.shapes[g] != target:
             g = self.reshape(g, target)
         return g
-
-    def _warn_once(self, message: str):
-        if message not in self.warnings:
-            self.warnings.append(message)
 
     def add_gradient_nodes(self, scalar_node: int, wrt: list) -> dict:
         """Append adjoint nodes for d(scalar)/d(leaf) for each leaf in ``wrt``.
@@ -445,21 +398,6 @@ def _affine(at):
     return lambda x: np.add(np.multiply(x, scale), shift)
 
 
-def _slice(at):
-    index = (slice(None),) * at["axis"] + (slice(at["start"], at["stop"]),)
-    return lambda x: x[index]
-
-
-def _pad(at):
-    axis, before, after = at["axis"], at["before"], at["after"]
-
-    def pad(x):
-        width = [(0, 0)] * x.ndim
-        width[axis] = (before, after)
-        return np.pad(x, width)
-    return pad
-
-
 def _plain(fn):
     """Factory for a kernel that reads no attrs."""
     return lambda at: fn
@@ -472,23 +410,17 @@ _FORWARD = {
     "matmul": _plain(np.matmul),
     "affine": _affine,
     "tanh": _plain(np.tanh),
-    "relu": _plain(lambda x: np.maximum(x, 0.0)),
-    "sigmoid": _plain(lambda x: 0.5 * (np.tanh(0.5 * x) + 1.0)),
     "exp": _plain(np.exp),
     "log": _plain(np.log),
     "square": _plain(np.square),
     "sqrt": _plain(np.sqrt),
     "reciprocal": _plain(lambda x: 1.0 / x),
-    "gtzero": _plain(lambda x: (x > 0.0).astype(np.float64)),
     "sum": _reduction(np.add),
     "mean": _mean,
     "max_detached": _reduction(np.maximum),
     "broadcast_to": lambda at: lambda x: np.broadcast_to(x, at["target"]),
     "reshape": lambda at: lambda x: x.reshape(at["target"]),
     "transpose": _plain(lambda x: x.T),
-    "concat": lambda at: lambda *xs: np.concatenate(xs, axis=at["axis"]),
-    "slice": _slice,
-    "pad": _pad,
 }
 
 
@@ -506,40 +438,6 @@ def _grad_mean(g: Graph, n: int, i: int, adj: int) -> int:
     return g.affine(_spread(g, n, adj), 1.0 / count, 0.0)
 
 
-def _grad_relu(g: Graph, n: int, i: int, adj: int) -> int:
-    x = g.parents[n][0]
-    g._warn_once(
-        f"relu at node {x}: subgradient 0 at 0; second-order "
-        "paths through it are piecewise-constant"
-    )
-    return g.mul(adj, g.gtzero(x))
-
-
-def _grad_gtzero(g: Graph, n: int, i: int, adj: int) -> None:
-    g._warn_once(
-        f"gtzero at node {n}: derivative is zero almost everywhere; "
-        "higher-order contribution dropped"
-    )
-
-
-def _grad_concat(g: Graph, n: int, i: int, adj: int) -> int:
-    ps, axis = g.parents[n], g.attrs[n]["axis"]
-    start = sum(g.shapes[p][axis] for p in ps[:i])
-    return g.slice_axis(adj, axis, start, start + g.shapes[ps[i]][axis])
-
-
-def _grad_slice(g: Graph, n: int, i: int, adj: int) -> int:
-    at = g.attrs[n]
-    after = g.shapes[g.parents[n][0]][at["axis"]] - at["stop"]
-    return g.pad_axis(adj, at["axis"], at["start"], after)
-
-
-def _grad_pad(g: Graph, n: int, i: int, adj: int) -> int:
-    axis, before = g.attrs[n]["axis"], g.attrs[n]["before"]
-    extent = g.shapes[g.parents[n][0]][axis]
-    return g.slice_axis(adj, axis, before, before + extent)
-
-
 _GRAD = {
     "leaf": None,
     "const": None,
@@ -553,14 +451,11 @@ _GRAD = {
     ),
     "affine": lambda g, n, i, adj: g.affine(adj, g.attrs[n]["scale"], 0.0),
     "tanh": lambda g, n, i, adj: g.mul(adj, g.affine(g.square(n), -1.0, 1.0)),
-    "relu": _grad_relu,
-    "sigmoid": lambda g, n, i, adj: g.mul(adj, g.mul(n, g.affine(n, -1.0, 1.0))),
     "exp": lambda g, n, i, adj: g.mul(adj, n),
     "log": lambda g, n, i, adj: g.mul(adj, g.reciprocal(g.parents[n][0])),
     "square": lambda g, n, i, adj: g.mul(adj, g.affine(g.parents[n][0], 2.0, 0.0)),
     "sqrt": lambda g, n, i, adj: g.mul(adj, g.affine(g.reciprocal(n), 0.5, 0.0)),
     "reciprocal": lambda g, n, i, adj: g.mul(adj, g.affine(g.square(n), -1.0, 0.0)),
-    "gtzero": _grad_gtzero,
     "sum": lambda g, n, i, adj: _spread(g, n, adj),
     "mean": _grad_mean,
     # detached by design: the maximum cancels in value, so zero is exact
@@ -568,9 +463,6 @@ _GRAD = {
     "broadcast_to": lambda g, n, i, adj: g._unbroadcast(adj, g.shapes[g.parents[n][0]]),
     "reshape": lambda g, n, i, adj: g.reshape(adj, g.shapes[g.parents[n][0]]),
     "transpose": lambda g, n, i, adj: g.transpose(adj),
-    "concat": _grad_concat,
-    "slice": _grad_slice,
-    "pad": _grad_pad,
 }
 
 
@@ -699,20 +591,6 @@ def gradient(graph: Graph, scalar_node: int, wrt, bindings: dict) -> dict:
     adjoints = g2.add_gradient_nodes(scalar_node, ids)
     vals = forward_eval(g2, bindings, [adjoints[i] for i in ids])
     return {key: vals[adjoints[i]] for key, i in zip(wrt, ids)}
-
-
-def input_gradient_node(graph: Graph, scalar_node: int, input_leaf) -> tuple:
-    """Extend the graph with nodes computing d(scalar)/d(input_leaf).
-
-    Returns ``(extended_graph, node_id)``; the original graph is untouched.
-    The new node has the leaf's shape and remains differentiable with
-    respect to every other leaf (double backpropagation).  Non-smooth
-    primitives on the path leave a note in ``extended_graph.warnings``.
-    """
-    g2 = graph.clone()
-    lid = _leaf_id(g2, input_leaf)
-    adjoints = g2.add_gradient_nodes(scalar_node, [lid])
-    return g2, adjoints[lid]
 
 
 def finite_difference_check(

@@ -3,11 +3,12 @@
 Subcommands:
   run <config>       execute the configured experiment (one run per seed)
   compare <config>   sweep strategies x seeds and summarize final accuracy
-  gen <config>       materialize the configured dataset as CSV (no training)
+  gen <config>       write the pools the first seed's run trains on as CSV
   check              run fast self-diagnostics, printing PASS/FAIL per item
 
-Flags --budget, --lambda-div, --seed, --strategy override config keys;
-compare takes --seed or --seeds, not both.
+run, compare and gen take --budget, --lambda-div, --seed and --strategy,
+which override config keys, and --out; compare takes --seed or --seeds,
+not both.  check takes no flags.
 Output root resolution: --out, else $ACDA_OUT_ROOT, else the config's
 out_dir, else ./runs.
 """
@@ -22,8 +23,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import experiments, transport
-from .acda import (TrainConfig, lambda_w, query_scores, select_queries,
-                   uncertainty_weights, weighted_query_loss)
+from .acda import _STRATEGIES, lambda_w, uncertainty_weights, weighted_query_loss
 from .data import export_csv
 from .errors import AcdaError, ConfigError
 from .experiments import (ExperimentConfig, compare_strategies, parse_config,
@@ -38,16 +38,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Active adversarial domain adaptation experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_config=True):
-        if with_config:
-            p.add_argument("config", help="path to a key=value config file")
+    def common(p):
+        p.add_argument("config", help="path to a key=value config file")
         p.add_argument("--budget", type=float, default=None,
                        help="query budget fraction in (0,1)")
         p.add_argument("--lambda-div", type=float, default=None, dest="lambda_div",
                        help="diversity weight in the query objective")
         p.add_argument("--seed", type=int, default=None,
                        help="single seed overriding the config's seed list")
-        p.add_argument("--strategy", choices=("active", "random", "none"),
+        p.add_argument("--strategy", choices=_STRATEGIES,
                        default=None, help="query strategy")
         p.add_argument("--out", default=None, help="output directory root")
 
@@ -61,11 +60,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--seeds", default=None,
                        help="seed list, e.g. '1..20' or '3,5,8'")
 
-    p_gen = sub.add_parser("gen", help="emit the configured dataset as CSV")
+    p_gen = sub.add_parser("gen", help="write the first seed's training pools as CSV")
     common(p_gen)
 
-    p_chk = sub.add_parser("check", help="run fast self-diagnostics")
-    common(p_chk, with_config=False)
+    sub.add_parser("check", help="run fast self-diagnostics")
     return parser
 
 
@@ -114,9 +112,7 @@ def _cmd_gen(args) -> int:
     config = _apply_overrides(parse_config(args.config), args)
     out = _resolve_out(args, config)
     os.makedirs(out, exist_ok=True)
-    seed = config.seeds[0]
-    made = experiments.build_pair(config.dataset, seed)
-    source, target = made if isinstance(made, tuple) else (made.source, made.target)
+    source, target = experiments._pools_for_run(config, config.seeds[0])
     path = os.path.join(out, "dataset.csv")
     export_csv(path, source, target)
     print(path)
@@ -156,7 +152,7 @@ def _cmd_check(args) -> int:
                                                 counts=np.array([1, 1])))
     report("weighted loss hand case", abs(loss - 0.5 * np.log(2)) < 1e-12)
 
-    from .autodiff import Graph, finite_difference_check, gradient
+    from .autodiff import Graph, finite_difference_check
     g = Graph()
     x = g.leaf("x", (3,))
     y = g.sum(g.mul(x, x))
@@ -166,7 +162,7 @@ def _cmd_check(args) -> int:
     from .data import gen_two_moons_pair
     pair = gen_two_moons_pair(40, 40, 30.0, 0.05, 0.1, seed=11)
     h = transport.lipschitz_normalize(
-        init_network(NetworkSpec((2, 16, 1), "tanh", "identity"), seed=5))
+        init_network(NetworkSpec((2, 16, 1), "identity"), seed=5))
     bound = transport.bound_rhs(h, pair.source.features, pair.target.features,
                                 pair.f_source, pair.f_target)
     report("risk bound holds", bound.holds,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -25,7 +25,6 @@ __all__ = [
     "Dataset",
     "DomainPair",
     "LabelingFunction",
-    "oracle_label",
     "gen_two_moons_pair",
     "gen_gaussian_shift_pair",
     "load_idx",
@@ -38,17 +37,11 @@ __all__ = [
 
 @dataclass
 class Dataset:
-    """A feature matrix with optional labels and a domain tag.
-
-    ``groups`` records which generator component (moon arc / cluster) each
-    point was drawn from; it exists for diagnostics only and is never shown
-    to training code.
-    """
+    """A feature matrix with optional labels and a domain tag."""
 
     features: np.ndarray
     labels: np.ndarray | None
     domain_tag: str
-    groups: np.ndarray | None = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -69,15 +62,6 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.features.shape[1]
-
-    def subset(self, indices) -> "Dataset":
-        idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(
-            features=self.features[idx],
-            labels=None if self.labels is None else self.labels[idx],
-            domain_tag=self.domain_tag,
-            groups=None if self.groups is None else self.groups[idx],
-        )
 
 
 @dataclass
@@ -116,32 +100,22 @@ class LabelingFunction:
 
 @dataclass
 class DomainPair:
-    """Source and target datasets plus the generator's labeling functions.
+    """Source and target datasets plus the generator's labeling functions
+    (None for loaded data).
 
-    Target labels are present (the generator knows them) but must be read
-    only through :func:`oracle_label` during a run and through final-accuracy
-    evaluation afterwards.
+    Target labels are present (the generator knows them); a run reads them
+    only as the annotator's answers to its queries and for final-accuracy
+    evaluation.
     """
 
     source: Dataset
     target: Dataset
     f_source: LabelingFunction | None
     f_target: LabelingFunction | None
-    shift_spec: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.source.dim != self.target.dim:
             raise ValueError("source and target dimensionality must match")
-
-
-def oracle_label(pair: DomainPair, indices) -> np.ndarray:
-    """Labels for queried target instances (the simulated annotator)."""
-    idx = np.asarray(indices, dtype=np.int64)
-    if pair.target.labels is None:
-        raise ValueError("this pair has no target labels to query")
-    if idx.size and (idx.min() < 0 or idx.max() >= len(pair.target)):
-        raise ValueError("query index out of range")
-    return pair.target.labels[idx].copy()
 
 
 # ----------------------------------------------------------------------
@@ -211,23 +185,12 @@ def gen_two_moons_pair(n_source: int, n_target: int, rotation_deg: float,
         clean = np.where(arc[:, None] == 0, _moon_points(t, 0), _moon_points(t, 1))
         if rotated:
             clean = _rotate(clean, rotation_deg)
-        return clean + rng.normal(0.0, 1.0, size=(n, 2)) * noise_sd, arc
+        return clean + rng.normal(0.0, 1.0, size=(n, 2)) * noise_sd
 
-    xs, arc_s = sample(n_source, make_rng(seed, "moons-source"), rotated=False)
-    xt, arc_t = sample(n_target, make_rng(seed, "moons-target"), rotated=True)
-    source = Dataset(xs, f_source.label(xs), "source", groups=arc_s)
-    target = Dataset(xt, f_target.label(xt), "target", groups=arc_t)
-    spec = {
-        "generator": "two_moons",
-        "n_source": n_source,
-        "n_target": n_target,
-        "rotation_deg": rotation_deg,
-        "noise_sd": noise_sd,
-        "label_flip_rate": label_flip_rate,
-        "seed": int(seed),
-        "rotation_center": _MOON_CENTER.tolist(),
-    }
-    return DomainPair(source, target, f_source, f_target, spec)
+    xs = sample(n_source, make_rng(seed, "moons-source"), rotated=False)
+    xt = sample(n_target, make_rng(seed, "moons-target"), rotated=True)
+    return DomainPair(Dataset(xs, f_source.label(xs), "source"),
+                      Dataset(xt, f_target.label(xt), "target"), f_source, f_target)
 
 
 # ----------------------------------------------------------------------
@@ -273,20 +236,8 @@ def gen_gaussian_shift_pair(n_classes: int, dim: int, mean_shift: float,
     xs = means[cid_s] + rng.normal(size=(n_source, dim))
     cid_t = rng.integers(0, n_classes, size=n_target)
     xt = means[cid_t] + shift_vec + rng.normal(size=(n_target, dim)) * covariance_scale
-    source = Dataset(xs, f_source.label(xs), "source", groups=cid_s)
-    target = Dataset(xt, f_target.label(xt), "target", groups=cid_t)
-    spec = {
-        "generator": "gaussian_shift",
-        "n_classes": n_classes,
-        "dim": dim,
-        "mean_shift": mean_shift,
-        "covariance_scale": covariance_scale,
-        "swap_fraction": swap_fraction,
-        "n_source": n_source,
-        "n_target": n_target,
-        "seed": int(seed),
-    }
-    return DomainPair(source, target, f_source, f_target, spec)
+    return DomainPair(Dataset(xs, f_source.label(xs), "source"),
+                      Dataset(xt, f_target.label(xt), "target"), f_source, f_target)
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import nets
 from .acda import _STRATEGIES, RunRecord, TrainConfig, accuracy, run_algorithm_1
-from .data import (Dataset, export_csv, gen_gaussian_shift_pair,
+from .data import (Dataset, DomainPair, gen_gaussian_shift_pair,
                    gen_two_moons_pair, load_idx, standardize_features)
 from .errors import ConfigError, TrainingDivergedError
 from .seeding import derive_seed
@@ -76,11 +76,9 @@ _TRAIN_TYPES = {f.name: f.type for f in fields(TrainConfig)}
 
 
 def _parse_scalar(key: str, raw: str, line_no: int):
-    typ = _TRAIN_TYPES[key]  # the annotation as written, e.g. "float | None"
+    typ = _TRAIN_TYPES[key]  # the annotation as written, e.g. "float"
     if typ == "str":
         return raw
-    if typ == "float | None":
-        return None if raw.lower() in ("none", "") else _coerce(raw, float, key, line_no)
     if typ == "tuple":
         parts = [p for p in raw.replace("(", "").replace(")", "").split(",") if p.strip()]
         if len(parts) != 2:
@@ -199,8 +197,9 @@ def parse_config(path: str) -> ExperimentConfig:
     return cfg
 
 
-def build_pair(dataset: dict, seed: int):
-    """Materialize the configured dataset for one run seed."""
+def build_pair(dataset: dict, seed: int) -> DomainPair:
+    """Materialize the configured dataset for one data seed (IDX files
+    ignore it and have no labeling functions)."""
     kind = dataset["kind"]
     if kind == "two_moons":
         return gen_two_moons_pair(
@@ -219,19 +218,17 @@ def build_pair(dataset: dict, seed: int):
                       max_items=max_items, domain_tag="source")
     target = load_idx(dataset["target_images"], dataset["target_labels"],
                       max_items=max_items, domain_tag="target")
-    return source, target
+    return DomainPair(source, target, None, None)
 
 
 def _pools_for_run(config: ExperimentConfig, run_seed: int):
-    made = build_pair(config.dataset, derive_seed(run_seed, "data"))
-    if isinstance(made, tuple):
-        source, target = made
-    else:
-        source, target = made.source, made.target
+    """The (source, target) pools a run with ``run_seed`` trains on."""
+    pair = build_pair(config.dataset, derive_seed(run_seed, "data"))
+    source, target = pair.source, pair.target
     if config.standardize:
         sx, tx, _, _ = standardize_features(source.features, target.features)
-        source = Dataset(sx, source.labels, "source", source.groups)
-        target = Dataset(tx, target.labels, "target", target.groups)
+        source = Dataset(sx, source.labels, "source")
+        target = Dataset(tx, target.labels, "target")
     return source, target
 
 

@@ -35,19 +35,18 @@ __all__ = [
     "load_checkpoint",
 ]
 
-_HIDDEN_ACTIVATIONS = ("tanh", "relu")
-_OUTPUT_ACTIVATIONS = ("identity", "softmax", "sigmoid")
+_OUTPUT_ACTIVATIONS = ("identity", "softmax")
 
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Architecture of a dense network.
+    """Architecture of a dense network with tanh hidden layers.
 
     ``layer_widths`` includes the input width: ``(d_in, h_1, ..., d_out)``.
+    ``output_activation`` (identity or softmax) is applied by :func:`forward`.
     """
 
     layer_widths: tuple
-    hidden_activation: str = "tanh"
     output_activation: str = "identity"
 
     def __post_init__(self):
@@ -57,8 +56,6 @@ class NetworkSpec:
             raise ValueError("a network needs an input width and at least one layer")
         if any(w <= 0 for w in widths):
             raise ValueError(f"layer widths must be positive, got {widths}")
-        if self.hidden_activation not in _HIDDEN_ACTIVATIONS:
-            raise ValueError(f"unknown hidden activation {self.hidden_activation!r}")
         if self.output_activation not in _OUTPUT_ACTIVATIONS:
             raise ValueError(f"unknown output activation {self.output_activation!r}")
 
@@ -111,15 +108,15 @@ class NetworkParams:
 
 
 def default_feature_spec(input_dim: int) -> NetworkSpec:
-    return NetworkSpec((input_dim, 64, 32), "tanh", "identity")
+    return NetworkSpec((input_dim, 64, 32), "identity")
 
 
 def default_classifier_spec(n_classes: int, feature_dim: int = 32) -> NetworkSpec:
-    return NetworkSpec((feature_dim, 32, n_classes), "tanh", "softmax")
+    return NetworkSpec((feature_dim, 32, n_classes), "softmax")
 
 
 def default_critic_spec(feature_dim: int = 32) -> NetworkSpec:
-    return NetworkSpec((feature_dim, 32, 1), "tanh", "identity")
+    return NetworkSpec((feature_dim, 32, 1), "identity")
 
 
 def init_network(spec: NetworkSpec, seed: int) -> NetworkParams:
@@ -142,12 +139,7 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 def forward(params: NetworkParams, x: np.ndarray) -> np.ndarray:
     """Batch inference; applies the configured output activation."""
     h = _pre_output(params.spec, params.weights, params.biases, x)
-    act = params.spec.output_activation
-    if act == "softmax":
-        return _softmax(h)
-    if act == "sigmoid":
-        return 0.5 * (np.tanh(0.5 * h) + 1.0)
-    return h
+    return _softmax(h) if params.spec.output_activation == "softmax" else h
 
 
 def forward_bound(spec: NetworkSpec, bindings: dict, name: str, x: np.ndarray) -> np.ndarray:
@@ -166,15 +158,12 @@ def _pre_output(spec: NetworkSpec, weights, biases, x: np.ndarray) -> np.ndarray
         raise ValueError(
             f"expected input of shape (n, {spec.input_dim}), got {x.shape}"
         )
-    hidden = np.tanh if spec.hidden_activation == "tanh" else (
-        lambda v: np.maximum(v, 0.0)
-    )
     h = x
     last = spec.n_layers - 1
     for i, (w, b) in enumerate(zip(weights, biases)):
         h = h @ w + b
         if i != last:
-            h = hidden(h)
+            h = np.tanh(h)
     return h
 
 
@@ -199,7 +188,7 @@ def build_forward(graph: Graph, spec: NetworkSpec, input_node: int, name: str) -
             b = graph.leaf(bname, (fan_out,))
         h = graph.add(graph.matmul(h, w), b)
         if i != last:
-            h = graph.tanh(h) if spec.hidden_activation == "tanh" else graph.relu(h)
+            h = graph.tanh(h)
     return h
 
 
@@ -281,11 +270,12 @@ def predictive_entropy(probabilities: np.ndarray):
 #   per network, in declared order:
 #     name length u8 | name utf-8 bytes
 #     width count u32 | widths u32 each
-#     hidden activation u8 | output activation u8 | init seed u64
+#     hidden activation u8 (always tanh) | output activation u8 | init seed u64
 #     per layer: weight matrix row-major f64, then bias vector f64
 
 _MAGIC = b"ACDA"
 _VERSION = 1
+# relu (1) and sigmoid (4) keep their numbers; a file naming them is refused
 _ACT_CODE = {"tanh": 0, "relu": 1, "identity": 2, "softmax": 3, "sigmoid": 4}
 _ACT_NAME = {v: k for k, v in _ACT_CODE.items()}
 
@@ -305,7 +295,7 @@ def save_checkpoint(path, networks: dict):
         blob += struct.pack(f"<{len(spec.layer_widths)}I", *spec.layer_widths)
         blob += struct.pack(
             "<BBQ",
-            _ACT_CODE[spec.hidden_activation],
+            _ACT_CODE["tanh"],
             _ACT_CODE[spec.output_activation],
             params.init_seed & 0xFFFFFFFFFFFFFFFF,
         )
@@ -354,7 +344,9 @@ def load_checkpoint(path) -> dict:
         widths = r.unpack(f"<{n_widths}I")
         hidden_code, output_code, seed = r.unpack("<BBQ")
         try:
-            spec = NetworkSpec(widths, _ACT_NAME[hidden_code], _ACT_NAME[output_code])
+            if hidden_code != _ACT_CODE["tanh"]:
+                raise ValueError(f"hidden activation code {hidden_code} is not tanh")
+            spec = NetworkSpec(widths, _ACT_NAME[output_code])
         except (KeyError, ValueError) as exc:
             raise CheckpointError(f"invalid architecture for {name!r}: {exc}") from exc
         weights, biases = [], []

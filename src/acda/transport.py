@@ -202,7 +202,7 @@ def gradient_penalty(f_params: NetworkParams, d_params: NetworkParams,
 
 def identity_network(dim: int) -> NetworkParams:
     """A single identity layer; useful as a pass-through feature extractor."""
-    spec = NetworkSpec((dim, dim), "tanh", "identity")
+    spec = NetworkSpec((dim, dim), "identity")
     return NetworkParams(spec=spec, weights=[np.eye(dim)], biases=[np.zeros(dim)],
                          init_seed=0)
 
@@ -267,7 +267,7 @@ def lipschitz_normalize(params: NetworkParams) -> NetworkParams:
     """Rescale each weight matrix so the network is 1-Lipschitz.
 
     Each layer is divided by max(1, Frobenius norm of its weights); the
-    Frobenius norm upper-bounds the spectral norm, and tanh/relu/identity
+    Frobenius norm upper-bounds the spectral norm, and tanh and identity
     are 1-Lipschitz, so the product of layer constants is at most 1.
     """
     out = params.copy()

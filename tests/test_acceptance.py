@@ -57,8 +57,7 @@ def _random_role_graph(role: str, rng: np.random.Generator):
     widths = [int(rng.integers(2, 6)) for _ in range(depth + 1)]
     if role == "D":
         widths[-1] = 1
-    spec = NetworkSpec(tuple(widths), "tanh",
-                       "softmax" if role == "C" else "identity")
+    spec = NetworkSpec(tuple(widths), "softmax" if role == "C" else "identity")
     params = init_network(spec, seed=int(rng.integers(0, 2**31)))
     batch = int(rng.integers(2, 5))
 
@@ -94,8 +93,8 @@ def test_criterion_1_gradient_correctness():
             worst = max(worst, err)
 
     # parameter gradient of the gradient-penalty term itself
-    f_spec = NetworkSpec((2, 4, 3), "tanh", "identity")
-    d_spec = NetworkSpec((3, 4, 1), "tanh", "identity")
+    f_spec = NetworkSpec((2, 4, 3), "identity")
+    d_spec = NetworkSpec((3, 4, 1), "identity")
     g = Graph()
     penalty = transport.build_gradient_penalty(g, f_spec, d_spec, g.leaf("xhat", (4, 2)))
     bindings = {"xhat": rng.normal(size=(4, 2))}
@@ -263,7 +262,7 @@ def test_criterion_6_risk_bound_diagnostic():
                 n_source=n, n_target=n, seed=int(rng.integers(0, 2**31)))
         dim = pair.source.dim
         h = transport.lipschitz_normalize(init_network(
-            NetworkSpec((dim, 32, 16, 1), "tanh", "identity"),
+            NetworkSpec((dim, 32, 16, 1), "identity"),
             seed=int(rng.integers(0, 2**31))))
         report = transport.bound_rhs(h, pair.source.features,
                                      pair.target.features,

@@ -185,6 +185,9 @@ def test_update_pools_moves_instances_with_labels():
     assert len(new_source) == 22 and len(new_target) == 18
     np.testing.assert_array_equal(new_source.features[-2:], target.features[idx])
     np.testing.assert_array_equal(new_source.labels[-2:], labels)
+    rest = np.setdiff1d(np.arange(20), idx)
+    np.testing.assert_array_equal(new_target.features, target.features[rest])
+    np.testing.assert_array_equal(new_target.labels, target.labels[rest])
     with pytest.raises(ValueError):
         update_pools(source, target, np.array([1, 1]), np.array([0, 0]))
     with pytest.raises(ValueError):
@@ -257,19 +260,6 @@ def test_weighted_query_loss_hand_case():
 # ----------------------------------------------------------------- training
 
 
-def test_stage1_with_lambda_zero_is_pure_source_classification():
-    pair = gen_gaussian_shift_pair(n_classes=2, dim=2, mean_shift=1.0,
-                                   covariance_scale=0.3, swap_fraction=0.0,
-                                   n_source=200, n_target=50, seed=4)
-    f, c, d = _nets_for()
-    cfg = TrainConfig(stage1_epochs=40, batch_size=50, learning_rate=3e-3,
-                      lambda_w_override=0.0, seed=1)
-    f2, c2, d2, hist = stage1_train(pair.source, pair.target, f, c, d, cfg)
-    from acda.acda import accuracy
-    assert accuracy(f2, c2, pair.source.features, pair.source.labels) > 0.95
-    assert all(rec["W1_estimate"] == 0.0 or True for rec in hist.epochs)
-
-
 def test_stage1_same_seed_is_bitwise_reproducible():
     source, target = _small_pair(seed=5)
     cfg = TrainConfig(stage1_epochs=3, batch_size=32, seed=7)
@@ -295,8 +285,7 @@ def test_stage1_adapts_identical_pools_toward_zero_w1():
     assert last <= max(0.1 * first, 0.05)
 
 
-@pytest.mark.parametrize("penalty_mode", ["as_written", "separate"])
-def test_hoisted_critic_graph_matches_critic_on_f_of_inputs(penalty_mode):
+def test_hoisted_critic_graph_matches_critic_on_f_of_inputs():
     """The critic graph reads F(xs_adv) and F(xt) as leaves; its objective,
     W1, penalty and D-gradients are bit for bit those of the graph that
     passes the inputs through F itself."""
@@ -306,8 +295,7 @@ def test_hoisted_critic_graph_matches_critic_on_f_of_inputs(penalty_mode):
 
     f_spec, c_spec, d_spec = (default_feature_spec(2), default_classifier_spec(2),
                               default_critic_spec())
-    config = TrainConfig(penalty_mode=penalty_mode)
-    sg = _StepGraphs((128, 100, 128, 0, 2), (f_spec, c_spec, d_spec), config, 2)
+    sg = _StepGraphs((128, 100, 128, 0, 2), (f_spec, c_spec, d_spec), 2)
 
     g = Graph()
     xs, xt = g.leaf("xs_adv", (128, 2)), g.leaf("xt", (100, 2))
@@ -315,10 +303,7 @@ def test_hoisted_critic_graph_matches_critic_on_f_of_inputs(penalty_mode):
     w1 = transport.build_critic_w1(g, d_spec, nets.build_forward(g, f_spec, xs, "F"),
                                    nets.build_forward(g, f_spec, xt, "F"))
     penalty = transport.build_gradient_penalty(g, f_spec, d_spec, xhat)
-    if penalty_mode == "as_written":
-        objective = g.mul(lamw, g.sub(w1, penalty))
-    else:
-        objective = g.sub(g.mul(lamw, w1), g.affine(penalty, config.gp_coeff, 0.0))
+    objective = g.mul(lamw, g.sub(w1, penalty))
     d_names = nets.param_leaf_names(d_spec, "D")
     grads = g.add_gradient_nodes(objective, [g.leaves[nm] for nm in d_names])
 

@@ -8,7 +8,8 @@ import pytest
 
 from acda.cli import main
 from acda.errors import ConfigError
-from acda.experiments import (METRICS_HEADER, METRICS_VERSION_LINE,
+from acda.data import load_csv
+from acda.experiments import (METRICS_HEADER, METRICS_VERSION_LINE, _pools_for_run,
                               compare_strategies, parse_config, run_experiment)
 
 SMALL_DATASET = """
@@ -226,12 +227,19 @@ def test_cli_out_env_var_honored_when_flag_absent(tmp_path, monkeypatch):
 
 
 def test_cli_gen_writes_dataset_csv(tmp_path):
-    cfg_path = write_cfg(tmp_path, SMALL_DATASET)
+    """gen writes the (standardised) pools that a run of the first seed trains on."""
+    cfg_path = write_cfg(tmp_path, SMALL_DATASET + "seeds = 3,4\n")
     out = str(tmp_path / "gen-out")
     assert main(["gen", cfg_path, "--out", out]) == 0
     lines = open(os.path.join(out, "dataset.csv")).read().splitlines()
     assert lines[0] == "x_0,x_1,label,domain"
     assert len(lines) == 1 + 240
+    written = load_csv(os.path.join(out, "dataset.csv"))
+    pools = _pools_for_run(parse_config(cfg_path), 3)
+    for got, want in zip(written, pools):
+        assert got.domain_tag == want.domain_tag
+        np.testing.assert_array_equal(got.features, want.features)
+        np.testing.assert_array_equal(got.labels, want.labels)
 
 
 def test_cli_compare_seed_list(tmp_path):
@@ -313,3 +321,11 @@ def test_cli_check_passes(capsys):
     assert main(["check"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize("flags", [["--budget", "7", "--out", "nowhere"], ["--lambda-div", "1"],
+                                   ["--seed", "1"], ["--strategy", "random"]])
+def test_cli_check_takes_no_flags(flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["check"] + flags)
+    assert exc.value.code == 2

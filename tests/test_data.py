@@ -7,7 +7,7 @@ import pytest
 
 from acda.data import (Dataset, LabelingFunction, batch_iterator, export_csv,
                        gen_gaussian_shift_pair, gen_two_moons_pair, load_csv,
-                       load_idx, oracle_label, standardize_features)
+                       load_idx, standardize_features)
 from acda.errors import DataError
 
 
@@ -120,10 +120,13 @@ def test_labeling_score_is_clipped_to_unit_interval():
 
 
 def test_oracle_label_reads_the_target_rule():
-    pair = gen_two_moons_pair(40, 40, 20.0, 0.05, 0.1, seed=8)
-    idx = np.array([0, 3, 17])
-    np.testing.assert_array_equal(
-        oracle_label(pair, idx), pair.f_target.label(pair.target.features[idx]))
+    """A run's annotator answers with ``target.labels``: both generators
+    label the target with the target rule, conditional shift included."""
+    for pair in (gen_two_moons_pair(40, 40, 20.0, 0.05, 0.1, seed=8),
+                 gen_gaussian_shift_pair(3, 4, 2.0, 1.0, 1.0, 40, 40, seed=8)):
+        np.testing.assert_array_equal(
+            pair.target.labels, pair.f_target.label(pair.target.features))
+        assert (pair.target.labels != pair.f_source.label(pair.target.features)).any()
 
 
 # ------------------------------------------------------------------- idx io
@@ -227,10 +230,3 @@ def test_csv_round_trip_is_exact(tmp_path):
     np.testing.assert_array_equal(target.features, pair.target.features)
     np.testing.assert_array_equal(source.labels, pair.source.labels)
     assert target.domain_tag == "target"
-
-
-def test_dataset_subset_keeps_alignment():
-    pair = gen_two_moons_pair(30, 30, 10.0, 0.1, 0.1, seed=13)
-    sub = pair.source.subset(np.array([2, 5, 7]))
-    np.testing.assert_array_equal(sub.labels, pair.source.labels[[2, 5, 7]])
-    np.testing.assert_array_equal(sub.features, pair.source.features[[2, 5, 7]])

@@ -24,7 +24,7 @@ def test_default_specs_have_documented_shapes():
 
 
 def test_init_is_glorot_bounded_with_zero_biases():
-    spec = NetworkSpec((5, 8, 2), "tanh", "identity")
+    spec = NetworkSpec((5, 8, 2), "identity")
     params = init_network(spec, seed=42)
     for i, w in enumerate(params.weights):
         fan_in, fan_out = spec.layer_widths[i], spec.layer_widths[i + 1]
@@ -36,7 +36,7 @@ def test_init_is_glorot_bounded_with_zero_biases():
 
 
 def test_init_deterministic_and_seed_sensitive():
-    spec = NetworkSpec((4, 6, 2), "tanh", "identity")
+    spec = NetworkSpec((4, 6, 2), "identity")
     a = init_network(spec, seed=1)
     b = init_network(spec, seed=1)
     c = init_network(spec, seed=2)
@@ -46,7 +46,7 @@ def test_init_deterministic_and_seed_sensitive():
 
 
 def test_softmax_forward_rows_sum_to_one():
-    params = init_network(NetworkSpec((3, 8, 4), "tanh", "softmax"), seed=0)
+    params = init_network(NetworkSpec((3, 8, 4), "softmax"), seed=0)
     x = np.random.default_rng(0).normal(size=(10, 3))
     probs = forward(params, x)
     np.testing.assert_allclose(probs.sum(axis=1), np.ones(10), atol=1e-12)
@@ -54,7 +54,7 @@ def test_softmax_forward_rows_sum_to_one():
 
 
 def test_graph_forward_matches_direct_forward():
-    spec = NetworkSpec((4, 6, 3), "tanh", "softmax")
+    spec = NetworkSpec((4, 6, 3), "softmax")
     params = init_network(spec, seed=9)
     x = np.random.default_rng(9).normal(size=(5, 4))
     g = Graph()
@@ -69,7 +69,7 @@ def test_graph_forward_matches_direct_forward():
 
 
 def test_build_forward_reuses_leaves_for_shared_parameters():
-    spec = NetworkSpec((4, 6, 3), "tanh", "identity")
+    spec = NetworkSpec((4, 6, 3), "identity")
     g = Graph()
     a = g.leaf("a", (2, 4))
     b = g.leaf("b", (3, 4))
@@ -112,8 +112,8 @@ def test_predictive_entropy_identities():
 
 def test_checkpoint_round_trip(tmp_path):
     nets = {
-        "F": init_network(NetworkSpec((3, 8, 4), "tanh", "identity"), seed=1),
-        "C": init_network(NetworkSpec((4, 5, 2), "tanh", "softmax"), seed=2),
+        "F": init_network(NetworkSpec((3, 8, 4), "identity"), seed=1),
+        "C": init_network(NetworkSpec((4, 5, 2), "softmax"), seed=2),
     }
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, nets)
@@ -129,7 +129,7 @@ def test_checkpoint_round_trip(tmp_path):
 
 
 def test_checkpoint_rejects_corruption(tmp_path):
-    nets = {"F": init_network(NetworkSpec((2, 3, 1), "tanh", "identity"), seed=0)}
+    nets = {"F": init_network(NetworkSpec((2, 3, 1), "identity"), seed=0)}
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, nets)
     blob = path.read_bytes()
@@ -148,3 +148,19 @@ def test_checkpoint_rejects_corruption(tmp_path):
     trailing.write_bytes(blob + b"\x00")
     with pytest.raises(CheckpointError):
         load_checkpoint(trailing)
+
+
+def test_checkpoint_activation_codes(tmp_path):
+    """Hidden layers are stored as tanh (code 0) beside the output code; a
+    file with any other hidden code, or sigmoid (4) as output, is refused."""
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, {"F": init_network(NetworkSpec((2, 3, 1), "softmax"), seed=0)})
+    blob = path.read_bytes()
+    at = 4 + 2 + 2 + 4 + 3 * 4  # magic, version and count, name, widths
+    assert blob[at:at + 2] == bytes([0, 3])
+    for offset, code in ((0, 1), (0, 2), (1, 4)):
+        bad = bytearray(blob)
+        bad[at + offset] = code
+        path.write_bytes(bytes(bad))
+        with pytest.raises(CheckpointError, match="invalid architecture"):
+            load_checkpoint(path)

@@ -150,7 +150,7 @@ def test_interpolates_lie_on_segments_and_are_seeded():
 
 def test_gradient_penalty_of_constant_critic_is_one():
     f = identity_network(2)
-    d = init_network(NetworkSpec((2, 4, 1), "tanh", "identity"), seed=1)
+    d = init_network(NetworkSpec((2, 4, 1), "identity"), seed=1)
     for w in d.weights:
         w *= 0.0  # constant output -> zero input gradient -> penalty (0-1)^2
     rng = np.random.default_rng(0)
@@ -160,7 +160,7 @@ def test_gradient_penalty_of_constant_critic_is_one():
 
 
 def test_lipschitz_normalize_keeps_weight_norms_at_most_one():
-    params = init_network(NetworkSpec((3, 16, 8, 1), "tanh", "identity"), seed=2)
+    params = init_network(NetworkSpec((3, 16, 8, 1), "identity"), seed=2)
     for w in params.weights:
         w *= 25.0
     normed = lipschitz_normalize(params)
@@ -175,7 +175,7 @@ def test_normalized_critic_never_beats_exact_distance():
     exact, _ = exact_w1(a, b)
     for seed in (0, 1):
         d = lipschitz_normalize(
-            init_network(NetworkSpec((2, 32, 1), "tanh", "identity"), seed=seed))
+            init_network(NetworkSpec((2, 32, 1), "identity"), seed=seed))
         est = critic_w1_estimate(identity_network(2), d, a, b)
         assert est <= exact + 1e-6
 
@@ -195,7 +195,7 @@ def test_bound_report_holds_and_serializes():
     pair = gen_two_moons_pair(50, 60, rotation_deg=25.0, noise_sd=0.08,
                               label_flip_rate=0.2, seed=3)
     h = lipschitz_normalize(
-        init_network(NetworkSpec((2, 16, 1), "tanh", "identity"), seed=4))
+        init_network(NetworkSpec((2, 16, 1), "identity"), seed=4))
     report = bound_rhs(h, pair.source.features, pair.target.features,
                        pair.f_source, pair.f_target)
     assert report.holds
