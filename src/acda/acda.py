@@ -11,7 +11,7 @@ queried set.  Everything is deterministic in the configured seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
@@ -45,8 +45,6 @@ __all__ = [
 ]
 
 _STRATEGIES = ("active", "random", "none")
-_NORMALIZATIONS = ("raw", "minmax", "zscore")
-_QUERY_SIGNS = ("as_written", "far_from_source")
 
 
 @dataclass(frozen=True)
@@ -70,8 +68,6 @@ class TrainConfig:
     adam_betas: tuple = (0.9, 0.999)
     seed: int = 0
     strategy: str = "active"
-    diversity_normalization: str = "minmax"
-    query_sign: str = "as_written"
     early_stop_patience: int = 5
     early_stop_tol: float = 1e-4
 
@@ -88,10 +84,6 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.strategy not in _STRATEGIES:
             raise ValueError(f"strategy must be one of {_STRATEGIES}")
-        if self.diversity_normalization not in _NORMALIZATIONS:
-            raise ValueError(f"diversity_normalization must be one of {_NORMALIZATIONS}")
-        if self.query_sign not in _QUERY_SIGNS:
-            raise ValueError(f"query_sign must be one of {_QUERY_SIGNS}")
         object.__setattr__(self, "adam_betas", tuple(float(b) for b in self.adam_betas))
 
 
@@ -206,39 +198,29 @@ def query_scores(f_params: NetworkParams, c_params: NetworkParams,
                  config: TrainConfig) -> QueryResult:
     """Rank every target-pool instance for querying.
 
-    Combined score is entropy minus lambda_div times the normalized critic
-    score (``query_sign=as_written``) or plus it (``far_from_source``).
+    The combined score is the predictive entropy minus ``lambda_div`` times
+    the critic score D(F(x)), min-max scaled to [0, 1] over the pool.  The
+    critic ascends W1 = mean D(F(xs)) - mean D(F(xt)), so D scores
+    source-like points high, and subtracting it prefers target-like points.
     ``indices`` holds the full ranking, best first, ties to the lower index.
     """
     if len(target_pool) == 0:
         raise ValueError("cannot score an empty target pool")
     feats = nets.forward(f_params, target_pool.features)
     uncertainty = nets.predictive_entropy(nets.forward(c_params, feats))
-    raw = nets.forward(d_params, feats).reshape(-1)
-    diversity = _normalize_diversity(raw, config.diversity_normalization)
-    sign = -1.0 if config.query_sign == "as_written" else 1.0
-    combined = uncertainty + sign * config.lambda_div * diversity
+    diversity = _minmax(nets.forward(d_params, feats).reshape(-1))
+    combined = uncertainty - config.lambda_div * diversity
     order = np.lexsort((np.arange(combined.size), -combined))
-    return QueryResult(
-        indices=order.astype(np.int64),
-        uncertainty=uncertainty,
-        diversity=diversity,
-        combined=combined,
-    )
+    return QueryResult(indices=order.astype(np.int64), uncertainty=uncertainty,
+                       diversity=diversity, combined=combined)
 
 
-def _normalize_diversity(raw: np.ndarray, mode: str) -> np.ndarray:
-    if mode == "raw":
-        return raw
-    if mode == "minmax":
-        span = raw.max() - raw.min()
-        if span < 1e-12:
-            return np.zeros_like(raw)
-        return (raw - raw.min()) / span
-    sd = raw.std()
-    if sd < 1e-12:
+def _minmax(raw: np.ndarray) -> np.ndarray:
+    """``raw`` scaled to [0, 1]; all zeros if its span is below 1e-12."""
+    span = raw.max() - raw.min()
+    if span < 1e-12:
         return np.zeros_like(raw)
-    return (raw - raw.mean()) / sd
+    return (raw - raw.min()) / span
 
 
 def select_queries(scores: QueryResult, m_t: int, budget: float) -> np.ndarray:
@@ -415,19 +397,21 @@ class _StepGraphs:
 
 def _adversarial_fit(f_params, c_params, d_params, source: Dataset, target: Dataset,
                      config: TrainConfig, epochs: int, seed: int,
-                     query_x=None, query_y=None, weights: WeightVector | None = None,
-                     adv_source: Dataset | None = None, eval_cb=None):
+                     labelled: Dataset | None = None, weights: WeightVector | None = None,
+                     eval_cb=None):
     """Alternating critic/model updates; returns updated params and history.
 
-    ``source`` drives the classification loss; ``adv_source`` (defaults to
-    ``source``) and ``target`` drive the adversarial W1 term; the queried set
-    (``query_x``/``query_y`` with ``weights``) adds the weighted query loss.
-    Stage 1 is exactly this with no query set.
+    ``source`` drives the classification loss; ``labelled`` (``source``
+    followed by the queried rows; defaults to ``source``) and ``target``
+    drive the adversarial W1 term; the queried rows, the ones past
+    ``len(source)``, add the loss weighted by ``weights``.  Stage 1 is
+    exactly this with no queried rows.
     """
     n_classes = c_params.spec.output_dim
-    if adv_source is None:
-        adv_source = source
-    has_query = query_x is not None and len(query_x) > 0
+    labelled = source if labelled is None else labelled
+    query_x = labelled.features[len(source):]
+    query_y = labelled.labels[len(source):]
+    has_query = len(query_x) > 0
     has_target = len(target) > 0
     specs = (f_params.spec, c_params.spec, d_params.spec)
 
@@ -442,16 +426,16 @@ def _adversarial_fit(f_params, c_params, d_params, source: Dataset, target: Data
     opt_critic = Adam(config.learning_rate, config.adam_betas)
 
     if has_query:
-        q_onehot = _one_hot(np.asarray(query_y, dtype=np.int64), n_classes)
-        q_alpha = weights.alpha[np.asarray(query_y, dtype=np.int64)]
+        q_onehot = _one_hot(query_y, n_classes)
+        q_alpha = weights.alpha[query_y]
 
     graphs: dict[tuple, _StepGraphs] = {}
 
     def graphs_for(ns_cls, nt, ns_adv) -> _StepGraphs:
-        nq = len(query_x) if has_query else 0
         key = (ns_cls, nt, ns_adv)
         if key not in graphs:
-            graphs[key] = _StepGraphs((ns_cls, nt, ns_adv, nq, source.dim), specs, n_classes)
+            graphs[key] = _StepGraphs((ns_cls, nt, ns_adv, len(query_x), source.dim),
+                                      specs, n_classes)
         return graphs[key]
 
     cls_seed = derive_seed(seed, "batches-cls")
@@ -461,7 +445,7 @@ def _adversarial_fit(f_params, c_params, d_params, source: Dataset, target: Data
     steps_per_epoch = max(
         -(-len(source) // config.batch_size),
         -(-len(target) // config.batch_size) if has_target else 0,
-        -(-len(adv_source) // config.batch_size),
+        -(-len(labelled) // config.batch_size),
     )
     total_model_steps = max(1, epochs * steps_per_epoch)
 
@@ -473,7 +457,7 @@ def _adversarial_fit(f_params, c_params, d_params, source: Dataset, target: Data
 
     for epoch in range(epochs):
         cls_batches = list(batch_iterator(len(source), config.batch_size, cls_seed, epoch))
-        adv_batches = list(batch_iterator(len(adv_source), config.batch_size, adv_seed, epoch))
+        adv_batches = list(batch_iterator(len(labelled), config.batch_size, adv_seed, epoch))
         tgt_batches = (list(batch_iterator(len(target), config.batch_size, tgt_seed, epoch))
                        if has_target else [])
         sums = {"objective": 0.0, "l_cls": 0.0, "l_wq": 0.0, "w1": 0.0,
@@ -482,7 +466,7 @@ def _adversarial_fit(f_params, c_params, d_params, source: Dataset, target: Data
             idx_cls = cls_batches[step % len(cls_batches)]
             idx_adv = adv_batches[step % len(adv_batches)]
             xs_cls = source.features[idx_cls]
-            xs_adv = adv_source.features[idx_adv]
+            xs_adv = labelled.features[idx_adv]
             yb = y_source[idx_cls]
             xt = target.features[tgt_batches[step % len(tgt_batches)]] if has_target else None
 
@@ -495,15 +479,17 @@ def _adversarial_fit(f_params, c_params, d_params, source: Dataset, target: Data
                 bindings["fs_adv"] = nets.forward_bound(f_params.spec, params, "F", xs_adv)
                 bindings["ft"] = nets.forward_bound(f_params.spec, params, "F", xt)
                 bindings["lambda_w"] = np.asarray(lamw)
+                penalty = 0.0
                 for critic_step in range(config.critic_steps_per_update):
                     eps_seed = derive_seed(seed, "eps", epoch, step, critic_step)
                     bindings["xhat"] = transport.interpolates(xs_adv, xt, eps_seed)
                     vals = forward_eval(sg.critic_graph, bindings, sg.critic_outputs)
+                    penalty += float(vals[sg.critic_nodes["penalty"]])
                     cgrads = {nm: vals[sg.critic_nodes["grads"][nm]] for nm in d_names}
                     params = opt_critic.step_ascent(params, cgrads)
                     for nm in d_names:
                         bindings[nm] = params[nm]
-                sums["penalty"] += float(vals[sg.critic_nodes["penalty"]])
+                sums["penalty"] += penalty / config.critic_steps_per_update
 
             bindings = dict(params)
             bindings["xs_cls"] = xs_cls
@@ -574,32 +560,23 @@ def stage1_train(source: Dataset, target: Dataset, f_params, c_params, d_params,
                             config, config.stage1_epochs, seed, eval_cb=eval_cb)
 
 
-def stage3_train(f_params, c_params, d_params, source: Dataset, query_x, query_y,
+def stage3_train(f_params, c_params, d_params, source: Dataset, labelled: Dataset,
                  remaining_target: Dataset, weights: WeightVector | None,
                  config: TrainConfig, seed: int | None = None, eval_cb=None):
     """Retraining with the queried set folded in.
 
-    With an empty query set this is exactly the stage-1 dynamics on
-    (source, target): same graphs, same batch streams, same updates.
+    ``labelled`` is ``source`` followed by the queried rows, as
+    :func:`update_pools` builds it.  With no queried rows this is exactly
+    the stage-1 dynamics on (source, target): same graphs, same batch
+    streams, same updates.
     """
     if seed is None:
         seed = derive_seed(config.seed, "stage", 3, 0)
-    has_query = query_x is not None and len(query_x) > 0
-    if has_query:
-        adv_source = Dataset(
-            features=np.vstack([source.features, np.asarray(query_x, dtype=np.float64)]),
-            labels=np.concatenate([source.labels, np.asarray(query_y, dtype=np.int64)]),
-            domain_tag="source",
-        )
-        if weights is None:
-            raise ValueError("queried retraining needs uncertainty weights")
-    else:
-        adv_source = source
-        query_x = query_y = None
+    if len(labelled) > len(source) and weights is None:
+        raise ValueError("queried retraining needs uncertainty weights")
     return _adversarial_fit(f_params, c_params, d_params, source, remaining_target,
                             config, config.stage3_epochs, seed,
-                            query_x=query_x, query_y=query_y, weights=weights,
-                            adv_source=adv_source, eval_cb=eval_cb)
+                            labelled=labelled, weights=weights, eval_cb=eval_cb)
 
 
 # ----------------------------------------------------------------------
@@ -607,14 +584,16 @@ def stage3_train(f_params, c_params, d_params, source: Dataset, query_x, query_y
 
 
 def run_algorithm_1(source: Dataset, target: Dataset, config: TrainConfig,
-                    eval_cb_factory=None) -> RunRecord:
+                    eval_cb=None) -> RunRecord:
     """Stage 1, then per round: query -> pool update -> weights -> stage 3.
 
     ``target.labels`` acts as the annotation oracle for queried instances
     (and is never read otherwise).  The per-round budget is
     ``config.budget / config.query_rounds`` of the then-current pool.
-    ``eval_cb_factory(stage_tag)`` may supply a per-epoch metrics callback.
-    Every target label must be a source class (DataError otherwise).
+    ``eval_cb(f_params, c_params)`` may add metrics to every epoch record.
+    Every target label must be a source class (DataError otherwise), and a
+    querying strategy needs target labels (ValueError otherwise); both are
+    checked before stage 1.
     """
     if source.labels is None:
         raise ValueError("source pool must be labeled")
@@ -623,6 +602,8 @@ def run_algorithm_1(source: Dataset, target: Dataset, config: TrainConfig,
     if target.labels is not None and target.labels.size and target.labels.max() >= n_classes:
         raise DataError(f"target label {int(target.labels.max())} is not a source class "
                         f"(the source has {n_classes} classes)")
+    if config.strategy != "none" and target.labels is None:
+        raise ValueError("querying needs target labels as the oracle")
     f_spec = nets.default_feature_spec(source.dim)
     c_spec = nets.default_classifier_spec(n_classes)
     d_spec = nets.default_critic_spec()
@@ -630,69 +611,43 @@ def run_algorithm_1(source: Dataset, target: Dataset, config: TrainConfig,
     c_params = nets.init_network(c_spec, derive_seed(config.seed, "init", "C"))
     d_params = nets.init_network(d_spec, derive_seed(config.seed, "init", "D"))
 
-    def cb(tag):
-        return None if eval_cb_factory is None else eval_cb_factory(tag)
-
     f_params, c_params, d_params, hist1 = stage1_train(
-        source, target, f_params, c_params, d_params, config, eval_cb=cb("stage1"))
+        source, target, f_params, c_params, d_params, config, eval_cb=eval_cb)
 
-    cur_source = source
-    cur_target = target
+    # labelled = source + every queried row so far; pool = the rest of the
+    # target, whose row i is target row original_index[i]
+    labelled, pool = source, target
     original_index = np.arange(len(target), dtype=np.int64)
-    cum_labels: list = []
-    cum_entropies: list = []
-    cum_features: list = []
+    queried_entropy = np.zeros(0)
+    weights = None  # kept: a round with an empty pool retrains on the weights so far
     rounds: list[RoundRecord] = []
 
     per_round_budget = config.budget / config.query_rounds
     for round_index in range(1, config.query_rounds + 1):
-        query = None
-        orig_idx = None
-        q_labels = None
-        weights = None
-        if config.strategy != "none" and len(cur_target) > 0:
-            scores = query_scores(f_params, c_params, d_params, cur_target, config)
+        query = orig_idx = q_labels = None
+        if config.strategy != "none" and len(pool) > 0:
+            scores = query_scores(f_params, c_params, d_params, pool, config)
             if config.strategy == "active":
-                picked = select_queries(scores, len(cur_target), per_round_budget)
+                picked = select_queries(scores, len(pool), per_round_budget)
             else:
-                picked = random_queries(len(cur_target), per_round_budget,
+                picked = random_queries(len(pool), per_round_budget,
                                         derive_seed(config.seed, "query", round_index))
-            if target.labels is None:
-                raise ValueError("querying needs target labels as the oracle")
             orig_idx = original_index[picked]
             q_labels = target.labels[orig_idx]
-            query = QueryResult(
-                indices=picked,
-                uncertainty=scores.uncertainty,
-                diversity=scores.diversity,
-                combined=scores.combined,
-            )
-            cum_labels.append(q_labels)
-            cum_entropies.append(scores.uncertainty[picked])
-            cum_features.append(cur_target.features[picked])
-            cur_source, cur_target = update_pools(cur_source, cur_target, picked, q_labels)
-            keep = np.ones(original_index.size, dtype=bool)
-            keep[picked] = False
-            original_index = original_index[keep]
-            weights = uncertainty_weights(np.concatenate(cum_labels),
-                                          np.concatenate(cum_entropies), n_classes)
+            query = replace(scores, indices=picked)
+            queried_entropy = np.concatenate([queried_entropy, scores.uncertainty[picked]])
+            labelled, pool = update_pools(labelled, pool, picked, q_labels)
+            original_index = np.delete(original_index, picked)
+            weights = uncertainty_weights(labelled.labels[len(source):], queried_entropy,
+                                          n_classes)
 
-        query_x = np.vstack(cum_features) if cum_features else None
-        query_y = np.concatenate(cum_labels) if cum_labels else None
         f_params, c_params, d_params, hist3 = stage3_train(
-            f_params, c_params, d_params, source, query_x, query_y,
-            cur_target, weights, config,
-            seed=derive_seed(config.seed, "stage", 3, round_index),
-            eval_cb=cb(f"stage3-round{round_index}"),
+            f_params, c_params, d_params, source, labelled, pool, weights, config,
+            seed=derive_seed(config.seed, "stage", 3, round_index), eval_cb=eval_cb,
         )
-        rounds.append(RoundRecord(
-            round_index=round_index,
-            query=query,
-            queried_original_indices=orig_idx,
-            queried_labels=q_labels,
-            weights=weights,
-            stage3=hist3,
-        ))
+        rounds.append(RoundRecord(round_index=round_index, query=query,
+                                  queried_original_indices=orig_idx, queried_labels=q_labels,
+                                  weights=weights, stage3=hist3))
 
     record = RunRecord(
         config=config,

@@ -82,9 +82,6 @@ class Graph:
     def num_nodes(self) -> int:
         return len(self.ops)
 
-    def node_shape(self, node: int) -> tuple:
-        return self.shapes[node]
-
     def compile(self, outputs=None) -> "_Plan":
         """The evaluation plan for ``outputs`` (node ids; None means every
         node), compiled on first request and reused until the graph grows."""

@@ -3,12 +3,13 @@
 Subcommands:
   run <config>       execute the configured experiment (one run per seed)
   compare <config>   sweep strategies x seeds and summarize final accuracy
-  gen <config>       write the pools the first seed's run trains on as CSV
+  gen <config>       write the pools one seed's run trains on as CSV
   check              run fast self-diagnostics, printing PASS/FAIL per item
 
-run, compare and gen take --budget, --lambda-div, --seed and --strategy,
-which override config keys, and --out; compare takes --seed or --seeds,
-not both.  check takes no flags.
+run and compare take --budget, --lambda-div, --seed and --strategy, which
+override config keys, and --out; compare takes --seed or --seeds, not both.
+gen takes --seed, the seed whose pools it writes, and --out.  check takes
+no flags.
 Output root resolution: --out, else $ACDA_OUT_ROOT, else the config's
 out_dir, else ./runs.
 """
@@ -40,27 +41,31 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("config", help="path to a key=value config file")
+        p.add_argument("--seed", type=int, default=None,
+                       help="single seed overriding the config's seed list")
+        p.add_argument("--out", default=None, help="output directory root")
+
+    def overrides(p):
         p.add_argument("--budget", type=float, default=None,
                        help="query budget fraction in (0,1)")
         p.add_argument("--lambda-div", type=float, default=None, dest="lambda_div",
                        help="diversity weight in the query objective")
-        p.add_argument("--seed", type=int, default=None,
-                       help="single seed overriding the config's seed list")
         p.add_argument("--strategy", choices=_STRATEGIES,
                        default=None, help="query strategy")
-        p.add_argument("--out", default=None, help="output directory root")
 
     p_run = sub.add_parser("run", help="execute the configured experiment")
     common(p_run)
+    overrides(p_run)
 
     p_cmp = sub.add_parser("compare", help="sweep strategies x seeds")
     common(p_cmp)
+    overrides(p_cmp)
     p_cmp.add_argument("--strategies", default="active,random,none",
                        help="comma-separated strategies to compare")
     p_cmp.add_argument("--seeds", default=None,
                        help="seed list, e.g. '1..20' or '3,5,8'")
 
-    p_gen = sub.add_parser("gen", help="write the first seed's training pools as CSV")
+    p_gen = sub.add_parser("gen", help="write one seed's training pools as CSV")
     common(p_gen)
 
     sub.add_parser("check", help="run fast self-diagnostics")
@@ -109,10 +114,11 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    config = _apply_overrides(parse_config(args.config), args)
+    config = parse_config(args.config)
     out = _resolve_out(args, config)
     os.makedirs(out, exist_ok=True)
-    source, target = experiments._pools_for_run(config, config.seeds[0])
+    seed = config.seeds[0] if args.seed is None else args.seed
+    source, target = experiments._pools_for_run(config, seed)
     path = os.path.join(out, "dataset.csv")
     export_csv(path, source, target)
     print(path)

@@ -236,19 +236,17 @@ def _run_one(config: ExperimentConfig, run_seed: int, strategy: str) -> RunRecor
     source, target = _pools_for_run(config, run_seed)
     train = replace(config.train, seed=run_seed, strategy=strategy)
 
-    def eval_cb_factory(tag):
-        def cb(f_params, c_params):
-            out = {"source_accuracy": accuracy(f_params, c_params, source.features,
-                                               source.labels)}
-            if target.labels is not None:
-                out["target_accuracy"] = accuracy(f_params, c_params, target.features,
-                                                  target.labels)
-            else:
-                out["target_accuracy"] = float("nan")
-            return out
-        return cb
+    def eval_cb(f_params, c_params):
+        out = {"source_accuracy": accuracy(f_params, c_params, source.features,
+                                           source.labels)}
+        if target.labels is not None:
+            out["target_accuracy"] = accuracy(f_params, c_params, target.features,
+                                              target.labels)
+        else:
+            out["target_accuracy"] = float("nan")
+        return out
 
-    return run_algorithm_1(source, target, train, eval_cb_factory=eval_cb_factory)
+    return run_algorithm_1(source, target, train, eval_cb=eval_cb)
 
 
 def _metrics_rows(record: RunRecord, strategy: str, seed: int) -> list:

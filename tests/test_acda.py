@@ -13,8 +13,10 @@ from acda.acda import (QueryResult, TrainConfig, WeightVector, lambda_w,
                        uncertainty_weights, update_pools, weighted_query_loss)
 from acda.data import Dataset, gen_gaussian_shift_pair, gen_two_moons_pair
 from acda.errors import CapacityError, DataError, TrainingDivergedError
-from acda.nets import (default_classifier_spec, default_critic_spec,
-                       default_feature_spec, init_network, predictive_entropy)
+from acda import nets
+from acda.nets import (NetworkParams, NetworkSpec, default_classifier_spec,
+                       default_critic_spec, default_feature_spec, init_network,
+                       predictive_entropy)
 from acda.seeding import derive_seed
 
 
@@ -43,15 +45,12 @@ def test_config_documented_defaults():
     assert cfg.query_rounds == 1
     assert cfg.critic_steps_per_update == 5
     assert cfg.strategy == "active"
-    assert cfg.diversity_normalization == "minmax"
-    assert cfg.query_sign == "as_written"
 
 
 @pytest.mark.parametrize("bad", [
     {"budget": 0.0}, {"budget": 1.0}, {"budget": 1.5},
     {"lambda_div": -1.0}, {"query_rounds": 0}, {"batch_size": 0},
     {"learning_rate": 0.0}, {"strategy": "greedy"},
-    {"diversity_normalization": "softmax"}, {"query_sign": "both"},
 ])
 def test_config_rejects_invalid_values(bad):
     with pytest.raises(ValueError):
@@ -81,13 +80,30 @@ def test_query_size_rounds_half_up_with_floor_one():
 
 
 def test_query_scores_hand_example():
-    """U=[0.1,0.9,0.5,0.2], d=[1,0,0.5,0], lam=1 -> combined [-0.9,0.9,0,0.2]."""
-    U = np.array([0.1, 0.9, 0.5, 0.2])
-    d = np.array([1.0, 0.0, 0.5, 0.0])
-    combined = U - 1.0 * d
-    np.testing.assert_allclose(combined, [-0.9, 0.9, 0.0, 0.2], atol=1e-15)
-    order = np.lexsort((np.arange(4), -combined))
-    np.testing.assert_array_equal(order, [1, 3, 2, 0])  # ranking (2,4,3,1) 1-based
+    """1-d points through F(x) = x, C logits (f, -f) and critic D(f) = f.
+
+    Points 1 and 2 (x = 0.5, -0.5) are equally uncertain; the critic scores
+    source-like points high, so with lambda_div > 0 the lower-scored
+    point 2 ranks first; with lambda_div = 0 the entropy ranking holds and
+    the tie goes to the lower index.
+    """
+    def net(weight, out="identity"):
+        w = np.array([weight], dtype=np.float64)
+        return NetworkParams(NetworkSpec((1, w.shape[1]), out), [w], [np.zeros(w.shape[1])])
+
+    f, c, d = net([1.0]), net([1.0, -1.0], "softmax"), net([1.0])
+    pool = Dataset(np.array([[2.0], [0.5], [-0.5], [0.1]]), None, "target")
+    entropy = predictive_entropy(nets.forward(c, pool.features))
+    assert entropy[1] == entropy[2]
+
+    flat = query_scores(f, c, d, pool, TrainConfig(lambda_div=0.0))
+    np.testing.assert_array_equal(flat.indices, [3, 1, 2, 0])
+    np.testing.assert_array_equal(flat.combined, entropy)
+
+    scores = query_scores(f, c, d, pool, TrainConfig(lambda_div=0.01))
+    np.testing.assert_allclose(scores.diversity, [1.0, 0.4, 0.0, 0.24], atol=1e-15)
+    np.testing.assert_array_equal(scores.combined, entropy - 0.01 * scores.diversity)
+    np.testing.assert_array_equal(scores.indices, [3, 2, 1, 0])
 
 
 def test_query_scores_with_zero_lambda_is_entropy_ranking():
@@ -106,14 +122,11 @@ def test_query_scores_minmax_is_shift_invariant_and_handles_degenerate():
     rng = np.random.default_rng(0)
     U = rng.uniform(size=30)
     raw = rng.normal(size=30)
-    from acda.acda import _normalize_diversity
-    a = U - 2.0 * _normalize_diversity(raw, "minmax")
-    b = U - 2.0 * _normalize_diversity(raw + 123.4, "minmax")
+    from acda.acda import _minmax
+    a = U - 2.0 * _minmax(raw)
+    b = U - 2.0 * _minmax(raw + 123.4)
     np.testing.assert_array_equal(np.argsort(a), np.argsort(b))
-    np.testing.assert_array_equal(_normalize_diversity(np.full(9, 3.3), "minmax"),
-                                  np.zeros(9))
-    np.testing.assert_array_equal(_normalize_diversity(np.full(9, 3.3), "zscore"),
-                                  np.zeros(9))
+    np.testing.assert_array_equal(_minmax(np.full(9, 3.3)), np.zeros(9))
 
 
 def test_query_scores_rejects_empty_pool():
@@ -341,12 +354,36 @@ def test_training_diverged_error_carries_epoch():
     assert err.value.epoch == 0
 
 
+def test_l_grad_is_the_mean_penalty_over_the_critic_steps(monkeypatch):
+    """An epoch's L_grad averages every critic step's penalty, not only the
+    last critic step of each model step."""
+    import acda.acda as algorithm
+
+    penalties = []
+    real_eval = algorithm.forward_eval
+
+    def spy(graph, bindings, outputs=None):
+        vals = real_eval(graph, bindings, outputs)
+        if "xhat" in graph.leaves:  # a critic step; its first output is the penalty
+            penalties.append(float(vals[outputs[0]]))
+        return vals
+
+    monkeypatch.setattr(algorithm, "forward_eval", spy)
+    source, target = _small_pair(seed=15, n=60)
+    f, c, d = _nets_for(seed=5)
+    cfg = TrainConfig(stage1_epochs=1, batch_size=20, critic_steps_per_update=4, seed=8)
+    _, _, _, hist = stage1_train(source, target, f, c, d, cfg)
+    per_step = np.array(penalties).reshape(3, 4)  # 3 model steps x 4 critic steps
+    assert np.ptp(per_step, axis=1).min() > 0
+    assert hist.epochs[0]["L_grad"] == pytest.approx(per_step.mean(axis=1).mean(), rel=1e-12)
+
+
 def test_stage3_with_empty_query_set_equals_stage1_dynamics():
     source, target = _small_pair(seed=8)
     f, c, d = _nets_for(seed=4)
     cfg = TrainConfig(stage1_epochs=3, stage3_epochs=3, batch_size=32, seed=5)
     a = stage1_train(source, target, f, c, d, cfg, seed=123)
-    b = stage3_train(f, c, d, source, None, None, target, None, cfg, seed=123)
+    b = stage3_train(f, c, d, source, source, target, None, cfg, seed=123)
     for wa, wb in zip(a[0].weights + a[1].weights, b[0].weights + b[1].weights):
         np.testing.assert_array_equal(wa, wb)
 
@@ -427,3 +464,37 @@ def test_run_algorithm_rejects_target_only_class_before_stage1(monkeypatch):
                       batch_size=20, seed=7, strategy="active")
     with pytest.raises(DataError, match="target label 2"):
         run_algorithm_1(source, target, cfg)
+
+
+def test_run_algorithm_rejects_querying_without_oracle_before_stage1(monkeypatch):
+    import acda.acda as algorithm
+
+    def stage1_must_not_run(*args, **kwargs):
+        raise AssertionError("stage 1 ran before the oracle check")
+
+    monkeypatch.setattr(algorithm, "_adversarial_fit", stage1_must_not_run)
+    source, target = _small_pair(seed=16, n=40)
+    unlabelled = Dataset(target.features, None, "target")
+    for strategy in ("active", "random"):
+        cfg = TrainConfig(budget=0.1, stage1_epochs=2, stage3_epochs=2,
+                          batch_size=20, seed=7, strategy=strategy)
+        with pytest.raises(ValueError, match="querying needs target labels"):
+            run_algorithm_1(source, unlabelled, cfg)
+
+
+def test_run_algorithm_keeps_weights_once_the_pool_is_empty():
+    """Two target points and three rounds: rounds 1 and 2 query one point
+    each, round 3 has nothing left to query and retrains on the weights of
+    everything queried so far."""
+    pair = gen_gaussian_shift_pair(n_classes=2, dim=2, mean_shift=2.0,
+                                   covariance_scale=0.8, swap_fraction=0.0,
+                                   n_source=20, n_target=2, seed=0)
+    cfg = TrainConfig(budget=0.5, query_rounds=3, stage1_epochs=1, stage3_epochs=1,
+                      batch_size=10, seed=1, strategy="random")
+    record = run_algorithm_1(pair.source, pair.target, cfg)
+    first, second, last = record.rounds
+    assert sorted(np.concatenate([first.queried_original_indices,
+                                  second.queried_original_indices])) == [0, 1]
+    assert last.query is None
+    assert last.weights is second.weights
+    assert len(last.stage3.epochs) == 1

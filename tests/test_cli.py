@@ -242,6 +242,24 @@ def test_cli_gen_writes_dataset_csv(tmp_path):
         np.testing.assert_array_equal(got.labels, want.labels)
 
 
+def test_cli_gen_seed_picks_the_pools_written(tmp_path):
+    cfg_path = write_cfg(tmp_path, SMALL_DATASET + "seeds = 3,4\n")
+    out = str(tmp_path / "gen-out")
+    assert main(["gen", cfg_path, "--seed", "4", "--out", out]) == 0
+    written = load_csv(os.path.join(out, "dataset.csv"))
+    for got, want in zip(written, _pools_for_run(parse_config(cfg_path), 4)):
+        np.testing.assert_array_equal(got.features, want.features)
+
+
+@pytest.mark.parametrize("flags", [["--budget", "0.2"], ["--lambda-div", "3"],
+                                   ["--strategy", "none"]])
+def test_cli_gen_takes_only_seed_and_out(tmp_path, flags):
+    cfg_path = write_cfg(tmp_path, SMALL_DATASET)
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", cfg_path, "--out", str(tmp_path / "o")] + flags)
+    assert exc.value.code == 2
+
+
 def test_cli_compare_seed_list(tmp_path):
     cfg_path = write_cfg(tmp_path, SMALL_TRAIN + SMALL_DATASET)
     out = str(tmp_path / "cmp-out")
