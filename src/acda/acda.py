@@ -11,7 +11,7 @@ queried set.  Everything is deterministic in the configured seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -47,44 +47,53 @@ __all__ = [
 _STRATEGIES = ("active", "random", "none")
 
 
+# Fixed training constants: the steepness of the lambda_w schedule (DANN,
+# arXiv 1409.7495), critic steps per model step (WGAN-GP, arXiv 1704.00028),
+# and the least drop in the epoch objective that resets early-stop patience.
+LAMBDA_W_DELTA = 10.0
+CRITIC_STEPS = 5
+EARLY_STOP_TOL = 1e-4
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters for the full pipeline, with documented defaults.
 
-    The critic ascends lambda_w * (W1 - penalty), the gradient penalty
-    folded inside the adversarial weight, and lambda_w follows the
-    :func:`lambda_w` schedule (steepness ``delta``) over the stage's steps.
+    The critic takes ``CRITIC_STEPS`` ascent steps on lambda_w * (W1 -
+    penalty) per model step, and lambda_w follows the :func:`lambda_w`
+    schedule over the stage's steps.  Floats must be finite and the seed
+    non-negative (ValueError otherwise).
     """
 
     budget: float = 0.1
     lambda_div: float = 10.0
-    delta: float = 10.0
     query_rounds: int = 1
-    critic_steps_per_update: int = 5
     stage1_epochs: int = 20
     stage3_epochs: int = 20
     batch_size: int = 128
     learning_rate: float = 2e-3
-    adam_betas: tuple = (0.9, 0.999)
     seed: int = 0
     strategy: str = "active"
     early_stop_patience: int = 5
-    early_stop_tol: float = 1e-4
 
     def __post_init__(self):
+        for f in fields(self):
+            if isinstance(f.default, float) and not np.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if not 0.0 < self.budget < 1.0:
             raise ValueError(f"budget must lie in (0, 1), got {self.budget}")
         if self.lambda_div < 0:
             raise ValueError("lambda_div must be non-negative")
-        for name in ("query_rounds", "critic_steps_per_update", "stage1_epochs",
-                     "stage3_epochs", "batch_size", "early_stop_patience"):
+        for name in ("query_rounds", "stage1_epochs", "stage3_epochs", "batch_size",
+                     "early_stop_patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.strategy not in _STRATEGIES:
             raise ValueError(f"strategy must be one of {_STRATEGIES}")
-        object.__setattr__(self, "adam_betas", tuple(float(b) for b in self.adam_betas))
 
 
 @dataclass
@@ -161,10 +170,8 @@ class RunRecord:
                 "class_counts": None if r.weights is None else r.weights.counts.tolist(),
                 "stage3": hist(r.stage3),
             })
-        cfg = asdict(self.config)
-        cfg["adam_betas"] = list(cfg["adam_betas"])
         return {
-            "config": cfg,
+            "config": asdict(self.config),
             "stage1": hist(self.stage1),
             "rounds": rounds,
             "final_source_accuracy": self.final_source_accuracy,
@@ -172,10 +179,11 @@ class RunRecord:
         }
 
 
-def lambda_w(progress: float, delta: float = 10.0) -> float:
-    """Adversarial-weight schedule 2 / (1 + exp(-delta * p)) - 1 on p in [0, 1]."""
+def lambda_w(progress: float) -> float:
+    """Adversarial-weight schedule 2 / (1 + exp(-delta * p)) - 1 on p in [0, 1],
+    with delta = ``LAMBDA_W_DELTA`` (10)."""
     p = min(1.0, max(0.0, float(progress)))
-    return 2.0 / (1.0 + np.exp(-delta * p)) - 1.0
+    return 2.0 / (1.0 + np.exp(-LAMBDA_W_DELTA * p)) - 1.0
 
 
 def query_size(m_t: int, budget: float) -> int:
@@ -422,8 +430,8 @@ def _adversarial_fit(f_params, c_params, d_params, source: Dataset, target: Data
                    + nets.param_leaf_names(c_params.spec, "C"))
     d_names = nets.param_leaf_names(d_params.spec, "D")
 
-    opt_model = Adam(config.learning_rate, config.adam_betas)
-    opt_critic = Adam(config.learning_rate, config.adam_betas)
+    opt_model = Adam(config.learning_rate)
+    opt_critic = Adam(config.learning_rate)
 
     if has_query:
         q_onehot = _one_hot(query_y, n_classes)
@@ -470,7 +478,7 @@ def _adversarial_fit(f_params, c_params, d_params, source: Dataset, target: Data
             yb = y_source[idx_cls]
             xt = target.features[tgt_batches[step % len(tgt_batches)]] if has_target else None
 
-            lamw = lambda_w(global_step / max(1, total_model_steps - 1), config.delta)
+            lamw = lambda_w(global_step / max(1, total_model_steps - 1))
 
             sg = graphs_for(len(idx_cls), len(xt) if has_target else 0, len(idx_adv))
 
@@ -480,7 +488,7 @@ def _adversarial_fit(f_params, c_params, d_params, source: Dataset, target: Data
                 bindings["ft"] = nets.forward_bound(f_params.spec, params, "F", xt)
                 bindings["lambda_w"] = np.asarray(lamw)
                 penalty = 0.0
-                for critic_step in range(config.critic_steps_per_update):
+                for critic_step in range(CRITIC_STEPS):
                     eps_seed = derive_seed(seed, "eps", epoch, step, critic_step)
                     bindings["xhat"] = transport.interpolates(xs_adv, xt, eps_seed)
                     vals = forward_eval(sg.critic_graph, bindings, sg.critic_outputs)
@@ -489,7 +497,7 @@ def _adversarial_fit(f_params, c_params, d_params, source: Dataset, target: Data
                     params = opt_critic.step_ascent(params, cgrads)
                     for nm in d_names:
                         bindings[nm] = params[nm]
-                sums["penalty"] += penalty / config.critic_steps_per_update
+                sums["penalty"] += penalty / CRITIC_STEPS
 
             bindings = dict(params)
             bindings["xs_cls"] = xs_cls
@@ -532,7 +540,7 @@ def _adversarial_fit(f_params, c_params, d_params, source: Dataset, target: Data
             record.update(eval_cb(f_now, c_now))
         history.epochs.append(record)
 
-        if best - record["objective"] < config.early_stop_tol:
+        if best - record["objective"] < EARLY_STOP_TOL:
             stale += 1
             if stale >= config.early_stop_patience:
                 history.stopped_early = True

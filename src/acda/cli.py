@@ -9,7 +9,9 @@ Subcommands:
 run and compare take --budget, --lambda-div, --seed and --strategy, which
 override config keys, and --out; compare takes --seed or --seeds, not both.
 gen takes --seed, the seed whose pools it writes, and --out.  check takes
-no flags.
+no flags.  A negative --seed exits with status 2 before anything is written.
+Config keys are the TrainConfig fields, the dataset.* keys of the chosen
+kind, seeds, standardize and out_dir; each may appear once.
 Output root resolution: --out, else $ACDA_OUT_ROOT, else the config's
 out_dir, else ./runs.
 """
@@ -85,7 +87,7 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
         train = replace(train, **updates)
     config.train = train
     if args.seed is not None:
-        config.seeds = [args.seed]
+        config.seeds = parse_seeds(str(args.seed))
     return config
 
 
@@ -115,10 +117,10 @@ def _cmd_compare(args) -> int:
 
 def _cmd_gen(args) -> int:
     config = parse_config(args.config)
+    seeds = config.seeds if args.seed is None else parse_seeds(str(args.seed))
+    source, target = experiments._pools_for_run(config, seeds[0])
     out = _resolve_out(args, config)
     os.makedirs(out, exist_ok=True)
-    seed = config.seeds[0] if args.seed is None else args.seed
-    source, target = experiments._pools_for_run(config, seed)
     path = os.path.join(out, "dataset.csv")
     export_csv(path, source, target)
     print(path)

@@ -28,6 +28,7 @@ __all__ = [
     "gen_two_moons_pair",
     "gen_gaussian_shift_pair",
     "load_idx",
+    "load_idx_pair",
     "batch_iterator",
     "export_csv",
     "load_csv",
@@ -277,6 +278,16 @@ def load_idx(images_path, labels_path, max_items: int | None = None,
     features = features.reshape(take, rows * cols)
     labels = np.frombuffer(label_bytes, dtype=np.uint8).astype(np.int64)
     return Dataset(features, labels, domain_tag)
+
+
+def load_idx_pair(source_images, source_labels, target_images, target_labels,
+                  max_items: int = 0, seed: int | None = None) -> DomainPair:
+    """Source and target IDX file pairs, each cut to ``max_items`` (0: all),
+    with no labeling functions.  ``seed`` is ignored, so every dataset kind
+    builds with the same call."""
+    limit = max_items or None
+    return DomainPair(load_idx(source_images, source_labels, limit, "source"),
+                      load_idx(target_images, target_labels, limit, "target"), None, None)
 
 
 # ----------------------------------------------------------------------

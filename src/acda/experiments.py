@@ -1,7 +1,8 @@
 """Experiment harness: config parsing, seeded runs, metrics and summaries.
 
-Config files are flat ``key = value`` text with ``#`` comments.  Dataset
-parameters live under a ``dataset.`` prefix (one generator per config).
+Config files are flat ``key = value`` text with ``#`` comments, each key set
+at most once.  Dataset parameters live under a ``dataset.`` prefix (one
+generator per config).
 Every run writes a per-epoch metrics CSV, one RunRecord JSON per seed, a
 final-parameter checkpoint, and a MANIFEST describing success or failure.
 All outputs are byte-stable for a fixed (config, seed).
@@ -10,6 +11,7 @@ All outputs are byte-stable for a fixed (config, seed).
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field, fields, replace
 
@@ -18,7 +20,7 @@ import numpy as np
 from . import nets
 from .acda import _STRATEGIES, RunRecord, TrainConfig, accuracy, run_algorithm_1
 from .data import (Dataset, DomainPair, gen_gaussian_shift_pair,
-                   gen_two_moons_pair, load_idx, standardize_features)
+                   gen_two_moons_pair, load_idx_pair, standardize_features)
 from .errors import ConfigError, TrainingDivergedError
 from .seeding import derive_seed
 
@@ -37,28 +39,23 @@ METRICS_VERSION_LINE = "# acda-metrics-v1"
 METRICS_HEADER = ("strategy,seed,budget,round,epoch,L_cls,W1_estimate,L_grad,"
                   "L_w_q,source_accuracy,target_accuracy")
 
-_DEFAULT_DATASET = {
-    "kind": "two_moons",
-    "n_source": 1000,
-    "n_target": 1000,
-    "rotation_deg": 40.0,
-    "noise_sd": 0.1,
-    "label_flip_rate": 0.1,
+# Each dataset kind's builder, and the keys it takes with their defaults.  A
+# key's type is its default's; a default of None marks a required path.
+_POOL_SIZES = {"n_source": 1000, "n_target": 1000}
+_DATASETS = {
+    "two_moons": (gen_two_moons_pair, {**_POOL_SIZES, "rotation_deg": 40.0, "noise_sd": 0.1,
+                                       "label_flip_rate": 0.1}),
+    "gaussian": (gen_gaussian_shift_pair, {**_POOL_SIZES, "n_classes": 2, "dim": 2,
+                                           "mean_shift": 2.0, "covariance_scale": 1.0,
+                                           "swap_fraction": 0.0}),
+    "idx": (load_idx_pair, {"source_images": None, "source_labels": None,
+                            "target_images": None, "target_labels": None, "max_items": 0}),
 }
+_DEFAULT_KIND = "two_moons"
 
-_DATASET_KEYS = {
-    "two_moons": {"n_source": int, "n_target": int, "rotation_deg": float,
-                  "noise_sd": float, "label_flip_rate": float},
-    "gaussian": {"n_classes": int, "dim": int, "mean_shift": float,
-                 "covariance_scale": float, "swap_fraction": float,
-                 "n_source": int, "n_target": int},
-    "idx": {"source_images": str, "source_labels": str, "target_images": str,
-            "target_labels": str, "max_items": int},
-}
 
-_GAUSSIAN_DEFAULTS = {"n_classes": 2, "dim": 2, "mean_shift": 2.0,
-                      "covariance_scale": 1.0, "swap_fraction": 0.0,
-                      "n_source": 1000, "n_target": 1000}
+def _dataset_defaults(kind: str) -> dict:
+    return {"kind": kind, **_DATASETS[kind][1]}
 
 
 @dataclass
@@ -66,25 +63,13 @@ class ExperimentConfig:
     """A TrainConfig plus dataset recipe, seed list and output location."""
 
     train: TrainConfig = field(default_factory=TrainConfig)
-    dataset: dict = field(default_factory=lambda: dict(_DEFAULT_DATASET))
+    dataset: dict = field(default_factory=lambda: _dataset_defaults(_DEFAULT_KIND))
     out_dir: str = "runs"
     seeds: list = field(default_factory=lambda: [0])
     standardize: bool = True
 
 
-_TRAIN_TYPES = {f.name: f.type for f in fields(TrainConfig)}
-
-
-def _parse_scalar(key: str, raw: str, line_no: int):
-    typ = _TRAIN_TYPES[key]  # the annotation as written, e.g. "float"
-    if typ == "str":
-        return raw
-    if typ == "tuple":
-        parts = [p for p in raw.replace("(", "").replace(")", "").split(",") if p.strip()]
-        if len(parts) != 2:
-            raise ConfigError(f"line {line_no}: adam_betas needs two comma-separated floats")
-        return (_coerce(parts[0], float, key, line_no), _coerce(parts[1], float, key, line_no))
-    return _coerce(raw, {"int": int, "float": float}[typ], key, line_no)
+_TRAIN_DEFAULTS = {f.name: f.default for f in fields(TrainConfig)}
 
 
 def _at(line_no) -> str:
@@ -93,16 +78,27 @@ def _at(line_no) -> str:
 
 def _coerce(raw, typ, key, line_no):
     try:
-        return typ(raw.strip())
+        value = typ(raw.strip())
     except ValueError:
         raise ConfigError(
             f"{_at(line_no)}key '{key}' expects {typ.__name__}, got '{raw.strip()}'"
         ) from None
+    if typ is float and not math.isfinite(value):
+        raise ConfigError(f"{_at(line_no)}key '{key}' must be finite, got '{raw.strip()}'")
+    return value
+
+
+def _typed(key: str, raw: str, default, line_no: int):
+    """``raw`` as the type of ``default`` (a string when it is None)."""
+    if default is None or isinstance(default, str):
+        return raw
+    return _coerce(raw, type(default), key, line_no)
 
 
 def parse_seeds(raw: str, line_no: int | None = None) -> list:
     """Seeds from 'lo..hi' (inclusive) or 'a,b,c'; ConfigError if malformed,
-    empty or repeated.  ``line_no`` locates a config-file value in the message."""
+    empty, repeated or negative.  ``line_no`` locates a config-file value in
+    the message."""
     raw = raw.strip()
     if ".." in raw:
         lo, _, hi = raw.partition("..")
@@ -110,22 +106,21 @@ def parse_seeds(raw: str, line_no: int | None = None) -> list:
         hi = _coerce(hi, int, "seeds", line_no)
         if hi < lo:
             raise ConfigError(f"{_at(line_no)}seeds range '{raw}' is empty")
-        return list(range(lo, hi + 1))
-    seeds = [_coerce(p, int, "seeds", line_no) for p in raw.split(",") if p.strip()]
+        seeds = list(range(lo, hi + 1))
+    else:
+        seeds = [_coerce(p, int, "seeds", line_no) for p in raw.split(",") if p.strip()]
     if not seeds:
         raise ConfigError(f"{_at(line_no)}seeds list is empty")
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"{_at(line_no)}seeds list '{raw}' repeats a seed")
+    if min(seeds) < 0:
+        raise ConfigError(f"{_at(line_no)}seeds must be non-negative, got '{raw}'")
     return seeds
 
 
 def parse_config(path: str) -> ExperimentConfig:
-    """Parse a flat key=value config file; unknown keys are errors."""
-    train_kw: dict = {}
-    dataset: dict = {}
-    out_dir = None
-    seeds = None
-    standardize = None
+    """Parse a flat key=value config file; unknown or repeated keys are errors."""
+    entries: dict = {}  # key -> (raw value, line number)
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
@@ -135,90 +130,53 @@ def parse_config(path: str) -> ExperimentConfig:
                 raise ConfigError(f"line {line_no}: expected 'key = value', got '{text}'")
             key, _, raw = text.partition("=")
             key = key.strip()
-            raw = raw.strip()
-            if key == "out_dir":
-                out_dir = raw
-            elif key == "seeds":
-                seeds = parse_seeds(raw, line_no)
-            elif key == "standardize":
-                if raw.lower() not in ("true", "false"):
-                    raise ConfigError(f"line {line_no}: standardize expects true/false")
-                standardize = raw.lower() == "true"
-            elif key.startswith("dataset."):
-                sub = key[len("dataset."):]
-                if sub == "kind":
-                    if raw not in _DATASET_KEYS:
-                        raise ConfigError(
-                            f"line {line_no}: unknown dataset kind '{raw}' "
-                            f"(choose from {sorted(_DATASET_KEYS)})")
-                    dataset["kind"] = raw
-                else:
-                    dataset[sub] = (sub, raw, line_no)  # typed once kind is known
-            elif key in _TRAIN_TYPES:
-                train_kw[key] = _parse_scalar(key, raw, line_no)
-            else:
-                raise ConfigError(f"line {line_no}: unknown key '{key}'")
+            if key in entries:
+                raise ConfigError(
+                    f"line {line_no}: key '{key}' is already set on line {entries[key][1]}")
+            entries[key] = (raw.strip(), line_no)
 
-    kind = dataset.get("kind", _DEFAULT_DATASET["kind"])
-    allowed = _DATASET_KEYS[kind]
-    if kind == "two_moons":
-        resolved = dict(_DEFAULT_DATASET)
-    elif kind == "gaussian":
-        resolved = {"kind": "gaussian", **_GAUSSIAN_DEFAULTS}
-    else:
-        resolved = {"kind": "idx", "max_items": 0}
-    for name, value in dataset.items():
-        if name == "kind":
-            continue
-        sub, raw, line_no = value
-        if sub not in allowed:
-            raise ConfigError(
-                f"line {line_no}: dataset key '{sub}' not valid for kind '{kind}'")
-        resolved[sub] = raw if allowed[sub] is str else _coerce(raw, allowed[sub],
-                                                               f"dataset.{sub}", line_no)
-    if kind == "idx":
-        missing = [k for k in ("source_images", "source_labels",
-                               "target_images", "target_labels") if k not in resolved]
-        if missing:
-            raise ConfigError(f"dataset kind 'idx' needs keys {missing}")
-
+    kind, line_no = entries.pop("dataset.kind", (_DEFAULT_KIND, None))
+    if kind not in _DATASETS:
+        raise ConfigError(f"{_at(line_no)}unknown dataset kind '{kind}' "
+                          f"(choose from {sorted(_DATASETS)})")
+    dataset_defaults = _DATASETS[kind][1]
+    cfg = ExperimentConfig(dataset=_dataset_defaults(kind))
+    train_kw: dict = {}
+    for key, (raw, line_no) in entries.items():
+        if key == "out_dir":
+            cfg.out_dir = raw
+        elif key == "seeds":
+            cfg.seeds = parse_seeds(raw, line_no)
+        elif key == "standardize":
+            if raw.lower() not in ("true", "false"):
+                raise ConfigError(f"line {line_no}: standardize expects true/false")
+            cfg.standardize = raw.lower() == "true"
+        elif key.startswith("dataset."):
+            sub = key[len("dataset."):]
+            if sub not in dataset_defaults:
+                raise ConfigError(
+                    f"line {line_no}: dataset key '{sub}' not valid for kind '{kind}'")
+            cfg.dataset[sub] = _typed(key, raw, dataset_defaults[sub], line_no)
+        elif key in _TRAIN_DEFAULTS:
+            train_kw[key] = _typed(key, raw, _TRAIN_DEFAULTS[key], line_no)
+        else:
+            raise ConfigError(f"line {line_no}: unknown key '{key}'")
+    missing = [k for k, v in cfg.dataset.items() if v is None]
+    if missing:
+        raise ConfigError(f"dataset kind '{kind}' needs keys {missing}")
     try:
-        train = TrainConfig(**train_kw)
+        cfg.train = TrainConfig(**train_kw)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-    cfg = ExperimentConfig(train=train, dataset=resolved)
-    if out_dir is not None:
-        cfg.out_dir = out_dir
-    if seeds is not None:
-        cfg.seeds = seeds
-    if standardize is not None:
-        cfg.standardize = standardize
     return cfg
 
 
 def build_pair(dataset: dict, seed: int) -> DomainPair:
     """Materialize the configured dataset for one data seed (IDX files
     ignore it and have no labeling functions)."""
-    kind = dataset["kind"]
-    if kind == "two_moons":
-        return gen_two_moons_pair(
-            n_source=dataset["n_source"], n_target=dataset["n_target"],
-            rotation_deg=dataset["rotation_deg"], noise_sd=dataset["noise_sd"],
-            label_flip_rate=dataset["label_flip_rate"], seed=seed)
-    if kind == "gaussian":
-        return gen_gaussian_shift_pair(
-            n_classes=dataset["n_classes"], dim=dataset["dim"],
-            mean_shift=dataset["mean_shift"],
-            covariance_scale=dataset["covariance_scale"],
-            swap_fraction=dataset["swap_fraction"],
-            n_source=dataset["n_source"], n_target=dataset["n_target"], seed=seed)
-    max_items = dataset.get("max_items") or None
-    source = load_idx(dataset["source_images"], dataset["source_labels"],
-                      max_items=max_items, domain_tag="source")
-    target = load_idx(dataset["target_images"], dataset["target_labels"],
-                      max_items=max_items, domain_tag="target")
-    return DomainPair(source, target, None, None)
+    params = dict(dataset)
+    builder, _ = _DATASETS[params.pop("kind")]
+    return builder(**params, seed=seed)
 
 
 def _pools_for_run(config: ExperimentConfig, run_seed: int):

@@ -111,8 +111,8 @@ def default_feature_spec(input_dim: int) -> NetworkSpec:
     return NetworkSpec((input_dim, 64, 32), "identity")
 
 
-def default_classifier_spec(n_classes: int, feature_dim: int = 32) -> NetworkSpec:
-    return NetworkSpec((feature_dim, 32, n_classes), "softmax")
+def default_classifier_spec(n_classes: int) -> NetworkSpec:
+    return NetworkSpec((32, 32, n_classes), "softmax")
 
 
 def default_critic_spec(feature_dim: int = 32) -> NetworkSpec:

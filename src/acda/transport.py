@@ -207,29 +207,28 @@ def identity_network(dim: int) -> NetworkParams:
                          init_seed=0)
 
 
-def fit_critic(points_a, points_b, steps: int = 2000, learning_rate: float = 1e-3,
-               gp_coeff: float = 50.0, seed: int = 0,
-               f_params: NetworkParams | None = None,
-               d_params: NetworkParams | None = None,
-               record_every: int = 100):
+# fit_critic's Adam step size, gradient-penalty weight and history stride.
+_FIT_LEARNING_RATE = 1e-3
+_FIT_GP_COEFF = 50.0
+_FIT_RECORD_EVERY = 100
+
+
+def fit_critic(points_a, points_b, steps: int = 2000, seed: int = 0):
     """Train a critic alone to realize the dual W1 estimate on two clouds.
 
-    Full-batch ascent on  W1_estimate - gp_coeff * penalty.  Returns
-    ``(d_params, f_params, history)`` where history is a list of
-    ``(step, estimate)`` pairs.  The feature map defaults to identity; it is
-    frozen, so the W1 term reads features computed once, while the penalty
-    differentiates D(F(.)) at the input-space interpolates.
+    Full-batch Adam ascent (step 1e-3) on  W1_estimate - 50 * penalty.
+    Returns ``(d_params, f_params, history)`` where history is a list of
+    ``(step, estimate)`` pairs, every 100 steps and at the last.  The
+    feature map is the identity; it is frozen, so the W1 term reads
+    features computed once, while the penalty differentiates D(F(.)) at the
+    input-space interpolates.  D is a fresh default critic seeded by ``seed``.
     """
     xs = _check_points(points_a, "points_a")
     xt = _check_points(points_b, "points_b")
     dim = xs.shape[1]
-    if f_params is None:
-        f_params = identity_network(dim)
-    if d_params is None:
-        d_params = nets.init_network(
-            nets.default_critic_spec(f_params.spec.output_dim),
-            make_rng(seed, "critic-init").integers(2**63),
-        )
+    f_params = identity_network(dim)
+    d_params = nets.init_network(nets.default_critic_spec(dim),
+                                 make_rng(seed, "critic-init").integers(2**63))
     k = min(xs.shape[0], xt.shape[0])
     params = dict(nets.param_bindings(f_params, "F"))
     params.update(nets.param_bindings(d_params, "D"))
@@ -239,12 +238,12 @@ def fit_critic(points_a, points_b, steps: int = 2000, learning_rate: float = 1e-
     g = Graph()
     w1 = build_critic_w1(g, d_params.spec, g.leaf("fs", fs.shape), g.leaf("ft", ft.shape))
     penalty = build_gradient_penalty(g, f_params.spec, d_params.spec, g.leaf("xhat", (k, dim)))
-    objective = g.sub(w1, g.affine(penalty, gp_coeff, 0.0))
+    objective = g.sub(w1, g.affine(penalty, _FIT_GP_COEFF, 0.0))
     d_names = nets.param_leaf_names(d_params.spec, "D")
     grads = g.add_gradient_nodes(objective, [g.leaves[nm] for nm in d_names])
     outputs = [w1] + [grads[g.leaves[nm]] for nm in d_names]
 
-    opt = Adam(learning_rate)
+    opt = Adam(_FIT_LEARNING_RATE)
     history = []
     for step in range(steps):
         bindings = dict(params)
@@ -254,7 +253,7 @@ def fit_critic(points_a, points_b, steps: int = 2000, learning_rate: float = 1e-
         vals = forward_eval(g, bindings, outputs)
         step_grads = {nm: vals[grads[g.leaves[nm]]] for nm in d_names}
         params = opt.step_ascent(params, step_grads)
-        if (step + 1) % record_every == 0 or step == steps - 1:
+        if (step + 1) % _FIT_RECORD_EVERY == 0 or step == steps - 1:
             history.append((step + 1, float(vals[w1])))
     return nets.params_from_bindings(params, d_params, "D"), f_params, history
 
@@ -283,15 +282,14 @@ def _scores(fn, x: np.ndarray) -> np.ndarray:
     return np.asarray(scores, dtype=np.float64).reshape(-1)
 
 
-def bound_rhs(h_params: NetworkParams, source_x, target_x, f_s, f_t,
-              size_limit: int = EXACT_W1_SIZE_LIMIT) -> BoundReport:
+def bound_rhs(h_params: NetworkParams, source_x, target_x, f_s, f_t) -> BoundReport:
     """Evaluate  eps_T <= eps_S + 2*W1 + E_S|f_s - f_t|  on two samples.
 
     ``h_params`` must be a scalar-output network already made 1-Lipschitz
     (see :func:`lipschitz_normalize`); ``f_s``/``f_t`` are labeling-score
     functions on the input space with values in [0, 1] (synthetic generators
     provide them).  Risks are mean absolute differences; the W1 term uses
-    the exact solver on the two samples.
+    the exact solver on the two samples, within its size limit.
     """
     if f_s is None or f_t is None:
         raise ValueError("bound diagnostic needs both labeling functions")
@@ -304,7 +302,7 @@ def bound_rhs(h_params: NetworkParams, source_x, target_x, f_s, f_t,
     ft_t = _scores(f_t, xt)
     source_risk = float(np.mean(np.abs(h_s - fs_s)))
     target_risk = float(np.mean(np.abs(h_t - ft_t)))
-    w1_value, _ = exact_w1(xs, xt, size_limit=size_limit)
+    w1_value, _ = exact_w1(xs, xt)
     w1_term = 2.0 * w1_value
     disagreement = float(np.mean(np.abs(fs_s - ft_s)))
     rhs = source_risk + w1_term + disagreement

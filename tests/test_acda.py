@@ -1,13 +1,15 @@
 """Unit tests for the three-stage algorithm: querying, weighting, training."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acda.acda import (QueryResult, TrainConfig, WeightVector, lambda_w,
+from acda.acda import (CRITIC_STEPS, EARLY_STOP_TOL, LAMBDA_W_DELTA, QueryResult,
+                       TrainConfig, WeightVector, lambda_w,
                        query_scores, query_size, random_queries, run_algorithm_1,
                        select_queries, stage1_train, stage3_train,
                        uncertainty_weights, update_pools, weighted_query_loss)
@@ -41,16 +43,20 @@ def test_config_documented_defaults():
     cfg = TrainConfig()
     assert cfg.budget == 0.1
     assert cfg.lambda_div == 10.0
-    assert cfg.delta == 10.0
     assert cfg.query_rounds == 1
-    assert cfg.critic_steps_per_update == 5
     assert cfg.strategy == "active"
+    assert (LAMBDA_W_DELTA, CRITIC_STEPS, EARLY_STOP_TOL) == (10.0, 5, 1e-4)
+    assert [f.name for f in fields(TrainConfig)] == [
+        "budget", "lambda_div", "query_rounds", "stage1_epochs", "stage3_epochs",
+        "batch_size", "learning_rate", "seed", "strategy", "early_stop_patience"]
 
 
 @pytest.mark.parametrize("bad", [
     {"budget": 0.0}, {"budget": 1.0}, {"budget": 1.5},
     {"lambda_div": -1.0}, {"query_rounds": 0}, {"batch_size": 0},
     {"learning_rate": 0.0}, {"strategy": "greedy"},
+    {"seed": -1}, {"lambda_div": float("nan")}, {"learning_rate": float("inf")},
+    {"budget": float("nan")},
 ])
 def test_config_rejects_invalid_values(bad):
     with pytest.raises(ValueError):
@@ -371,9 +377,9 @@ def test_l_grad_is_the_mean_penalty_over_the_critic_steps(monkeypatch):
     monkeypatch.setattr(algorithm, "forward_eval", spy)
     source, target = _small_pair(seed=15, n=60)
     f, c, d = _nets_for(seed=5)
-    cfg = TrainConfig(stage1_epochs=1, batch_size=20, critic_steps_per_update=4, seed=8)
+    cfg = TrainConfig(stage1_epochs=1, batch_size=20, seed=8)
     _, _, _, hist = stage1_train(source, target, f, c, d, cfg)
-    per_step = np.array(penalties).reshape(3, 4)  # 3 model steps x 4 critic steps
+    per_step = np.array(penalties).reshape(3, CRITIC_STEPS)  # 3 model steps
     assert np.ptp(per_step, axis=1).min() > 0
     assert hist.epochs[0]["L_grad"] == pytest.approx(per_step.mean(axis=1).mean(), rel=1e-12)
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from acda.cli import main
 from acda.errors import ConfigError
 from acda.data import load_csv
 from acda.experiments import (METRICS_HEADER, METRICS_VERSION_LINE, _pools_for_run,
-                              compare_strategies, parse_config, run_experiment)
+                              build_pair, compare_strategies, parse_config,
+                              run_experiment)
 
 SMALL_DATASET = """
 dataset.kind = two_moons
@@ -43,8 +45,8 @@ def test_empty_config_gets_documented_defaults(tmp_path):
     cfg = parse_config(write_cfg(tmp_path, "# nothing but a comment\n"))
     assert cfg.train.budget == 0.1
     assert cfg.train.lambda_div == 10.0
-    assert cfg.train.delta == 10.0
-    assert cfg.dataset["kind"] == "two_moons"
+    assert cfg.dataset == {"kind": "two_moons", "n_source": 1000, "n_target": 1000,
+                           "rotation_deg": 40.0, "noise_sd": 0.1, "label_flip_rate": 0.1}
     assert cfg.seeds == [0]
     assert cfg.standardize is True
 
@@ -55,7 +57,6 @@ budget = 0.05
 lambda_div = 2.5
 seeds = 1..4
 strategy = random
-adam_betas = 0.8, 0.95
 dataset.kind = gaussian
 dataset.n_classes = 3
 out_dir = /tmp/somewhere
@@ -63,7 +64,6 @@ out_dir = /tmp/somewhere
     assert cfg.train.budget == 0.05
     assert cfg.train.lambda_div == 2.5
     assert cfg.train.strategy == "random"
-    assert cfg.train.adam_betas == (0.8, 0.95)
     assert cfg.seeds == [1, 2, 3, 4]
     assert cfg.dataset["n_classes"] == 3
     assert cfg.out_dir == "/tmp/somewhere"
@@ -75,6 +75,45 @@ def test_config_unknown_key_reports_line_number(tmp_path):
     path = write_cfg(tmp_path, "budget = 0.1\nnot_a_key = 3\n")
     with pytest.raises(ConfigError, match="line 2"):
         parse_config(path)
+
+
+@pytest.mark.parametrize("key,value", [("delta", "10"), ("critic_steps_per_update", "5"),
+                                       ("adam_betas", "0.9, 0.999"),
+                                       ("early_stop_tol", "1e-4")])
+def test_config_removed_keys_are_unknown(tmp_path, key, value):
+    path = write_cfg(tmp_path, f"budget = 0.1\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=f"line 2: unknown key '{key}'"):
+        parse_config(path)
+
+
+@pytest.mark.parametrize("body,message", [
+    ("budget = 0.1\nbudget = 0.3\n", "line 2: key 'budget' is already set on line 1"),
+    ("seeds = 1\n\nseeds = 2\n", "line 3: key 'seeds' is already set on line 1"),
+    ("dataset.n_source = 10\n# x\ndataset.n_source = 20\n",
+     "line 3: key 'dataset.n_source' is already set on line 1"),
+], ids=["train", "seeds", "dataset"])
+def test_config_repeated_key_names_both_lines(tmp_path, body, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config(write_cfg(tmp_path, body))
+
+
+@pytest.mark.parametrize("body", ["lambda_div = nan\n", "\nlearning_rate = inf\n",
+                                  "budget = -inf\n", "dataset.rotation_deg = nan\n",
+                                  "learning_rate = 1e400\n"],
+                         ids=["nan", "inf", "-inf", "dataset-nan", "overflow"])
+def test_config_non_finite_float_reports_line(tmp_path, body):
+    line = body.count("\n")
+    with pytest.raises(ConfigError, match=f"line {line}: .*must be finite"):
+        parse_config(write_cfg(tmp_path, body))
+
+
+@pytest.mark.parametrize("body,message", [("seeds = 1,-1\n", "line 1.*seeds"),
+                                          ("seeds = -2..1\n", "line 1.*seeds"),
+                                          ("seed = -1\n", "seed must be non-negative")],
+                         ids=["list", "range", "train-seed"])
+def test_config_negative_seed_rejected(tmp_path, body, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config(write_cfg(tmp_path, body))
 
 
 def test_config_type_error_reports_line_and_key(tmp_path):
@@ -104,6 +143,24 @@ def test_config_dataset_key_for_wrong_kind_rejected(tmp_path):
 def test_config_idx_requires_paths(tmp_path):
     with pytest.raises(ConfigError, match="idx"):
         parse_config(write_cfg(tmp_path, "dataset.kind = idx\n"))
+
+
+def test_config_idx_builds_pair_from_files(tmp_path):
+    rng = np.random.default_rng(0)
+    body = "dataset.kind = idx\ndataset.max_items = 3\n"
+    for domain in ("source", "target"):
+        pixels = rng.integers(0, 256, size=(5, 2, 2), dtype=np.uint8)
+        labels = rng.integers(0, 2, size=5, dtype=np.uint8)
+        (tmp_path / f"{domain}.img").write_bytes(struct.pack(">iiii", 2051, 5, 2, 2)
+                                                 + pixels.tobytes())
+        (tmp_path / f"{domain}.lab").write_bytes(struct.pack(">ii", 2049, 5) + labels.tobytes())
+        body += (f"dataset.{domain}_images = {tmp_path / (domain + '.img')}\n"
+                 f"dataset.{domain}_labels = {tmp_path / (domain + '.lab')}\n")
+    cfg = parse_config(write_cfg(tmp_path, body))
+    pair = build_pair(cfg.dataset, 7)
+    assert (len(pair.source), len(pair.target)) == (3, 3)
+    assert pair.target.domain_tag == "target" and pair.f_target is None
+    np.testing.assert_array_equal(pair.target.labels, labels[:3])
 
 
 # --------------------------------------------------------- run_experiment
@@ -276,6 +333,17 @@ def test_cli_compare_bad_seed_list_exits_with_config_error(tmp_path, capsys, see
     code = main(["compare", cfg_path, "--seeds", seeds, "--out", str(tmp_path / "o")])
     assert code == 2
     assert "seeds" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [["run", "--seed", "-1"], ["compare", "--seed", "-1"],
+                                  ["compare", "--seeds", "1,-1"], ["gen", "--seed", "-1"]],
+                         ids=["run", "compare-seed", "compare-seeds", "gen"])
+def test_cli_negative_seed_exits_before_writing(tmp_path, capsys, argv):
+    cfg_path = write_cfg(tmp_path, SMALL_TRAIN + SMALL_DATASET)
+    code = main([argv[0], cfg_path] + argv[1:] + ["--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "non-negative" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
