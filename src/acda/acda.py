@@ -1,8 +1,9 @@
 """The three-stage active adaptation algorithm.
 
 Stage 1 trains feature extractor F, classifier C and critic D adversarially:
-the critic ascends lambda_w * (W1_estimate - gradient_penalty) while the
-model descends  L_cls + lambda_w * W1_estimate.  Stage 2 scores the target
+the critic ascends lambda_w * (W1_estimate - gradient_penalty), the penalty
+taken at interpolates between source and target features, while the model
+descends  L_cls + lambda_w * W1_estimate.  Stage 2 scores the target
 pool by predictive entropy minus a scaled critic score, queries the top
 slice of the budget, and moves the queried points into the labeled pool.
 Stage 3 retrains with an extra per-class uncertainty-weighted loss on the
@@ -61,8 +62,8 @@ class TrainConfig:
 
     The critic takes ``CRITIC_STEPS`` ascent steps on lambda_w * (W1 -
     penalty) per model step, and lambda_w follows the :func:`lambda_w`
-    schedule over the stage's steps.  Floats must be finite and the seed
-    non-negative (ValueError otherwise).
+    schedule over the stage's steps.  Floats must be finite and the seed a
+    non-negative integer (ValueError otherwise).
     """
 
     budget: float = 0.1
@@ -90,10 +91,13 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        if not isinstance(self.seed, (int, np.integer)):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.strategy not in _STRATEGIES:
-            raise ValueError(f"strategy must be one of {_STRATEGIES}")
+            raise ValueError(f"unknown strategy '{self.strategy}' "
+                             f"(choose from {list(_STRATEGIES)})")
 
 
 @dataclass
@@ -329,10 +333,10 @@ class _StepGraphs:
     The critic graph ascends the adversarial objective in theta_d; the model
     graph descends classification (+ weighted query) loss plus the W1 term
     in (theta_f, theta_c).  Parameters enter as leaves so the same graph
-    serves every step.  F is frozen while the critic steps, so the critic's
-    W1 term reads the features F(xs_adv), F(xt) as leaves ``fs_adv``, ``ft``;
-    its gradient penalty still differentiates D(F(.)) at the input-space
-    interpolates ``xhat``.
+    serves every step.  F is frozen while the critic steps, so the critic
+    graph holds D alone: its W1 term reads the features F(xs_adv), F(xt) as
+    leaves ``fs_adv``, ``ft``, and its gradient penalty differentiates D at
+    the feature interpolates ``xhat`` between them.
     """
 
     def __init__(self, dims, specs, n_classes: int):
@@ -345,12 +349,12 @@ class _StepGraphs:
         if self.has_target:
             fs_adv = g.leaf("fs_adv", (ns_adv, f_spec.output_dim))
             ft = g.leaf("ft", (nt, f_spec.output_dim))
-            xhat = g.leaf("xhat", (min(ns_adv, nt), d))
+            xhat = g.leaf("xhat", (min(ns_adv, nt), f_spec.output_dim))
             lamw = g.leaf("lambda_w", ())
             # D(fs) < D(ft) < w1 < penalty path: the order in which the
-            # D-gradient sums accumulate, kept from the D(F(.)) composition
+            # D-gradient sums accumulate
             w1 = transport.build_critic_w1(g, d_spec, fs_adv, ft)
-            penalty = transport.build_gradient_penalty(g, f_spec, d_spec, xhat)
+            penalty = transport.build_gradient_penalty(g, d_spec, xhat)
             objective = g.mul(lamw, g.sub(w1, penalty))
             d_names = nets.param_leaf_names(d_spec, "D")
             grads = g.add_gradient_nodes(objective, [g.leaves[nm] for nm in d_names])
@@ -490,7 +494,8 @@ def _adversarial_fit(f_params, c_params, d_params, source: Dataset, target: Data
                 penalty = 0.0
                 for critic_step in range(CRITIC_STEPS):
                     eps_seed = derive_seed(seed, "eps", epoch, step, critic_step)
-                    bindings["xhat"] = transport.interpolates(xs_adv, xt, eps_seed)
+                    bindings["xhat"] = transport.interpolates(bindings["fs_adv"],
+                                                              bindings["ft"], eps_seed)
                     vals = forward_eval(sg.critic_graph, bindings, sg.critic_outputs)
                     penalty += float(vals[sg.critic_nodes["penalty"]])
                     cgrads = {nm: vals[sg.critic_nodes["grads"][nm]] for nm in d_names}

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import nets
-from .acda import _STRATEGIES, RunRecord, TrainConfig, accuracy, run_algorithm_1
+from .acda import RunRecord, TrainConfig, accuracy, run_algorithm_1
 from .data import (Dataset, DomainPair, gen_gaussian_shift_pair,
                    gen_two_moons_pair, load_idx_pair, standardize_features)
 from .errors import ConfigError, TrainingDivergedError
@@ -158,16 +158,18 @@ def parse_config(path: str) -> ExperimentConfig:
                     f"line {line_no}: dataset key '{sub}' not valid for kind '{kind}'")
             cfg.dataset[sub] = _typed(key, raw, dataset_defaults[sub], line_no)
         elif key in _TRAIN_DEFAULTS:
-            train_kw[key] = _typed(key, raw, _TRAIN_DEFAULTS[key], line_no)
+            value = _typed(key, raw, _TRAIN_DEFAULTS[key], line_no)
+            try:  # each TrainConfig check reads one field, so check it alone
+                TrainConfig(**{key: value})
+            except ValueError as exc:
+                raise ConfigError(f"line {line_no}: {exc}") from None
+            train_kw[key] = value
         else:
             raise ConfigError(f"line {line_no}: unknown key '{key}'")
     missing = [k for k, v in cfg.dataset.items() if v is None]
     if missing:
         raise ConfigError(f"dataset kind '{kind}' needs keys {missing}")
-    try:
-        cfg.train = TrainConfig(**train_kw)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    cfg.train = TrainConfig(**train_kw)
     return cfg
 
 
@@ -240,8 +242,17 @@ def _run_pairs(config: ExperimentConfig, pairs: list, out: str):
     ``metrics.csv`` over all of them, and a ``MANIFEST.json`` that marks a
     diverged run and sets the status to "failed" without stopping the rest.
     ``finals`` maps each strategy to its finished runs' final target accuracy;
-    the exit status is 0, or 1 when a run diverged.
+    the exit status is 0, or 1 when a run diverged.  A repeated pair, or one
+    that ``TrainConfig`` refuses, is a ConfigError before anything is written.
     """
+    for i, (strategy, run_seed) in enumerate(pairs):
+        tag = f"{strategy}-seed{run_seed}"
+        if (strategy, run_seed) in pairs[:i]:
+            raise ConfigError(f"run '{tag}' is named twice")
+        try:
+            replace(config.train, seed=run_seed, strategy=strategy)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"run '{tag}': {exc}") from None
     os.makedirs(out, exist_ok=True)
     rows = []
     manifest = {"runs": [], "status": "ok"}
@@ -274,7 +285,9 @@ def _run_pairs(config: ExperimentConfig, pairs: list, out: str):
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> int:
-    """One run per seed under config.train.strategy; returns exit status."""
+    """One run per seed under config.train.strategy; returns exit status.
+    A negative, non-integer or repeated seed is a ConfigError before
+    anything is written."""
     out = out_dir if out_dir is not None else config.out_dir
     pairs = [(config.train.strategy, run_seed) for run_seed in config.seeds]
     _, status = _run_pairs(config, pairs, out)
@@ -294,7 +307,7 @@ def compare_strategies(config: ExperimentConfig, strategies: list, seeds: list,
     """Run every (strategy, seed) pair; summarize final target accuracy.
 
     Raises ConfigError before any training for an unknown or repeated
-    strategy.  Writes the same per-run files and MANIFEST as
+    strategy or seed.  Writes the same per-run files and MANIFEST as
     :func:`run_experiment`, a diverged run included.  Returns
     ``(summary, status)``: summary rows [(strategy, mean, sd)] over the
     finished runs, and :func:`run_experiment`'s exit status (1 when a run
@@ -305,11 +318,6 @@ def compare_strategies(config: ExperimentConfig, strategies: list, seeds: list,
     """
     if not strategies or not seeds:
         raise ValueError("compare_strategies needs >= 1 strategy and seed")
-    for i, s in enumerate(strategies):
-        if s not in _STRATEGIES:
-            raise ConfigError(f"unknown strategy '{s}' (choose from {list(_STRATEGIES)})")
-        if s in strategies[:i]:
-            raise ConfigError(f"strategy '{s}' is named twice")
     out = out_dir if out_dir is not None else config.out_dir
     finals, status = _run_pairs(config, [(s, seed) for s in strategies for seed in seeds], out)
 

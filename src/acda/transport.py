@@ -1,9 +1,9 @@
 """Wasserstein-1 machinery.
 
 Four pieces: an exact small-instance optimal-transport oracle, the
-critic-based empirical W1 estimate, the interpolate gradient penalty that
-keeps the critic near 1-Lipschitz, and a finite-sample diagnostic for the
-target-risk bound  eps_T <= eps_S + 2*W1 + disagreement.
+critic-based empirical W1 estimate, the gradient penalty at feature
+interpolates that keeps the critic near 1-Lipschitz, and a finite-sample
+diagnostic for the target-risk bound  eps_T <= eps_S + 2*W1 + disagreement.
 """
 
 from __future__ import annotations
@@ -160,19 +160,18 @@ def build_critic_w1(graph: Graph, d_spec: NetworkSpec, fs_node: int, ft_node: in
     return graph.sub(graph.mean(ds), graph.mean(dt))
 
 
-def build_gradient_penalty(graph: Graph, f_spec: NetworkSpec, d_spec: NetworkSpec,
-                           xhat_node: int) -> int:
-    """Append the input-space gradient penalty of the critic composition
-    D(F(.)): the mean over rows of (||grad_x D(F(x))||_2 - 1)^2 at x = xhat.
+def build_gradient_penalty(graph: Graph, d_spec: NetworkSpec, fhat_node: int) -> int:
+    """Append the feature-space gradient penalty of the critic D: the mean
+    over rows of (||grad_f D(f)||_2 - 1)^2 at f = fhat (WDGRL, arXiv
+    1707.01217, after WGAN-GP, arXiv 1704.00028).
 
-    ``xhat_node`` must be a *leaf* holding precomputed interpolates, since
-    the penalty differentiates the critic with respect to it.  F's and D's
-    parameters are the leaves ``F.*`` and ``D.*``.  Returns the penalty
-    node id.
+    ``fhat_node`` must be a *leaf* holding precomputed feature interpolates,
+    since the penalty differentiates the critic with respect to it.  D's
+    parameters are the leaves ``D.*``.  Returns the penalty node id.
     """
-    dhat = nets.build_forward(graph, d_spec, nets.build_forward(graph, f_spec, xhat_node, "F"), "D")
-    grad_x = graph.add_gradient_nodes(graph.sum(dhat), [xhat_node])[xhat_node]
-    norms = graph.l2norm(grad_x, axis=1)
+    dhat = nets.build_forward(graph, d_spec, fhat_node, "D")
+    grad_f = graph.add_gradient_nodes(graph.sum(dhat), [fhat_node])[fhat_node]
+    norms = graph.l2norm(grad_f, axis=1)
     return graph.mean(graph.square(graph.affine(norms, 1.0, -1.0)))
 
 
@@ -188,15 +187,14 @@ def interpolates(batch_s: np.ndarray, batch_t: np.ndarray, seed: int) -> np.ndar
 
 def gradient_penalty(f_params: NetworkParams, d_params: NetworkParams,
                      batch_s, batch_t, seed: int) -> float:
-    """Mean over interpolates of (||grad_x D(F(x))||_2 - 1)^2."""
-    xs = _check_points(batch_s, "batch_s")
-    xt = _check_points(batch_t, "batch_t")
-    xhat = interpolates(xs, xt, seed)
+    """Mean over feature interpolates of (||grad_f D(f)||_2 - 1)^2, the
+    interpolates drawn between F(batch_s) and F(batch_t)."""
+    fs = nets.forward(f_params, _check_points(batch_s, "batch_s"))
+    ft = nets.forward(f_params, _check_points(batch_t, "batch_t"))
+    fhat = interpolates(fs, ft, seed)
     g = Graph()
-    penalty = build_gradient_penalty(g, f_params.spec, d_params.spec, g.leaf("xhat", xhat.shape))
-    bindings = {"xhat": xhat}
-    bindings.update(nets.param_bindings(f_params, "F"))
-    bindings.update(nets.param_bindings(d_params, "D"))
+    penalty = build_gradient_penalty(g, d_params.spec, g.leaf("xhat", fhat.shape))
+    bindings = {"xhat": fhat, **nets.param_bindings(d_params, "D")}
     return float(forward_eval(g, bindings, [penalty])[penalty])
 
 
@@ -219,43 +217,37 @@ def fit_critic(points_a, points_b, steps: int = 2000, seed: int = 0):
     Full-batch Adam ascent (step 1e-3) on  W1_estimate - 50 * penalty.
     Returns ``(d_params, f_params, history)`` where history is a list of
     ``(step, estimate)`` pairs, every 100 steps and at the last.  The
-    feature map is the identity; it is frozen, so the W1 term reads
-    features computed once, while the penalty differentiates D(F(.)) at the
-    input-space interpolates.  D is a fresh default critic seeded by ``seed``.
+    feature map is the identity, so the points are the features: the W1
+    term reads them and the penalty differentiates D at interpolates
+    between them.  D is a fresh default critic seeded by ``seed``.
     """
     xs = _check_points(points_a, "points_a")
     xt = _check_points(points_b, "points_b")
     dim = xs.shape[1]
-    f_params = identity_network(dim)
     d_params = nets.init_network(nets.default_critic_spec(dim),
                                  make_rng(seed, "critic-init").integers(2**63))
     k = min(xs.shape[0], xt.shape[0])
-    params = dict(nets.param_bindings(f_params, "F"))
-    params.update(nets.param_bindings(d_params, "D"))
-    fs = nets.forward_bound(f_params.spec, params, "F", xs)
-    ft = nets.forward_bound(f_params.spec, params, "F", xt)
 
     g = Graph()
-    w1 = build_critic_w1(g, d_params.spec, g.leaf("fs", fs.shape), g.leaf("ft", ft.shape))
-    penalty = build_gradient_penalty(g, f_params.spec, d_params.spec, g.leaf("xhat", (k, dim)))
+    w1 = build_critic_w1(g, d_params.spec, g.leaf("fs", xs.shape), g.leaf("ft", xt.shape))
+    penalty = build_gradient_penalty(g, d_params.spec, g.leaf("xhat", (k, dim)))
     objective = g.sub(w1, g.affine(penalty, _FIT_GP_COEFF, 0.0))
     d_names = nets.param_leaf_names(d_params.spec, "D")
     grads = g.add_gradient_nodes(objective, [g.leaves[nm] for nm in d_names])
     outputs = [w1] + [grads[g.leaves[nm]] for nm in d_names]
 
     opt = Adam(_FIT_LEARNING_RATE)
+    params = nets.param_bindings(d_params, "D")
     history = []
     for step in range(steps):
-        bindings = dict(params)
-        bindings["fs"] = fs
-        bindings["ft"] = ft
-        bindings["xhat"] = interpolates(xs, xt, make_rng(seed, "step", step).integers(2**63))
+        bindings = {**params, "fs": xs, "ft": xt,
+                    "xhat": interpolates(xs, xt, make_rng(seed, "step", step).integers(2**63))}
         vals = forward_eval(g, bindings, outputs)
         step_grads = {nm: vals[grads[g.leaves[nm]]] for nm in d_names}
         params = opt.step_ascent(params, step_grads)
         if (step + 1) % _FIT_RECORD_EVERY == 0 or step == steps - 1:
             history.append((step + 1, float(vals[w1])))
-    return nets.params_from_bindings(params, d_params, "D"), f_params, history
+    return nets.params_from_bindings(params, d_params, "D"), identity_network(dim), history
 
 
 # ----------------------------------------------------------------------

@@ -56,7 +56,7 @@ def test_config_documented_defaults():
     {"lambda_div": -1.0}, {"query_rounds": 0}, {"batch_size": 0},
     {"learning_rate": 0.0}, {"strategy": "greedy"},
     {"seed": -1}, {"lambda_div": float("nan")}, {"learning_rate": float("inf")},
-    {"budget": float("nan")},
+    {"budget": float("nan")}, {"seed": 1.5},
 ])
 def test_config_rejects_invalid_values(bad):
     with pytest.raises(ValueError):
@@ -304,49 +304,38 @@ def test_stage1_adapts_identical_pools_toward_zero_w1():
     assert last <= max(0.1 * first, 0.05)
 
 
-def test_hoisted_critic_graph_matches_critic_on_f_of_inputs():
-    """The critic graph reads F(xs_adv) and F(xt) as leaves; its objective,
-    W1, penalty and D-gradients are bit for bit those of the graph that
-    passes the inputs through F itself."""
+def test_critic_graph_penalty_equals_gradient_penalty_on_the_same_features():
+    """The critic graph reads F(xs_adv), F(xt) and the interpolates between
+    them as leaves; its penalty is bit for bit ``gradient_penalty`` on the
+    same inputs, networks and seed, and its objective is lambda_w times W1
+    minus that penalty."""
     from acda import nets, transport
     from acda.acda import _StepGraphs
-    from acda.autodiff import Graph, forward_eval
+    from acda.autodiff import forward_eval
 
     f_spec, c_spec, d_spec = (default_feature_spec(2), default_classifier_spec(2),
                               default_critic_spec())
     sg = _StepGraphs((128, 100, 128, 0, 2), (f_spec, c_spec, d_spec), 2)
-
-    g = Graph()
-    xs, xt = g.leaf("xs_adv", (128, 2)), g.leaf("xt", (100, 2))
-    xhat, lamw = g.leaf("xhat", (100, 2)), g.leaf("lambda_w", ())
-    w1 = transport.build_critic_w1(g, d_spec, nets.build_forward(g, f_spec, xs, "F"),
-                                   nets.build_forward(g, f_spec, xt, "F"))
-    penalty = transport.build_gradient_penalty(g, f_spec, d_spec, xhat)
-    objective = g.mul(lamw, g.sub(w1, penalty))
-    d_names = nets.param_leaf_names(d_spec, "D")
-    grads = g.add_gradient_nodes(objective, [g.leaves[nm] for nm in d_names])
+    assert sg.critic_graph.shapes[sg.critic_graph.leaves["xhat"]] == (100, f_spec.output_dim)
 
     rng = np.random.default_rng(9)
-    bindings = {"xs_adv": rng.normal(size=(128, 2)), "xt": rng.normal(size=(100, 2)) + 1.0,
-                "lambda_w": np.asarray(0.7)}
-    bindings["xhat"] = transport.interpolates(bindings["xs_adv"], bindings["xt"], 11)
+    xs_adv, xt = rng.normal(size=(128, 2)), rng.normal(size=(100, 2)) + 1.0
     f, _, d = _nets_for(seed=4)
-    bindings.update(nets.param_bindings(f, "F"))
-    bindings.update(nets.param_bindings(d, "D"))
-    composed = forward_eval(g, bindings)
-    bindings["fs_adv"] = nets.forward_bound(f_spec, bindings, "F", bindings["xs_adv"])
-    bindings["ft"] = nets.forward_bound(f_spec, bindings, "F", bindings["xt"])
-    hoisted = forward_eval(sg.critic_graph, bindings)
+    bindings = {**nets.param_bindings(f, "F"), **nets.param_bindings(d, "D"),
+                "lambda_w": np.asarray(0.7)}
+    bindings["fs_adv"] = nets.forward_bound(f_spec, bindings, "F", xs_adv)
+    bindings["ft"] = nets.forward_bound(f_spec, bindings, "F", xt)
+    bindings["xhat"] = transport.interpolates(bindings["fs_adv"], bindings["ft"], 11)
+    vals = forward_eval(sg.critic_graph, bindings)
     step = forward_eval(sg.critic_graph, bindings, sg.critic_outputs)
 
     nodes = sg.critic_nodes
-    pairs = [(nodes["objective"], objective), (nodes["w1"], w1), (nodes["penalty"], penalty)]
-    pairs += [(nodes["grads"][nm], grads[g.leaves[nm]]) for nm in d_names]
-    for mine, theirs in pairs:
-        assert hoisted[mine].tobytes() == composed[theirs].tobytes()
-    for mine in sg.critic_outputs:
-        assert step[mine].tobytes() == hoisted[mine].tobytes()
-    assert sg.critic_graph.num_nodes < g.num_nodes
+    expected = transport.gradient_penalty(f, d, xs_adv, xt, 11)
+    assert vals[nodes["penalty"]].tobytes() == np.float64(expected).tobytes()
+    assert float(vals[nodes["w1"]]) == transport.critic_w1_estimate(f, d, xs_adv, xt)
+    assert float(vals[nodes["objective"]]) == 0.7 * (float(vals[nodes["w1"]]) - expected)
+    for node in sg.critic_outputs:
+        assert step[node].tobytes() == vals[node].tobytes()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -279,10 +279,12 @@ def test_plan_matches_node_by_node_reference(case):
 
 def test_step_graphs_use_exactly_the_engine_primitives():
     """Pins the criterion-7 step graphs' sizes, and that the ops they build
-    are the engine's primitives: no primitive unused, none missing."""
+    are the engine's primitives: no primitive unused, none missing.  The
+    critic graph is D alone: it reads features, never F's parameters."""
     with_query, _ = _step_graphs(query=True)
     without_query, _ = _step_graphs(query=False)
-    assert with_query.critic_graph.num_nodes == 142
+    assert with_query.critic_graph.num_nodes == 121
+    assert not [name for name in with_query.critic_graph.leaves if name.startswith("F.")]
     assert with_query.model_graph.num_nodes == 238
     assert without_query.model_graph.num_nodes == 160
     used = {op for sg in (with_query, without_query)

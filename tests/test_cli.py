@@ -127,6 +127,17 @@ def test_config_range_error_for_budget(tmp_path):
         parse_config(write_cfg(tmp_path, "budget = 1.5\n"))
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("budget", "1.5", r"budget must lie in \(0, 1\), got 1.5"),
+    ("batch_size", "0", "batch_size must be >= 1"),
+    ("strategy", "bogus", "unknown strategy 'bogus'"),
+], ids=["budget", "batch_size", "strategy"])
+def test_config_range_errors_report_line(tmp_path, key, value, message):
+    body = f"seeds = 1\n# a comment\n{key} = {value}\nlambda_div = 1\n"
+    with pytest.raises(ConfigError, match=f"^line 3: {message}"):
+        parse_config(write_cfg(tmp_path, body))
+
+
 @pytest.mark.parametrize("body", ["seeds = 5..1\n", "seeds = x\n", "seeds = ,\n",
                                   "seeds = 1,1\n"])
 def test_config_bad_seeds_rejected_with_line(tmp_path, body):
@@ -211,6 +222,21 @@ def test_run_experiment_is_byte_identical_across_invocations(tmp_path):
     rec_a = open(os.path.join(out_a, "run-active-seed1.json"), "rb").read()
     rec_b = open(os.path.join(out_b, "run-active-seed1.json"), "rb").read()
     assert rec_a == rec_b
+
+
+@pytest.mark.parametrize("seeds,message", [([1, -1], "run 'active-seed-1': seed must be non-negative"),
+                                           ([1, 1.5], "run 'active-seed1.5': seed must be an integer"),
+                                           ([2, 2], "run 'active-seed2' is named twice")],
+                         ids=["negative", "float", "repeated"])
+def test_run_experiment_checks_every_seed_before_writing(tmp_path, seeds, message):
+    """A config built in code skips parse_seeds; the runner itself refuses a
+    bad seed before it trains or writes anything."""
+    cfg = parse_config(write_cfg(tmp_path, SMALL_TRAIN + SMALL_DATASET))
+    cfg.seeds = seeds
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match=message):
+        run_experiment(cfg, out_dir=str(out))
+    assert not out.exists()
 
 
 def test_checkpoints_reload_with_final_parameters(tmp_path):

@@ -9,7 +9,7 @@ import pytest
 from acda._assignment import backend
 from acda.data import gen_two_moons_pair
 from acda.errors import CapacityError
-from acda.nets import NetworkSpec, init_network
+from acda.nets import NetworkSpec, forward, init_network
 from acda.transport import (bound_rhs, critic_w1_estimate, exact_w1, fit_critic,
                             gradient_penalty, identity_network,
                             lipschitz_normalize, interpolates)
@@ -157,6 +157,22 @@ def test_gradient_penalty_of_constant_critic_is_one():
     pen = gradient_penalty(f, d, rng.normal(size=(6, 2)), rng.normal(size=(6, 2)),
                            seed=3)
     assert abs(pen - 1.0) < 1e-9
+
+
+def test_gradient_penalty_matches_closed_form_for_one_hidden_layer_critic():
+    """For D(f) = tanh(f W0 + b0) W1 + b1 the feature gradient is
+    ((1 - tanh^2(f W0 + b0)) * W1^T) W0^T; the penalty is the mean of
+    (||that row||_2 - 1)^2 over the interpolates between F(xs) and F(xt)."""
+    rng = np.random.default_rng(12)
+    f = init_network(NetworkSpec((3, 5, 4), "identity"), seed=2)
+    d = init_network(NetworkSpec((4, 6, 1), "identity"), seed=3)
+    d.biases[0] += rng.normal(size=6)
+    xs, xt = rng.normal(size=(9, 3)), rng.normal(size=(7, 3)) + 1.0
+    fhat = interpolates(forward(f, xs), forward(f, xt), seed=5)
+    w0, b0, w1 = d.weights[0], d.biases[0], d.weights[1]
+    grad = ((1.0 - np.tanh(fhat @ w0 + b0) ** 2) * w1.T) @ w0.T
+    expected = np.mean((np.linalg.norm(grad, axis=1) - 1.0) ** 2)
+    assert gradient_penalty(f, d, xs, xt, seed=5) == pytest.approx(expected, rel=1e-12)
 
 
 def test_lipschitz_normalize_keeps_weight_norms_at_most_one():
