@@ -11,7 +11,7 @@ from .acda import (QueryResult, RunRecord, TrainConfig, WeightVector, lambda_w,
                    query_scores, random_queries, run_algorithm_1, select_queries,
                    stage1_train, stage3_train, uncertainty_weights, update_pools,
                    weighted_query_loss)
-from .autodiff import Graph, Tensor, finite_difference_check, forward_eval, gradient
+from .autodiff import Graph, finite_difference_check, forward_eval, gradient
 from .data import (Dataset, DomainPair, LabelingFunction, batch_iterator,
                    export_csv, gen_gaussian_shift_pair, gen_two_moons_pair,
                    load_csv, load_idx, standardize_features)

@@ -62,8 +62,9 @@ class TrainConfig:
 
     The critic takes ``CRITIC_STEPS`` ascent steps on lambda_w * (W1 -
     penalty) per model step, and lambda_w follows the :func:`lambda_w`
-    schedule over the stage's steps.  Floats must be finite and the seed a
-    non-negative integer (ValueError otherwise).
+    schedule over the stage's steps.  Floats must be finite, integer fields
+    integers (not floats or bools) and the seed non-negative (ValueError
+    otherwise).
     """
 
     budget: float = 0.1
@@ -79,8 +80,12 @@ class TrainConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if isinstance(f.default, float) and not np.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+            value = getattr(self, f.name)
+            if isinstance(f.default, float) and not np.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+            if isinstance(f.default, int) and (isinstance(value, bool)
+                                               or not isinstance(value, (int, np.integer))):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
         if not 0.0 < self.budget < 1.0:
             raise ValueError(f"budget must lie in (0, 1), got {self.budget}")
         if self.lambda_div < 0:
@@ -91,8 +96,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if not isinstance(self.seed, (int, np.integer)):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.strategy not in _STRATEGIES:
@@ -305,7 +308,11 @@ def uncertainty_weights(labels, entropies, n_classes: int) -> WeightVector:
 
 
 def weighted_query_loss(probabilities, labels, weights: WeightVector) -> float:
-    """Mean over the queried batch of alpha[y_i] * (-log p_{y_i})."""
+    """Mean over the queried batch of alpha[y_i] * (-log p_{y_i}).
+
+    Training computes this loss in the model graph (``L_w_q``); this numpy
+    form ships as the reference that graph is tested against, and as a
+    ``check`` item."""
     p = np.asarray(probabilities, dtype=np.float64)
     if p.ndim == 1:
         p = p[None, :]

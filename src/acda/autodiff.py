@@ -24,8 +24,8 @@ last reader.  Kernels call numpy's ufuncs directly and repeat
 numpy's own arithmetic, so a plan's values equal those of a node-by-node
 evaluation bit for bit.
 
-Tensors are 64-bit float numpy arrays, row-major.  No fusion, no dynamic
-shapes: correctness and determinism over speed.
+Tensors are 64-bit float numpy arrays, row-major; scalars are 0-d arrays.
+No fusion, no dynamic shapes: correctness and determinism over speed.
 """
 
 from __future__ import annotations
@@ -34,16 +34,12 @@ import numpy as np
 
 from .errors import GraphError
 
-# A tensor is a float64 ndarray; scalars are 0-d arrays.
-Tensor = np.ndarray
-
 # Additive cushion inside the L2-norm composite so the norm stays smooth
 # (and double-differentiable) at exactly zero input; its sqrt (1e-12) is far
 # below every tolerance used in this package.
 _NORM_EPS = 1e-24
 
 __all__ = [
-    "Tensor",
     "Graph",
     "forward_eval",
     "gradient",

@@ -6,14 +6,13 @@ Subcommands:
   gen <config>       write the pools one seed's run trains on as CSV
   check              run fast self-diagnostics, printing PASS/FAIL per item
 
-run and compare take --budget, --lambda-div, --seed and --strategy, which
-override config keys, and --out; compare takes --seed or --seeds, not both.
-gen takes --seed, the seed whose pools it writes, and --out.  check takes
-no flags.  A negative --seed exits with status 2 before anything is written.
-Config keys are the TrainConfig fields, the dataset.* keys of the chosen
-kind, seeds, standardize and out_dir; each may appear once.
-Output root resolution: --out, else $ACDA_OUT_ROOT, else the config's
-out_dir, else ./runs.
+Every run setting is a config key (the TrainConfig fields but seed, the
+dataset.* keys of the chosen kind, seeds, standardize and out_dir), each set
+once in the file.  Flags pick only the seeds and the output root: run and gen
+take --seed, one seed that replaces the config's seeds; compare takes --seeds,
+a list such as '1..20' or '3,5,8', and --strategies.  All three take --out,
+which defaults to the config's out_dir.  check takes no flags.  A negative
+seed exits with status 2 before anything is written.
 """
 
 from __future__ import annotations
@@ -21,18 +20,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from . import experiments, transport
-from .acda import _STRATEGIES, lambda_w, uncertainty_weights, weighted_query_loss
+from .acda import lambda_w, uncertainty_weights, weighted_query_loss
 from .data import export_csv
-from .errors import AcdaError, ConfigError
-from .experiments import (ExperimentConfig, compare_strategies, parse_config,
-                          parse_seeds, run_experiment)
-
-OUT_ROOT_ENV = "ACDA_OUT_ROOT"
+from .errors import AcdaError
+from .experiments import compare_strategies, parse_config, parse_seeds, run_experiment
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -41,85 +36,54 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Active adversarial domain adaptation experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, summary):
+        # no abbreviations, so compare does not read --seed as --seeds
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
         p.add_argument("config", help="path to a key=value config file")
-        p.add_argument("--seed", type=int, default=None,
-                       help="single seed overriding the config's seed list")
-        p.add_argument("--out", default=None, help="output directory root")
+        p.add_argument("--out", default=None,
+                       help="output directory root (default: the config's out_dir)")
+        return p
 
-    def overrides(p):
-        p.add_argument("--budget", type=float, default=None,
-                       help="query budget fraction in (0,1)")
-        p.add_argument("--lambda-div", type=float, default=None, dest="lambda_div",
-                       help="diversity weight in the query objective")
-        p.add_argument("--strategy", choices=_STRATEGIES,
-                       default=None, help="query strategy")
+    def one_seed(p):
+        p.add_argument("--seed", type=int, default=None, dest="seeds",
+                       help="one seed, replacing the config's seeds")
 
-    p_run = sub.add_parser("run", help="execute the configured experiment")
-    common(p_run)
-    overrides(p_run)
-
-    p_cmp = sub.add_parser("compare", help="sweep strategies x seeds")
-    common(p_cmp)
-    overrides(p_cmp)
+    one_seed(command("run", "execute the configured experiment"))
+    p_cmp = command("compare", "sweep strategies x seeds")
     p_cmp.add_argument("--strategies", default="active,random,none",
                        help="comma-separated strategies to compare")
     p_cmp.add_argument("--seeds", default=None,
-                       help="seed list, e.g. '1..20' or '3,5,8'")
-
-    p_gen = sub.add_parser("gen", help="write one seed's training pools as CSV")
-    common(p_gen)
+                       help="seed list replacing the config's, e.g. '1..20' or '3,5,8'")
+    one_seed(command("gen", "write one seed's training pools as CSV"))
 
     sub.add_parser("check", help="run fast self-diagnostics")
     return parser
 
 
-def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
-    train = config.train
-    updates = {}
-    if args.budget is not None:
-        updates["budget"] = args.budget
-    if args.lambda_div is not None:
-        updates["lambda_div"] = args.lambda_div
-    if args.strategy is not None:
-        updates["strategy"] = args.strategy
-    if updates:
-        train = replace(train, **updates)
-    config.train = train
-    if args.seed is not None:
-        config.seeds = parse_seeds(str(args.seed))
+def _load(args):
+    """The command's config, with its seed flag written into ``seeds``."""
+    config = parse_config(args.config)
+    if args.seeds is not None:
+        config.seeds = parse_seeds(str(args.seeds))
     return config
 
 
-def _resolve_out(args, config: ExperimentConfig) -> str:
-    if args.out:
-        return args.out
-    env = os.environ.get(OUT_ROOT_ENV)
-    if env:
-        return os.path.join(env, os.path.basename(config.out_dir))
-    return config.out_dir
-
-
 def _cmd_run(args) -> int:
-    config = _apply_overrides(parse_config(args.config), args)
-    return run_experiment(config, out_dir=_resolve_out(args, config))
+    config = _load(args)
+    return run_experiment(config, out_dir=args.out or config.out_dir)
 
 
 def _cmd_compare(args) -> int:
-    if args.seed is not None and args.seeds:
-        raise ConfigError("give either --seed or --seeds, not both")
-    config = _apply_overrides(parse_config(args.config), args)
+    config = _load(args)
     strategies = [s for s in args.strategies.split(",") if s.strip()]
-    seeds = parse_seeds(args.seeds) if args.seeds else config.seeds
-    _, status = compare_strategies(config, strategies, seeds, out_dir=_resolve_out(args, config))
+    _, status = compare_strategies(config, strategies, out_dir=args.out or config.out_dir)
     return status
 
 
 def _cmd_gen(args) -> int:
-    config = parse_config(args.config)
-    seeds = config.seeds if args.seed is None else parse_seeds(str(args.seed))
-    source, target = experiments._pools_for_run(config, seeds[0])
-    out = _resolve_out(args, config)
+    config = _load(args)
+    source, target = experiments._pools_for_run(config, config.seeds[0])
+    out = args.out or config.out_dir
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "dataset.csv")
     export_csv(path, source, target)

@@ -69,7 +69,9 @@ class ExperimentConfig:
     standardize: bool = True
 
 
-_TRAIN_DEFAULTS = {f.name: f.default for f in fields(TrainConfig)}
+# The TrainConfig fields a config file sets: all but seed, which each run
+# takes from ``seeds``.
+_TRAIN_DEFAULTS = {f.name: f.default for f in fields(TrainConfig) if f.name != "seed"}
 
 
 def _at(line_no) -> str:
@@ -302,9 +304,10 @@ def _write_metrics(path: str, rows: list):
             fh.write(row + "\n")
 
 
-def compare_strategies(config: ExperimentConfig, strategies: list, seeds: list,
+def compare_strategies(config: ExperimentConfig, strategies: list,
                        out_dir: str | None = None) -> tuple:
-    """Run every (strategy, seed) pair; summarize final target accuracy.
+    """Run every strategy on every seed of ``config.seeds``; summarize final
+    target accuracy.
 
     Raises ConfigError before any training for an unknown or repeated
     strategy or seed.  Writes the same per-run files and MANIFEST as
@@ -316,10 +319,11 @@ def compare_strategies(config: ExperimentConfig, strategies: list, seeds: list,
     Pairwise mean differences (e.g. active − random) follow the rows; a
     strategy with no finished run has neither.
     """
-    if not strategies or not seeds:
+    if not strategies or not config.seeds:
         raise ValueError("compare_strategies needs >= 1 strategy and seed")
     out = out_dir if out_dir is not None else config.out_dir
-    finals, status = _run_pairs(config, [(s, seed) for s in strategies for seed in seeds], out)
+    pairs = [(s, seed) for s in strategies for seed in config.seeds]
+    finals, status = _run_pairs(config, pairs, out)
 
     summary = [(s, float(np.mean(finals[s])), float(np.std(finals[s])))
                for s in strategies if s in finals]

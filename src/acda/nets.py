@@ -238,7 +238,10 @@ def cross_entropy(probabilities: np.ndarray, labels: np.ndarray) -> float:
 
 
 def cross_entropy_from_logits(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Numerically stable cross-entropy straight from logits."""
+    """Numerically stable cross-entropy straight from logits.
+
+    Training computes this loss in the model graph (``L_cls``); this numpy
+    form ships as the reference that graph is tested against."""
     z = np.asarray(logits, dtype=np.float64)
     labels = _check_labels(labels, z.shape[1])
     m = z.max(axis=1, keepdims=True)

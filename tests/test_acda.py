@@ -57,6 +57,8 @@ def test_config_documented_defaults():
     {"learning_rate": 0.0}, {"strategy": "greedy"},
     {"seed": -1}, {"lambda_div": float("nan")}, {"learning_rate": float("inf")},
     {"budget": float("nan")}, {"seed": 1.5},
+    {"stage1_epochs": 2.5}, {"batch_size": 40.0}, {"early_stop_patience": 1.5},
+    {"query_rounds": True}, {"seed": True},
 ])
 def test_config_rejects_invalid_values(bad):
     with pytest.raises(ValueError):
@@ -330,12 +332,69 @@ def test_critic_graph_penalty_equals_gradient_penalty_on_the_same_features():
     step = forward_eval(sg.critic_graph, bindings, sg.critic_outputs)
 
     nodes = sg.critic_nodes
-    expected = transport.gradient_penalty(f, d, xs_adv, xt, 11)
+    fs, ft = nets.forward(f, xs_adv), nets.forward(f, xt)
+    expected = transport.gradient_penalty(d, fs, ft, 11)
     assert vals[nodes["penalty"]].tobytes() == np.float64(expected).tobytes()
-    assert float(vals[nodes["w1"]]) == transport.critic_w1_estimate(f, d, xs_adv, xt)
+    assert float(vals[nodes["w1"]]) == transport.critic_w1_estimate(d, fs, ft)
     assert float(vals[nodes["objective"]]) == 0.7 * (float(vals[nodes["w1"]]) - expected)
     for node in sg.critic_outputs:
         assert step[node].tobytes() == vals[node].tobytes()
+
+
+def test_model_graph_losses_equal_the_numpy_references():
+    """With a query set, the model graph's L_cls is ``cross_entropy_from_logits``
+    on the cls-batch logits, and its L_w_q is ``weighted_query_loss`` on the
+    query-set softmax."""
+    from acda.acda import _StepGraphs
+    from acda.autodiff import forward_eval
+
+    specs = (default_feature_spec(2), default_classifier_spec(2), default_critic_spec())
+    sg = _StepGraphs((40, 30, 40, 7, 2), specs, 2)
+    f, c, d = _nets_for(seed=6)
+    rng = np.random.default_rng(10)
+    xs_cls, qx = rng.normal(size=(40, 2)), rng.normal(size=(7, 2))
+    y, qy = rng.integers(0, 2, size=40), np.array([0, 1, 1, 0, 1, 1, 1])
+    weights = uncertainty_weights(qy, rng.uniform(size=7), 2)
+    bindings = {**nets.param_bindings(f, "F"), **nets.param_bindings(c, "C"),
+                **nets.param_bindings(d, "D"), "xs_cls": xs_cls, "y_onehot": np.eye(2)[y],
+                "qx": qx, "q_onehot": np.eye(2)[qy], "q_alpha": weights.alpha[qy],
+                "xs_adv": rng.normal(size=(40, 2)), "xt": rng.normal(size=(30, 2)),
+                "lambda_w": np.asarray(0.5)}
+    vals = forward_eval(sg.model_graph, bindings, sg.model_outputs)
+
+    logits = nets.forward_bound(specs[1], bindings, "C", nets.forward(f, xs_cls))
+    l_cls = float(vals[sg.model_nodes["l_cls"]])
+    assert abs(l_cls - nets.cross_entropy_from_logits(logits, y)) < 1e-12
+    q_probs = nets.forward(c, nets.forward(f, qx))
+    l_wq = float(vals[sg.model_nodes["l_wq"]])
+    assert abs(l_wq - weighted_query_loss(q_probs, qy, weights)) < 1e-12
+
+
+def test_stopping_rule_matches_the_recorded_objectives():
+    """A stage stops once ``early_stop_patience`` consecutive epochs fail to
+    lower the best objective by EARLY_STOP_TOL; with a patience of at least
+    the epoch count, every epoch runs."""
+    source, target = _small_pair(seed=17, n=30)
+    f, c, d = _nets_for(seed=7)
+    epochs = 6
+    stopped = {}
+    for patience in (1, 2, epochs, epochs + 3):
+        cfg = TrainConfig(stage1_epochs=epochs, batch_size=15, seed=9,
+                          early_stop_patience=patience)
+        _, _, _, hist = stage1_train(source, target, f, c, d, cfg)
+        objectives = [rec["objective"] for rec in hist.epochs]
+        best, stale, ran, stop = np.inf, 0, epochs, False
+        for epoch, objective in enumerate(objectives):
+            stale = stale + 1 if best - objective < EARLY_STOP_TOL else 0
+            best = min(best, objective)
+            if stale >= patience:
+                ran, stop = epoch + 1, True
+                break
+        assert len(objectives) == ran
+        assert hist.stopped_early == stop
+        stopped[patience] = stop
+    assert stopped[1]
+    assert not stopped[epochs] and not stopped[epochs + 3]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -79,8 +79,10 @@ def test_config_unknown_key_reports_line_number(tmp_path):
 
 @pytest.mark.parametrize("key,value", [("delta", "10"), ("critic_steps_per_update", "5"),
                                        ("adam_betas", "0.9, 0.999"),
-                                       ("early_stop_tol", "1e-4")])
+                                       ("early_stop_tol", "1e-4"), ("seed", "3")])
 def test_config_removed_keys_are_unknown(tmp_path, key, value):
+    """Fixed constants are no config keys, and neither is ``seed``: each run
+    takes its seed from ``seeds``."""
     path = write_cfg(tmp_path, f"budget = 0.1\n{key} = {value}\n")
     with pytest.raises(ConfigError, match=f"line 2: unknown key '{key}'"):
         parse_config(path)
@@ -108,9 +110,8 @@ def test_config_non_finite_float_reports_line(tmp_path, body):
 
 
 @pytest.mark.parametrize("body,message", [("seeds = 1,-1\n", "line 1.*seeds"),
-                                          ("seeds = -2..1\n", "line 1.*seeds"),
-                                          ("seed = -1\n", "seed must be non-negative")],
-                         ids=["list", "range", "train-seed"])
+                                          ("seeds = -2..1\n", "line 1.*seeds")],
+                         ids=["list", "range"])
 def test_config_negative_seed_rejected(tmp_path, body, message):
     with pytest.raises(ConfigError, match=message):
         parse_config(write_cfg(tmp_path, body))
@@ -224,15 +225,24 @@ def test_run_experiment_is_byte_identical_across_invocations(tmp_path):
     assert rec_a == rec_b
 
 
-@pytest.mark.parametrize("seeds,message", [([1, -1], "run 'active-seed-1': seed must be non-negative"),
-                                           ([1, 1.5], "run 'active-seed1.5': seed must be an integer"),
-                                           ([2, 2], "run 'active-seed2' is named twice")],
-                         ids=["negative", "float", "repeated"])
-def test_run_experiment_checks_every_seed_before_writing(tmp_path, seeds, message):
-    """A config built in code skips parse_seeds; the runner itself refuses a
-    bad seed before it trains or writes anything."""
+@pytest.mark.parametrize("seeds,train,message", [
+    ([1, -1], {}, "run 'active-seed-1': seed must be non-negative"),
+    ([1, 1.5], {}, "run 'active-seed1.5': seed must be an integer"),
+    ([2, 2], {}, "run 'active-seed2' is named twice"),
+    ([1], {"stage1_epochs": 2.5}, "run 'active-seed1': stage1_epochs must be an integer, got 2.5"),
+    ([1], {"batch_size": 40.0}, "run 'active-seed1': batch_size must be an integer, got 40.0"),
+    ([1], {"early_stop_patience": 1.5}, "early_stop_patience must be an integer, got 1.5"),
+    ([1], {"query_rounds": True}, "query_rounds must be an integer, got True"),
+], ids=["negative", "float", "repeated", "float-epochs", "float-batch", "float-patience",
+        "bool-rounds"])
+def test_run_experiment_checks_every_seed_before_writing(tmp_path, seeds, train, message):
+    """A config built in code skips parse_config's checks; the runner itself
+    refuses a bad seed or TrainConfig field before it trains or writes
+    anything."""
     cfg = parse_config(write_cfg(tmp_path, SMALL_TRAIN + SMALL_DATASET))
     cfg.seeds = seeds
+    for name, value in train.items():  # set past TrainConfig's own check
+        object.__setattr__(cfg.train, name, value)
     out = tmp_path / "out"
     with pytest.raises(ConfigError, match=message):
         run_experiment(cfg, out_dir=str(out))
@@ -254,9 +264,9 @@ def test_checkpoints_reload_with_final_parameters(tmp_path):
 
 
 def test_compare_single_strategy_has_no_difference_rows(tmp_path, capsys):
-    cfg = parse_config(write_cfg(tmp_path, SMALL_TRAIN + SMALL_DATASET))
+    cfg = parse_config(write_cfg(tmp_path, SMALL_TRAIN + SMALL_DATASET + "seeds = 1,2\n"))
     out = str(tmp_path / "cmp")
-    compare_strategies(cfg, ["active"], [1, 2], out_dir=out)
+    compare_strategies(cfg, ["active"], out_dir=out)
     lines = open(os.path.join(out, "summary.csv")).read().splitlines()
     assert len(lines) == 2  # header + one strategy row
     assert lines[1].startswith("active,")
@@ -267,17 +277,17 @@ def test_compare_single_strategy_has_no_difference_rows(tmp_path, capsys):
     (["random", "bogus"], "unknown strategy 'bogus'"),
 ], ids=["repeated", "unknown"])
 def test_compare_rejects_bad_strategies_before_training(tmp_path, strategies, message):
-    cfg = parse_config(write_cfg(tmp_path, SMALL_TRAIN + SMALL_DATASET))
+    cfg = parse_config(write_cfg(tmp_path, SMALL_TRAIN + SMALL_DATASET + "seeds = 1\n"))
     out = tmp_path / "cmp"
     with pytest.raises(ConfigError, match=message):
-        compare_strategies(cfg, strategies, [1], out_dir=str(out))
+        compare_strategies(cfg, strategies, out_dir=str(out))
     assert not out.exists()
 
 
 def test_compare_reports_active_minus_random(tmp_path):
-    cfg = parse_config(write_cfg(tmp_path, SMALL_TRAIN + SMALL_DATASET))
+    cfg = parse_config(write_cfg(tmp_path, SMALL_TRAIN + SMALL_DATASET + "seeds = 1,2\n"))
     out = str(tmp_path / "cmp")
-    summary, status = compare_strategies(cfg, ["active", "random"], [1, 2], out_dir=out)
+    summary, status = compare_strategies(cfg, ["active", "random"], out_dir=out)
     assert status == 0
     assert [s for s, _, _ in summary] == ["active", "random"]
     lines = open(os.path.join(out, "summary.csv")).read().splitlines()
@@ -288,25 +298,27 @@ def test_compare_reports_active_minus_random(tmp_path):
 
 
 def test_cli_run_applies_flag_overrides(tmp_path):
-    cfg_path = write_cfg(tmp_path, SMALL_TRAIN + SMALL_DATASET)
-    out = str(tmp_path / "cli-out")
-    code = main(["run", cfg_path, "--seed", "9", "--strategy", "random",
-                 "--budget", "0.2", "--out", out])
-    assert code == 0
-    assert os.path.exists(os.path.join(out, "run-random-seed9.json"))
-    record = json.load(open(os.path.join(out, "run-random-seed9.json")))
-    assert record["config"]["budget"] == 0.2
-    assert record["config"]["strategy"] == "random"
+    """--seed replaces the config's seeds and --out its out_dir; every other
+    setting comes from the file."""
+    cfg_path = write_cfg(tmp_path, SMALL_TRAIN + SMALL_DATASET + "strategy = random\n"
+                         + "seeds = 1,2\nout_dir = unused\n")
+    out = tmp_path / "cli-out"
+    assert main(["run", cfg_path, "--seed", "9", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.glob("run-*.json")) == ["run-random-seed9.json"]
+    record = json.load(open(out / "run-random-seed9.json"))
+    assert (record["config"]["seed"], record["config"]["budget"]) == (9, 0.1)
+    assert not (tmp_path / "unused").exists()
 
 
-def test_cli_out_env_var_honored_when_flag_absent(tmp_path, monkeypatch):
+def test_cli_out_env_var_is_ignored(tmp_path, monkeypatch):
     cfg_path = write_cfg(tmp_path, SMALL_TRAIN + SMALL_DATASET
                          + "out_dir = myexp\nseeds = 1\n")
     root = tmp_path / "envroot"
     monkeypatch.setenv("ACDA_OUT_ROOT", str(root))
     monkeypatch.chdir(tmp_path)
     assert main(["run", cfg_path]) == 0
-    assert (root / "myexp" / "metrics.csv").exists()
+    assert (tmp_path / "myexp" / "metrics.csv").exists()
+    assert not root.exists()
 
 
 def test_cli_gen_writes_dataset_csv(tmp_path):
@@ -334,13 +346,21 @@ def test_cli_gen_seed_picks_the_pools_written(tmp_path):
         np.testing.assert_array_equal(got.features, want.features)
 
 
-@pytest.mark.parametrize("flags", [["--budget", "0.2"], ["--lambda-div", "3"],
-                                   ["--strategy", "none"]])
-def test_cli_gen_takes_only_seed_and_out(tmp_path, flags):
-    cfg_path = write_cfg(tmp_path, SMALL_DATASET)
+_REMOVED_FLAGS = [["--budget", "0.2"], ["--lambda-div", "3"], ["--strategy", "none"]]
+
+
+@pytest.mark.parametrize("argv", [[cmd] + flags for cmd in ("run", "compare", "gen")
+                                  for flags in _REMOVED_FLAGS] + [["compare", "--seed", "3"]],
+                         ids=lambda argv: "-".join(argv[:2]).replace("--", ""))
+def test_cli_settings_are_not_flags(tmp_path, monkeypatch, argv):
+    """Run settings are config keys only, and compare takes its seeds from
+    --seeds: each of these flags exits 2 before any output directory exists."""
+    monkeypatch.chdir(tmp_path)
+    cfg_path = write_cfg(tmp_path, SMALL_TRAIN + SMALL_DATASET)
     with pytest.raises(SystemExit) as exc:
-        main(["gen", cfg_path, "--out", str(tmp_path / "o")] + flags)
+        main([argv[0], cfg_path] + argv[1:] + ["--out", str(tmp_path / "o")])
     assert exc.value.code == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
 
 
 def test_cli_compare_seed_list(tmp_path):
@@ -362,23 +382,14 @@ def test_cli_compare_bad_seed_list_exits_with_config_error(tmp_path, capsys, see
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("argv", [["run", "--seed", "-1"], ["compare", "--seed", "-1"],
-                                  ["compare", "--seeds", "1,-1"], ["gen", "--seed", "-1"]],
-                         ids=["run", "compare-seed", "compare-seeds", "gen"])
+@pytest.mark.parametrize("argv", [["run", "--seed", "-1"], ["compare", "--seeds", "1,-1"],
+                                  ["gen", "--seed", "-1"]],
+                         ids=["run", "compare-seeds", "gen"])
 def test_cli_negative_seed_exits_before_writing(tmp_path, capsys, argv):
     cfg_path = write_cfg(tmp_path, SMALL_TRAIN + SMALL_DATASET)
     code = main([argv[0], cfg_path] + argv[1:] + ["--out", str(tmp_path / "o")])
     assert code == 2
     assert "non-negative" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
-
-
-def test_cli_compare_rejects_seed_with_seed_list(tmp_path, capsys):
-    cfg_path = write_cfg(tmp_path, SMALL_TRAIN + SMALL_DATASET)
-    code = main(["compare", cfg_path, "--strategies", "none", "--seed", "3",
-                 "--seeds", "1", "--out", str(tmp_path / "o")])
-    assert code == 2
-    assert "--seed" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -11,8 +11,7 @@ from acda.data import gen_two_moons_pair
 from acda.errors import CapacityError
 from acda.nets import NetworkSpec, forward, init_network
 from acda.transport import (bound_rhs, critic_w1_estimate, exact_w1, fit_critic,
-                            gradient_penalty, identity_network,
-                            lipschitz_normalize, interpolates)
+                            gradient_penalty, lipschitz_normalize, interpolates)
 
 
 def brute_force_w1(a: np.ndarray, b: np.ndarray) -> float:
@@ -149,13 +148,11 @@ def test_interpolates_lie_on_segments_and_are_seeded():
 
 
 def test_gradient_penalty_of_constant_critic_is_one():
-    f = identity_network(2)
     d = init_network(NetworkSpec((2, 4, 1), "identity"), seed=1)
     for w in d.weights:
         w *= 0.0  # constant output -> zero input gradient -> penalty (0-1)^2
     rng = np.random.default_rng(0)
-    pen = gradient_penalty(f, d, rng.normal(size=(6, 2)), rng.normal(size=(6, 2)),
-                           seed=3)
+    pen = gradient_penalty(d, rng.normal(size=(6, 2)), rng.normal(size=(6, 2)), seed=3)
     assert abs(pen - 1.0) < 1e-9
 
 
@@ -172,7 +169,8 @@ def test_gradient_penalty_matches_closed_form_for_one_hidden_layer_critic():
     w0, b0, w1 = d.weights[0], d.biases[0], d.weights[1]
     grad = ((1.0 - np.tanh(fhat @ w0 + b0) ** 2) * w1.T) @ w0.T
     expected = np.mean((np.linalg.norm(grad, axis=1) - 1.0) ** 2)
-    assert gradient_penalty(f, d, xs, xt, seed=5) == pytest.approx(expected, rel=1e-12)
+    assert gradient_penalty(d, forward(f, xs), forward(f, xt), seed=5) == pytest.approx(
+        expected, rel=1e-12)
 
 
 def test_lipschitz_normalize_keeps_weight_norms_at_most_one():
@@ -192,7 +190,7 @@ def test_normalized_critic_never_beats_exact_distance():
     for seed in (0, 1):
         d = lipschitz_normalize(
             init_network(NetworkSpec((2, 32, 1), "identity"), seed=seed))
-        est = critic_w1_estimate(identity_network(2), d, a, b)
+        est = critic_w1_estimate(d, a, b)
         assert est <= exact + 1e-6
 
 
@@ -201,8 +199,8 @@ def test_fit_critic_reaches_duality_band_quickly():
     a = rng.normal(size=(32, 2))
     b = rng.normal(size=(32, 2)) + [2.0, -1.0]
     exact, _ = exact_w1(a, b)
-    d_params, f_params, history = fit_critic(a, b, steps=800, seed=0)
-    est = critic_w1_estimate(f_params, d_params, a, b)
+    d_params, history = fit_critic(a, b, steps=800, seed=0)
+    est = critic_w1_estimate(d_params, a, b)
     assert 0.6 * exact <= est <= 1.15 * exact  # acceptance uses the tighter band
     assert len(history) >= 2
 
