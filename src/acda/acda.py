@@ -62,9 +62,9 @@ class TrainConfig:
 
     The critic takes ``CRITIC_STEPS`` ascent steps on lambda_w * (W1 -
     penalty) per model step, and lambda_w follows the :func:`lambda_w`
-    schedule over the stage's steps.  Floats must be finite, integer fields
-    integers (not floats or bools) and the seed non-negative (ValueError
-    otherwise).
+    schedule over the stage's steps.  Float fields must be finite numbers,
+    integer fields integers (neither takes a bool, nor an integer field a
+    float) and the seed non-negative (ValueError otherwise).
     """
 
     budget: float = 0.1
@@ -81,8 +81,9 @@ class TrainConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(f.default, float) and not np.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
+            if isinstance(f.default, float) and (isinstance(value, bool)
+                                                 or not np.isfinite(value)):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
             if isinstance(f.default, int) and (isinstance(value, bool)
                                                or not isinstance(value, (int, np.integer))):
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
@@ -210,7 +211,7 @@ def accuracy(f_params: NetworkParams, c_params: NetworkParams,
 
 def query_scores(f_params: NetworkParams, c_params: NetworkParams,
                  d_params: NetworkParams, target_pool: Dataset,
-                 config: TrainConfig) -> QueryResult:
+                 lambda_div: float) -> QueryResult:
     """Rank every target-pool instance for querying.
 
     The combined score is the predictive entropy minus ``lambda_div`` times
@@ -224,7 +225,7 @@ def query_scores(f_params: NetworkParams, c_params: NetworkParams,
     feats = nets.forward(f_params, target_pool.features)
     uncertainty = nets.predictive_entropy(nets.forward(c_params, feats))
     diversity = _minmax(nets.forward(d_params, feats).reshape(-1))
-    combined = uncertainty - config.lambda_div * diversity
+    combined = uncertainty - lambda_div * diversity
     order = np.lexsort((np.arange(combined.size), -combined))
     return QueryResult(indices=order.astype(np.int64), uncertainty=uncertainty,
                        diversity=diversity, combined=combined)
@@ -238,13 +239,13 @@ def _minmax(raw: np.ndarray) -> np.ndarray:
     return (raw - raw.min()) / span
 
 
-def select_queries(scores: QueryResult, m_t: int, budget: float) -> np.ndarray:
-    """Top query_size(m_t, budget) pool indices by combined score."""
+def select_queries(scores: QueryResult, budget: float) -> np.ndarray:
+    """Top query_size(m_t, budget) pool indices by combined score, where the
+    pool size m_t is the number of scores."""
+    m_t = scores.combined.size
     m_q = query_size(m_t, budget)
     if m_q > m_t:
         raise CapacityError(f"cannot query {m_q} of {m_t} instances")
-    if scores.combined.size != m_t:
-        raise ValueError("scores do not cover the full pool")
     return scores.indices[:m_q].copy()
 
 
@@ -349,11 +350,9 @@ class _StepGraphs:
     def __init__(self, dims, specs, n_classes: int):
         ns_cls, nt, ns_adv, nq, d = dims
         f_spec, c_spec, d_spec = specs
-        self.has_query = nq > 0
-        self.has_target = nt > 0
 
         g = Graph()
-        if self.has_target:
+        if nt:
             fs_adv = g.leaf("fs_adv", (ns_adv, f_spec.output_dim))
             ft = g.leaf("ft", (nt, f_spec.output_dim))
             xhat = g.leaf("xhat", (min(ns_adv, nt), f_spec.output_dim))
@@ -384,7 +383,7 @@ class _StepGraphs:
         l_cls = m.mean(m.sub(lse, picked))
         objective = l_cls
         l_wq = None
-        if self.has_query:
+        if nq:
             qx = m.leaf("qx", (nq, d))
             q_onehot = m.leaf("q_onehot", (nq, n_classes))
             q_alpha = m.leaf("q_alpha", (nq,))
@@ -393,7 +392,7 @@ class _StepGraphs:
             l_wq = m.mean(m.mul(q_alpha, q_ce))
             objective = m.add(objective, l_wq)
         w1_node = None
-        if self.has_target:
+        if nt:
             xs_adv_m = m.leaf("xs_adv", (ns_adv, d))
             xt_m = m.leaf("xt", (nt, d))
             lamw_m = m.leaf("lambda_w", ())
@@ -425,79 +424,67 @@ def _adversarial_fit(f_params, c_params, d_params, source: Dataset, target: Data
     drive the adversarial W1 term; the queried rows, the ones past
     ``len(source)``, add the loss weighted by ``weights``.  Stage 1 is
     exactly this with no queried rows.
+
+    One ``bindings`` dict feeds both graphs for the whole fit: the F, C and
+    D parameters, which each Adam step replaces, the query leaves, bound
+    once, and the batch leaves, which each step rebinds.
     """
     n_classes = c_params.spec.output_dim
     labelled = source if labelled is None else labelled
-    query_x = labelled.features[len(source):]
     query_y = labelled.labels[len(source):]
-    has_query = len(query_x) > 0
-    has_target = len(target) > 0
     specs = (f_params.spec, c_params.spec, d_params.spec)
 
-    params = {}
+    bindings = {}
     for name, net in (("F", f_params), ("C", c_params), ("D", d_params)):
-        params.update(nets.param_bindings(net.copy(), name))
-    model_names = (nets.param_leaf_names(f_params.spec, "F")
-                   + nets.param_leaf_names(c_params.spec, "C"))
-    d_names = nets.param_leaf_names(d_params.spec, "D")
+        bindings.update(nets.param_bindings(net.copy(), name))
+    if query_y.size:
+        bindings.update(qx=labelled.features[len(source):],
+                        q_onehot=_one_hot(query_y, n_classes), q_alpha=weights.alpha[query_y])
 
     opt_model = Adam(config.learning_rate)
     opt_critic = Adam(config.learning_rate)
-
-    if has_query:
-        q_onehot = _one_hot(query_y, n_classes)
-        q_alpha = weights.alpha[query_y]
-
     graphs: dict[tuple, _StepGraphs] = {}
-
-    def graphs_for(ns_cls, nt, ns_adv) -> _StepGraphs:
-        key = (ns_cls, nt, ns_adv)
-        if key not in graphs:
-            graphs[key] = _StepGraphs((ns_cls, nt, ns_adv, len(query_x), source.dim),
-                                      specs, n_classes)
-        return graphs[key]
 
     cls_seed = derive_seed(seed, "batches-cls")
     tgt_seed = derive_seed(seed, "batches-tgt")
     adv_seed = derive_seed(seed, "batches-adv")
 
-    steps_per_epoch = max(
-        -(-len(source) // config.batch_size),
-        -(-len(target) // config.batch_size) if has_target else 0,
-        -(-len(labelled) // config.batch_size),
-    )
+    # labelled holds source, and an empty target adds no steps
+    steps_per_epoch = max(-(-len(labelled) // config.batch_size),
+                          -(-len(target) // config.batch_size))
     total_model_steps = max(1, epochs * steps_per_epoch)
 
     history = StageHistory(seed=seed)
     best = np.inf
     stale = 0
     global_step = 0
-    y_source = source.labels
 
     for epoch in range(epochs):
         cls_batches = list(batch_iterator(len(source), config.batch_size, cls_seed, epoch))
         adv_batches = list(batch_iterator(len(labelled), config.batch_size, adv_seed, epoch))
-        tgt_batches = (list(batch_iterator(len(target), config.batch_size, tgt_seed, epoch))
-                       if has_target else [])
-        sums = {"objective": 0.0, "l_cls": 0.0, "l_wq": 0.0, "w1": 0.0,
-                "penalty": 0.0, "lambda_w": 0.0}
+        tgt_batches = list(batch_iterator(len(target), config.batch_size, tgt_seed, epoch))
+        sums = dict.fromkeys(("objective", "L_cls", "W1_estimate", "L_grad", "L_w_q",
+                              "lambda_w"), 0.0)
         for step in range(steps_per_epoch):
             idx_cls = cls_batches[step % len(cls_batches)]
             idx_adv = adv_batches[step % len(adv_batches)]
-            xs_cls = source.features[idx_cls]
-            xs_adv = labelled.features[idx_adv]
-            yb = y_source[idx_cls]
-            xt = target.features[tgt_batches[step % len(tgt_batches)]] if has_target else None
-
             lamw = lambda_w(global_step / max(1, total_model_steps - 1))
+            bindings.update(xs_cls=source.features[idx_cls],
+                            y_onehot=_one_hot(source.labels[idx_cls], n_classes),
+                            xs_adv=labelled.features[idx_adv], lambda_w=np.asarray(lamw))
+            nt = 0
+            if tgt_batches:
+                bindings["xt"] = target.features[tgt_batches[step % len(tgt_batches)]]
+                nt = len(bindings["xt"])
 
-            sg = graphs_for(len(idx_cls), len(xt) if has_target else 0, len(idx_adv))
+            key = (len(idx_cls), nt, len(idx_adv))
+            if key not in graphs:
+                graphs[key] = _StepGraphs((*key, query_y.size, source.dim), specs, n_classes)
+            sg = graphs[key]
 
-            if has_target:
-                bindings = dict(params)
-                bindings["fs_adv"] = nets.forward_bound(f_params.spec, params, "F", xs_adv)
-                bindings["ft"] = nets.forward_bound(f_params.spec, params, "F", xt)
-                bindings["lambda_w"] = np.asarray(lamw)
+            if nt:
+                bindings["fs_adv"] = nets.forward_bound(specs[0], bindings, "F", bindings["xs_adv"])
+                bindings["ft"] = nets.forward_bound(specs[0], bindings, "F", bindings["xt"])
                 penalty = 0.0
                 for critic_step in range(CRITIC_STEPS):
                     eps_seed = derive_seed(seed, "eps", epoch, step, critic_step)
@@ -505,50 +492,29 @@ def _adversarial_fit(f_params, c_params, d_params, source: Dataset, target: Data
                                                               bindings["ft"], eps_seed)
                     vals = forward_eval(sg.critic_graph, bindings, sg.critic_outputs)
                     penalty += float(vals[sg.critic_nodes["penalty"]])
-                    cgrads = {nm: vals[sg.critic_nodes["grads"][nm]] for nm in d_names}
-                    params = opt_critic.step_ascent(params, cgrads)
-                    for nm in d_names:
-                        bindings[nm] = params[nm]
-                sums["penalty"] += penalty / CRITIC_STEPS
+                    bindings = opt_critic.step_ascent(
+                        bindings, {nm: vals[n] for nm, n in sg.critic_nodes["grads"].items()})
+                sums["L_grad"] += penalty / CRITIC_STEPS
 
-            bindings = dict(params)
-            bindings["xs_cls"] = xs_cls
-            bindings["y_onehot"] = _one_hot(yb, n_classes)
-            if has_query:
-                bindings["qx"] = query_x
-                bindings["q_onehot"] = q_onehot
-                bindings["q_alpha"] = q_alpha
-            if has_target:
-                bindings["xs_adv"] = xs_adv
-                bindings["xt"] = xt
-                bindings["lambda_w"] = np.asarray(lamw)
             vals = forward_eval(sg.model_graph, bindings, sg.model_outputs)
             obj = float(vals[sg.model_nodes["objective"]])
             if not np.isfinite(obj):
                 raise TrainingDivergedError(epoch)
-            mgrads = {nm: vals[sg.model_nodes["grads"][nm]] for nm in model_names}
-            params = opt_model.step(params, mgrads)
+            bindings = opt_model.step(
+                bindings, {nm: vals[n] for nm, n in sg.model_nodes["grads"].items()})
             global_step += 1
 
             sums["objective"] += obj
-            sums["l_cls"] += float(vals[sg.model_nodes["l_cls"]])
+            sums["L_cls"] += float(vals[sg.model_nodes["l_cls"]])
             if sg.model_nodes["l_wq"] is not None:
-                sums["l_wq"] += float(vals[sg.model_nodes["l_wq"]])
+                sums["L_w_q"] += float(vals[sg.model_nodes["l_wq"]])
             if sg.model_nodes["w1"] is not None:
-                sums["w1"] += float(vals[sg.model_nodes["w1"]])
+                sums["W1_estimate"] += float(vals[sg.model_nodes["w1"]])
             sums["lambda_w"] += lamw
 
-        record = {
-            "epoch": epoch,
-            "objective": sums["objective"] / steps_per_epoch,
-            "L_cls": sums["l_cls"] / steps_per_epoch,
-            "W1_estimate": sums["w1"] / steps_per_epoch,
-            "L_grad": sums["penalty"] / steps_per_epoch,
-            "L_w_q": sums["l_wq"] / steps_per_epoch,
-            "lambda_w": sums["lambda_w"] / steps_per_epoch,
-        }
+        record = {"epoch": epoch, **{k: v / steps_per_epoch for k, v in sums.items()}}
         if eval_cb is not None:
-            f_now, c_now, _ = _unpack(params, f_params, c_params, d_params)
+            f_now, c_now, _ = _unpack(bindings, f_params, c_params, d_params)
             record.update(eval_cb(f_now, c_now))
         history.epochs.append(record)
 
@@ -561,28 +527,26 @@ def _adversarial_fit(f_params, c_params, d_params, source: Dataset, target: Data
             stale = 0
         best = min(best, record["objective"])
 
-    return (*_unpack(params, f_params, c_params, d_params), history)
+    return (*_unpack(bindings, f_params, c_params, d_params), history)
 
 
-def _unpack(params: dict, f_params, c_params, d_params):
-    return tuple(nets.params_from_bindings(params, net, name)
+def _unpack(bindings: dict, f_params, c_params, d_params):
+    return tuple(nets.params_from_bindings(bindings, net, name)
                  for name, net in (("F", f_params), ("C", c_params), ("D", d_params)))
 
 
-def stage1_train(source: Dataset, target: Dataset, f_params, c_params, d_params,
-                 config: TrainConfig, seed: int | None = None, eval_cb=None):
+def stage1_train(f_params, c_params, d_params, source: Dataset, target: Dataset,
+                 config: TrainConfig, seed: int, eval_cb=None):
     """Adversarial pre-adaptation on the unlabeled target pool."""
     if len(source) == 0 or len(target) == 0:
         raise ValueError("stage 1 needs non-empty source and target pools")
-    if seed is None:
-        seed = derive_seed(config.seed, "stage", 1)
     return _adversarial_fit(f_params, c_params, d_params, source, target,
                             config, config.stage1_epochs, seed, eval_cb=eval_cb)
 
 
 def stage3_train(f_params, c_params, d_params, source: Dataset, labelled: Dataset,
                  remaining_target: Dataset, weights: WeightVector | None,
-                 config: TrainConfig, seed: int | None = None, eval_cb=None):
+                 config: TrainConfig, seed: int, eval_cb=None):
     """Retraining with the queried set folded in.
 
     ``labelled`` is ``source`` followed by the queried rows, as
@@ -590,8 +554,6 @@ def stage3_train(f_params, c_params, d_params, source: Dataset, labelled: Datase
     the stage-1 dynamics on (source, target): same graphs, same batch
     streams, same updates.
     """
-    if seed is None:
-        seed = derive_seed(config.seed, "stage", 3, 0)
     if len(labelled) > len(source) and weights is None:
         raise ValueError("queried retraining needs uncertainty weights")
     return _adversarial_fit(f_params, c_params, d_params, source, remaining_target,
@@ -632,7 +594,8 @@ def run_algorithm_1(source: Dataset, target: Dataset, config: TrainConfig,
     d_params = nets.init_network(d_spec, derive_seed(config.seed, "init", "D"))
 
     f_params, c_params, d_params, hist1 = stage1_train(
-        source, target, f_params, c_params, d_params, config, eval_cb=eval_cb)
+        f_params, c_params, d_params, source, target, config,
+        derive_seed(config.seed, "stage", 1), eval_cb=eval_cb)
 
     # labelled = source + every queried row so far; pool = the rest of the
     # target, whose row i is target row original_index[i]
@@ -646,9 +609,9 @@ def run_algorithm_1(source: Dataset, target: Dataset, config: TrainConfig,
     for round_index in range(1, config.query_rounds + 1):
         query = orig_idx = q_labels = None
         if config.strategy != "none" and len(pool) > 0:
-            scores = query_scores(f_params, c_params, d_params, pool, config)
+            scores = query_scores(f_params, c_params, d_params, pool, config.lambda_div)
             if config.strategy == "active":
-                picked = select_queries(scores, len(pool), per_round_budget)
+                picked = select_queries(scores, per_round_budget)
             else:
                 picked = random_queries(len(pool), per_round_budget,
                                         derive_seed(config.seed, "query", round_index))
@@ -663,8 +626,7 @@ def run_algorithm_1(source: Dataset, target: Dataset, config: TrainConfig,
 
         f_params, c_params, d_params, hist3 = stage3_train(
             f_params, c_params, d_params, source, labelled, pool, weights, config,
-            seed=derive_seed(config.seed, "stage", 3, round_index), eval_cb=eval_cb,
-        )
+            derive_seed(config.seed, "stage", 3, round_index), eval_cb=eval_cb)
         rounds.append(RoundRecord(round_index=round_index, query=query,
                                   queried_original_indices=orig_idx, queried_labels=q_labels,
                                   weights=weights, stage3=hist3))

@@ -75,7 +75,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     config = _load(args)
-    strategies = [s for s in args.strategies.split(",") if s.strip()]
+    strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     _, status = compare_strategies(config, strategies, out_dir=args.out or config.out_dir)
     return status
 

@@ -294,15 +294,14 @@ def load_idx_pair(source_images, source_labels, target_images, target_labels,
 # batching, standardization, CSV round-trip
 
 
-def batch_iterator(data, batch_size: int, seed: int, epoch: int):
-    """Deterministic per-epoch permutation split into batches.
+def batch_iterator(n: int, batch_size: int, seed: int, epoch: int):
+    """Deterministic per-epoch permutation of 0..n-1 split into batches.
 
-    ``data`` is a Dataset or an integer count.  Yields index arrays; the
-    final short batch is kept, and the union over one epoch is 0..n-1.
+    Yields index arrays; the final short batch is kept, and the union over
+    one epoch is 0..n-1.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    n = data if isinstance(data, (int, np.integer)) else len(data)
     perm = make_rng(derive_seed(seed, "batches"), "epoch", epoch).permutation(n)
     for start in range(0, n, batch_size):
         yield perm[start : start + batch_size]
@@ -329,7 +328,10 @@ def export_csv(path, source: Dataset, target: Dataset):
 
 
 def load_csv(path):
-    """Inverse of :func:`export_csv`; returns ``(source, target)``."""
+    """Inverse of :func:`export_csv`; returns ``(source, target)``.
+
+    Ships as the reader of the CSV that ``acda gen`` writes, so the pools a
+    run trains on can be read back and tests can round-trip them."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)

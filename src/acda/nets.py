@@ -228,7 +228,11 @@ def _check_labels(labels: np.ndarray, n_classes: int) -> np.ndarray:
 
 
 def cross_entropy(probabilities: np.ndarray, labels: np.ndarray) -> float:
-    """Mean negative log-probability of the true class."""
+    """Mean negative log-probability of the true class.
+
+    Training computes its losses from logits in the graphs; this numpy form
+    ships as the reference that ``weighted_query_loss`` is checked against
+    (acceptance criterion 5)."""
     p = np.asarray(probabilities, dtype=np.float64)
     if p.ndim == 1:
         p = p[None, :]

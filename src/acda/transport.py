@@ -85,22 +85,21 @@ def _check_points(points, label: str) -> np.ndarray:
     return x
 
 
-def exact_w1(a_points, b_points, size_limit: int = EXACT_W1_SIZE_LIMIT):
+def exact_w1(a_points, b_points):
     """Exact W1 between uniform empirical measures on two point sets.
 
     Equal sizes go through ``scipy.optimize.linear_sum_assignment``; unequal
     sizes through a transportation linear program.  Returns ``(value, TransportPlan)``.
-    ``size_limit`` (default 512) bounds either side; pass ``None`` to lift it
-    explicitly for one-off large instances.
+    Either side larger than ``EXACT_W1_SIZE_LIMIT`` (512) is a CapacityError.
     """
     a = _check_points(a_points, "a_points")
     b = _check_points(b_points, "b_points")
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
     m, n = a.shape[0], b.shape[0]
-    if size_limit is not None and max(m, n) > size_limit:
+    if max(m, n) > EXACT_W1_SIZE_LIMIT:
         raise CapacityError(
-            f"instance size {max(m, n)} exceeds the exact-solver bound {size_limit}"
+            f"instance size {max(m, n)} exceeds the exact-solver bound {EXACT_W1_SIZE_LIMIT}"
         )
     cost = cdist(a, b)
     if m == n:

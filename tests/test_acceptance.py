@@ -184,7 +184,7 @@ def test_criterion_4_query_machinery():
             indices=np.lexsort((np.arange(m), -combined)),
             uncertainty=np.zeros(m), diversity=np.zeros(m), combined=combined)
         budget = float(rng.uniform(0.01, 0.99))
-        picked = select_queries(scores, m, budget)
+        picked = select_queries(scores, budget)
         k = query_size(m, budget)
         expected = sorted(range(m), key=lambda i: (-combined[i], i))[:k]
         ok = ok and np.array_equal(picked, expected)
@@ -193,7 +193,7 @@ def test_criterion_4_query_machinery():
     c = init_network(nets.default_classifier_spec(2), 2)
     d = init_network(nets.default_critic_spec(), 3)
     pool = Dataset(rng.normal(size=(257, 2)), None, "target")
-    scores = query_scores(f, c, d, pool, TrainConfig(lambda_div=0.0))
+    scores = query_scores(f, c, d, pool, 0.0)
     entropy = predictive_entropy(nets.forward(c, nets.forward(f, pool.features)))
     entropy_rank = np.lexsort((np.arange(len(entropy)), -entropy))
     ok = ok and np.array_equal(scores.indices, entropy_rank)

@@ -29,6 +29,11 @@ def _nets_for(dim=2, n_classes=2, seed=0):
     return f, c, d
 
 
+def _stage1_seed(cfg):
+    """The stage-1 seed ``run_algorithm_1`` derives from the config's seed."""
+    return derive_seed(cfg.seed, "stage", 1)
+
+
 def _small_pair(seed=0, n=60):
     pair = gen_gaussian_shift_pair(n_classes=2, dim=2, mean_shift=2.0,
                                    covariance_scale=0.8, swap_fraction=0.0,
@@ -59,6 +64,7 @@ def test_config_documented_defaults():
     {"budget": float("nan")}, {"seed": 1.5},
     {"stage1_epochs": 2.5}, {"batch_size": 40.0}, {"early_stop_patience": 1.5},
     {"query_rounds": True}, {"seed": True},
+    {"learning_rate": True}, {"lambda_div": False},
 ])
 def test_config_rejects_invalid_values(bad):
     with pytest.raises(ValueError):
@@ -104,11 +110,11 @@ def test_query_scores_hand_example():
     entropy = predictive_entropy(nets.forward(c, pool.features))
     assert entropy[1] == entropy[2]
 
-    flat = query_scores(f, c, d, pool, TrainConfig(lambda_div=0.0))
+    flat = query_scores(f, c, d, pool, 0.0)
     np.testing.assert_array_equal(flat.indices, [3, 1, 2, 0])
     np.testing.assert_array_equal(flat.combined, entropy)
 
-    scores = query_scores(f, c, d, pool, TrainConfig(lambda_div=0.01))
+    scores = query_scores(f, c, d, pool, 0.01)
     np.testing.assert_allclose(scores.diversity, [1.0, 0.4, 0.0, 0.24], atol=1e-15)
     np.testing.assert_array_equal(scores.combined, entropy - 0.01 * scores.diversity)
     np.testing.assert_array_equal(scores.indices, [3, 2, 1, 0])
@@ -117,8 +123,7 @@ def test_query_scores_hand_example():
 def test_query_scores_with_zero_lambda_is_entropy_ranking():
     f, c, d = _nets_for()
     source, target = _small_pair(seed=3)
-    cfg = TrainConfig(lambda_div=0.0)
-    scores = query_scores(f, c, d, target, cfg)
+    scores = query_scores(f, c, d, target, 0.0)
     from acda import nets
     ent = predictive_entropy(nets.forward(c, nets.forward(f, target.features)))
     np.testing.assert_array_equal(scores.indices,
@@ -141,7 +146,7 @@ def test_query_scores_rejects_empty_pool():
     f, c, d = _nets_for()
     empty = Dataset(np.zeros((0, 2)), None, "target")
     with pytest.raises(ValueError):
-        query_scores(f, c, d, empty, TrainConfig())
+        query_scores(f, c, d, empty, 10.0)
 
 
 def test_select_queries_matches_brute_force_top_k():
@@ -152,7 +157,7 @@ def test_select_queries_matches_brute_force_top_k():
         scores = QueryResult(
             indices=np.lexsort((np.arange(m), -combined)),
             uncertainty=np.zeros(m), diversity=np.zeros(m), combined=combined)
-        picked = select_queries(scores, m, budget=0.3)
+        picked = select_queries(scores, budget=0.3)
         k = query_size(m, 0.3)
         expected = sorted(range(m), key=lambda i: (-combined[i], i))[:k]
         np.testing.assert_array_equal(picked, expected)
@@ -163,8 +168,15 @@ def test_select_queries_ties_prefer_lower_index():
     scores = QueryResult(indices=np.lexsort((np.arange(4), -combined)),
                          uncertainty=np.zeros(4), diversity=np.zeros(4),
                          combined=combined)
-    np.testing.assert_array_equal(select_queries(scores, 4, 0.25), [1])
-    np.testing.assert_array_equal(select_queries(scores, 4, 0.5), [1, 2])
+    np.testing.assert_array_equal(select_queries(scores, 0.25), [1])
+    np.testing.assert_array_equal(select_queries(scores, 0.5), [1, 2])
+
+
+def test_select_queries_refuses_more_queries_than_scores():
+    scores = QueryResult(indices=np.arange(4), uncertainty=np.zeros(4),
+                         diversity=np.zeros(4), combined=np.zeros(4))
+    with pytest.raises(CapacityError):
+        select_queries(scores, 1.5)
 
 
 def test_random_queries_are_seeded_and_without_replacement():
@@ -285,8 +297,8 @@ def test_stage1_same_seed_is_bitwise_reproducible():
     source, target = _small_pair(seed=5)
     cfg = TrainConfig(stage1_epochs=3, batch_size=32, seed=7)
     f, c, d = _nets_for(seed=1)
-    a = stage1_train(source, target, f, c, d, cfg, seed=99)
-    b = stage1_train(source, target, f, c, d, cfg, seed=99)
+    a = stage1_train(f, c, d, source, target, cfg, 99)
+    b = stage1_train(f, c, d, source, target, cfg, 99)
     for wa, wb in zip(a[0].weights + a[1].weights + a[2].weights,
                       b[0].weights + b[1].weights + b[2].weights):
         np.testing.assert_array_equal(wa, wb)
@@ -300,7 +312,7 @@ def test_stage1_adapts_identical_pools_toward_zero_w1():
     target = Dataset(x.copy(), None, "target")
     f, c, d = _nets_for(seed=2)
     cfg = TrainConfig(stage1_epochs=30, batch_size=60, learning_rate=2e-3, seed=3)
-    _, _, _, hist = stage1_train(source, target, f, c, d, cfg)
+    _, _, _, hist = stage1_train(f, c, d, source, target, cfg, _stage1_seed(cfg))
     first = abs(hist.epochs[0]["W1_estimate"])
     last = abs(hist.epochs[-1]["W1_estimate"])
     assert last <= max(0.1 * first, 0.05)
@@ -381,7 +393,7 @@ def test_stopping_rule_matches_the_recorded_objectives():
     for patience in (1, 2, epochs, epochs + 3):
         cfg = TrainConfig(stage1_epochs=epochs, batch_size=15, seed=9,
                           early_stop_patience=patience)
-        _, _, _, hist = stage1_train(source, target, f, c, d, cfg)
+        _, _, _, hist = stage1_train(f, c, d, source, target, cfg, _stage1_seed(cfg))
         objectives = [rec["objective"] for rec in hist.epochs]
         best, stale, ran, stop = np.inf, 0, epochs, False
         for epoch, objective in enumerate(objectives):
@@ -404,7 +416,7 @@ def test_training_diverged_error_carries_epoch():
     f, c, d = _nets_for(seed=3)
     cfg = TrainConfig(stage1_epochs=2, batch_size=16, seed=0)
     with pytest.raises(TrainingDivergedError) as err:
-        stage1_train(bad, target, f, c, d, cfg)
+        stage1_train(f, c, d, bad, target, cfg, _stage1_seed(cfg))
     assert err.value.epoch == 0
 
 
@@ -426,7 +438,7 @@ def test_l_grad_is_the_mean_penalty_over_the_critic_steps(monkeypatch):
     source, target = _small_pair(seed=15, n=60)
     f, c, d = _nets_for(seed=5)
     cfg = TrainConfig(stage1_epochs=1, batch_size=20, seed=8)
-    _, _, _, hist = stage1_train(source, target, f, c, d, cfg)
+    _, _, _, hist = stage1_train(f, c, d, source, target, cfg, _stage1_seed(cfg))
     per_step = np.array(penalties).reshape(3, CRITIC_STEPS)  # 3 model steps
     assert np.ptp(per_step, axis=1).min() > 0
     assert hist.epochs[0]["L_grad"] == pytest.approx(per_step.mean(axis=1).mean(), rel=1e-12)
@@ -436,8 +448,8 @@ def test_stage3_with_empty_query_set_equals_stage1_dynamics():
     source, target = _small_pair(seed=8)
     f, c, d = _nets_for(seed=4)
     cfg = TrainConfig(stage1_epochs=3, stage3_epochs=3, batch_size=32, seed=5)
-    a = stage1_train(source, target, f, c, d, cfg, seed=123)
-    b = stage3_train(f, c, d, source, source, target, None, cfg, seed=123)
+    a = stage1_train(f, c, d, source, target, cfg, 123)
+    b = stage3_train(f, c, d, source, source, target, None, cfg, 123)
     for wa, wb in zip(a[0].weights + a[1].weights, b[0].weights + b[1].weights):
         np.testing.assert_array_equal(wa, wb)
 

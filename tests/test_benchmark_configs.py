@@ -1,19 +1,30 @@
-"""The benchmark's configs parse and build their pairs.
+"""What the benchmark reads of acda.
 
 ``perfbench`` reads each config in ``perfbench/configs`` with
 ``parse_config`` and builds its pools with ``build_pair``; a change to the
-config layer that drops a key those files set fails here.
+config layer that drops a key those files set fails here.  Its traced run
+wraps the callables that ``perfbench/layers.py`` names in ``LAYERS`` and
+tells critic from model evaluations by the leaves ``xhat`` and ``xs_cls``;
+a refactor that renames either fails here, not in a traced run.
 """
 
+import ast
 import glob
+import importlib
 import os
 
 import pytest
 
+import acda.acda as algorithm
+from acda.acda import TrainConfig, _StepGraphs, stage1_train
+from acda.data import gen_two_moons_pair
 from acda.experiments import build_pair, parse_config
+from acda.nets import (default_classifier_spec, default_critic_spec, default_feature_spec,
+                       init_network)
 from acda.seeding import derive_seed
 
-CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "configs")
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+CONFIG_DIR = os.path.join(PERFBENCH, "configs")
 CONFIGS = sorted(glob.glob(os.path.join(CONFIG_DIR, "*.cfg")))
 
 
@@ -28,3 +39,56 @@ def test_benchmark_config_builds_its_seed_1_pair(path):
     assert len(pair.source) == config.dataset["n_source"]
     assert len(pair.target) == config.dataset["n_target"]
     assert pair.target.labels is not None
+
+
+def _traced_keys():
+    """The keys of ``LAYERS``, read from the source without importing perfbench."""
+    with open(os.path.join(PERFBENCH, "layers.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["LAYERS"]:
+            return list(ast.literal_eval(node.value))
+    raise AssertionError("perfbench/layers.py assigns no LAYERS")
+
+
+def _resolves(key):
+    module, qualname = key.split(":")
+    obj = importlib.import_module(module)
+    for part in qualname.split("."):
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return callable(obj)
+
+
+def test_every_traced_callable_exists():
+    keys = _traced_keys()
+    assert "acda.acda:_adversarial_fit" in keys
+    assert [key for key in keys if not _resolves(key)] == []
+
+
+def test_step_graphs_carry_the_leaves_that_tell_critic_from_model():
+    specs = (default_feature_spec(2), default_classifier_spec(2), default_critic_spec())
+    sg = _StepGraphs((40, 30, 40, 7, 2), specs, 2)
+    assert "xhat" in sg.critic_graph.leaves and "xs_cls" not in sg.critic_graph.leaves
+    assert "xs_cls" in sg.model_graph.leaves and "xhat" not in sg.model_graph.leaves
+
+
+def test_a_training_stage_evaluates_only_critic_and_model_graphs(monkeypatch):
+    kinds = []
+    real_eval = algorithm.forward_eval
+
+    def spy(graph, bindings, outputs=None):
+        leaves = graph.leaves
+        kinds.append("critic" if "xhat" in leaves else "model" if "xs_cls" in leaves else "other")
+        return real_eval(graph, bindings, outputs)
+
+    monkeypatch.setattr(algorithm, "forward_eval", spy)
+    pair = gen_two_moons_pair(40, 40, 30.0, 0.1, 0.0, seed=1)
+    nets = [init_network(spec, seed) for seed, spec in enumerate(
+        (default_feature_spec(2), default_classifier_spec(2), default_critic_spec()))]
+    stage1_train(*nets, pair.source, pair.target,
+                 TrainConfig(stage1_epochs=1, batch_size=20), seed=3)
+    assert kinds.count("model") == 2
+    assert kinds.count("critic") == 2 * algorithm.CRITIC_STEPS
+    assert "other" not in kinds

@@ -373,6 +373,18 @@ def test_cli_compare_seed_list(tmp_path):
     assert os.path.exists(os.path.join(out, "run-none-seed2.json"))
 
 
+def test_cli_compare_strips_spaces_around_strategy_names(tmp_path):
+    cfg_path = write_cfg(tmp_path, SMALL_TRAIN + SMALL_DATASET)
+    written = {}
+    for name, strategies in (("plain", "active,random"), ("spaced", "active, random")):
+        out = tmp_path / name
+        assert main(["compare", cfg_path, "--strategies", strategies,
+                     "--seeds", "1", "--out", str(out)]) == 0
+        written[name] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert "run-random-seed1.json" in written["spaced"]
+    assert written["spaced"] == written["plain"]
+
+
 @pytest.mark.parametrize("seeds", ["5..1", "x", "1..y", "1,1"])
 def test_cli_compare_bad_seed_list_exits_with_config_error(tmp_path, capsys, seeds):
     cfg_path = write_cfg(tmp_path, SMALL_TRAIN + SMALL_DATASET)

@@ -10,8 +10,9 @@ from acda._assignment import backend
 from acda.data import gen_two_moons_pair
 from acda.errors import CapacityError
 from acda.nets import NetworkSpec, forward, init_network
-from acda.transport import (bound_rhs, critic_w1_estimate, exact_w1, fit_critic,
-                            gradient_penalty, lipschitz_normalize, interpolates)
+from acda.transport import (EXACT_W1_SIZE_LIMIT, bound_rhs, critic_w1_estimate, exact_w1,
+                            fit_critic, gradient_penalty, lipschitz_normalize,
+                            interpolates)
 
 
 def brute_force_w1(a: np.ndarray, b: np.ndarray) -> float:
@@ -93,12 +94,12 @@ def test_metric_axioms_on_random_triples():
         assert exact_w1(a, a)[0] < 1e-9
 
 
-def test_size_limit_enforced_and_overridable():
-    pts = np.zeros((600, 1))
+def test_size_limit_enforced():
+    pts = np.zeros((EXACT_W1_SIZE_LIMIT + 1, 1))
     with pytest.raises(CapacityError):
         exact_w1(pts, pts)
-    value, _ = exact_w1(pts, pts, size_limit=600)
-    assert value == 0.0
+    with pytest.raises(CapacityError):
+        exact_w1(pts, pts[:2])
 
 
 def test_empty_and_mismatched_inputs_rejected():
