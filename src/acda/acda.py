@@ -81,11 +81,13 @@ class TrainConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(f.default, float) and (isinstance(value, bool)
-                                                 or not np.isfinite(value)):
+            number = not isinstance(value, bool)
+            if isinstance(f.default, float) and not (
+                    number and isinstance(value, (int, float, np.integer, np.floating))
+                    and np.isfinite(value)):
                 raise ValueError(f"{f.name} must be a finite number, got {value!r}")
-            if isinstance(f.default, int) and (isinstance(value, bool)
-                                               or not isinstance(value, (int, np.integer))):
+            if isinstance(f.default, int) and not (number
+                                                   and isinstance(value, (int, np.integer))):
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
         if not 0.0 < self.budget < 1.0:
             raise ValueError(f"budget must lie in (0, 1), got {self.budget}")
@@ -154,9 +156,6 @@ class RunRecord:
     final_target_accuracy: float = float("nan")
 
     def to_dict(self) -> dict:
-        def hist(h):
-            return {"epochs": h.epochs, "stopped_early": h.stopped_early, "seed": h.seed}
-
         rounds = []
         for r in self.rounds:
             rounds.append({
@@ -176,11 +175,11 @@ class RunRecord:
                 ),
                 "alpha": None if r.weights is None else r.weights.alpha.tolist(),
                 "class_counts": None if r.weights is None else r.weights.counts.tolist(),
-                "stage3": hist(r.stage3),
+                "stage3": asdict(r.stage3),
             })
         return {
             "config": asdict(self.config),
-            "stage1": hist(self.stage1),
+            "stage1": asdict(self.stage1),
             "rounds": rounds,
             "final_source_accuracy": self.final_source_accuracy,
             "final_target_accuracy": self.final_target_accuracy,
@@ -239,21 +238,23 @@ def _minmax(raw: np.ndarray) -> np.ndarray:
     return (raw - raw.min()) / span
 
 
-def select_queries(scores: QueryResult, budget: float) -> np.ndarray:
-    """Top query_size(m_t, budget) pool indices by combined score, where the
-    pool size m_t is the number of scores."""
-    m_t = scores.combined.size
+def _pool_query_size(m_t: int, budget: float) -> int:
+    """query_size(m_t, budget); a CapacityError if that exceeds the pool."""
     m_q = query_size(m_t, budget)
     if m_q > m_t:
         raise CapacityError(f"cannot query {m_q} of {m_t} instances")
-    return scores.indices[:m_q].copy()
+    return m_q
+
+
+def select_queries(scores: QueryResult, budget: float) -> np.ndarray:
+    """Top query_size(m_t, budget) pool indices by combined score, where the
+    pool size m_t is the number of scores."""
+    return scores.indices[:_pool_query_size(scores.combined.size, budget)].copy()
 
 
 def random_queries(m_t: int, budget: float, seed: int) -> np.ndarray:
     """Uniform sample without replacement of query_size(m_t, budget) indices."""
-    m_q = query_size(m_t, budget)
-    if m_q > m_t:
-        raise CapacityError(f"cannot query {m_q} of {m_t} instances")
+    m_q = _pool_query_size(m_t, budget)
     return np.sort(make_rng(seed, "random-query").choice(m_t, size=m_q, replace=False))
 
 
@@ -314,9 +315,7 @@ def weighted_query_loss(probabilities, labels, weights: WeightVector) -> float:
     Training computes this loss in the model graph (``L_w_q``); this numpy
     form ships as the reference that graph is tested against, and as a
     ``check`` item."""
-    p = np.asarray(probabilities, dtype=np.float64)
-    if p.ndim == 1:
-        p = p[None, :]
+    p = np.atleast_2d(np.asarray(probabilities, dtype=np.float64))
     labels = np.asarray(labels, dtype=np.int64)
     if labels.min() < 0 or labels.max() >= p.shape[1]:
         raise ValueError(f"label outside [0, {p.shape[1]})")

@@ -105,8 +105,9 @@ class Graph:
         return int(node)
 
     def _append(self, op: str, parents: tuple, shape: tuple, **attrs) -> int:
+        # every builder has checked ``parents`` with :meth:`_check` already
         self.ops.append(op)
-        self.parents.append(tuple(self._check(p) for p in parents))
+        self.parents.append(parents)
         self.attrs.append(attrs)
         self.shapes.append(tuple(shape))
         return len(self.ops) - 1
@@ -260,23 +261,11 @@ class Graph:
         """Row-stable log-sum-exp along ``axis`` with exact gradients."""
         a = self._check(a)
         m = self.max_detached(a, axis=axis, keepdims=True)
-        z = self.add(a, self.affine(m, -1.0, 0.0))
-        se = self.sum(self.exp(z), axis=axis)
+        se = self.sum(self.exp(self.sub(a, m)), axis=axis)
         return self.add(self.log(se), self.reshape(m, self.shapes[se]))
 
     # ------------------------------------------------------------------
     # symbolic reverse mode
-
-    def _ancestors(self, node: int) -> np.ndarray:
-        mark = np.zeros(self.num_nodes, dtype=bool)
-        stack = [node]
-        while stack:
-            n = stack.pop()
-            if mark[n]:
-                continue
-            mark[n] = True
-            stack.extend(self.parents[n])
-        return mark
 
     def _depends_on(self, targets) -> np.ndarray:
         mark = np.zeros(self.num_nodes, dtype=bool)
@@ -319,19 +308,12 @@ class Graph:
                 raise GraphError(f"gradient requested w.r.t. non-leaf node {w}")
             wrt_ids.append(w)
 
-        relevant = self._ancestors(scalar_node)
-        active = relevant & self._depends_on(wrt_ids)
+        # the sweep reaches only ancestors of the scalar (nodes with an
+        # adjoint), so pruning to the nodes that depend on ``wrt`` suffices
+        active = self._depends_on(wrt_ids)
 
         adj: dict[int, int] = {}
         adj[scalar_node] = self.constant(np.ones(self.shapes[scalar_node]))
-
-        def accumulate(p: int, contrib):
-            if contrib is None:
-                return
-            if p in adj:
-                adj[p] = self.add(adj[p], contrib)
-            else:
-                adj[p] = contrib
 
         for n in range(scalar_node, -1, -1):
             if n not in adj or not active[n]:
@@ -341,7 +323,8 @@ class Graph:
                 continue
             for i, p in enumerate(self.parents[n]):
                 if active[p]:
-                    accumulate(p, rule(self, n, i, adj[n]))
+                    contrib = rule(self, n, i, adj[n])
+                    adj[p] = self.add(adj[p], contrib) if p in adj else contrib
 
         out = {}
         for w in wrt_ids:
@@ -356,9 +339,9 @@ class Graph:
 # ``fn(*parent_values)`` the node's value; a plan resolves it once per node.
 # ``_GRAD[op](graph, node, i, adjoint)`` appends the
 # nodes of the adjoint contribution to parent ``i`` and returns the last of
-# them, or None when there is none; the entry itself is None for ops that pass
-# no gradient on.  Gradient rules read forward values only through nodes
-# (``node`` itself or its parents), which keeps them differentiable.
+# them; the entry itself is None for ops that pass no gradient on.  Gradient
+# rules read forward values only through nodes (``node`` itself or its
+# parents), which keeps them differentiable.
 
 
 def _reduction(ufunc):

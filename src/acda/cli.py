@@ -150,10 +150,7 @@ def main(argv=None) -> int:
                "gen": _cmd_gen, "check": _cmd_check}[args.command]
     try:
         return handler(args)
-    except AcdaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (AcdaError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -49,7 +49,10 @@ class Dataset:
         if self.features.ndim != 2:
             raise ValueError(f"features must be (n, d), got {self.features.shape}")
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
+            given = np.asarray(self.labels)
+            self.labels = given.astype(np.int64)
+            if not np.array_equal(self.labels, given):
+                raise ValueError("labels must be integer class ids")
             if self.labels.shape != (self.features.shape[0],):
                 raise ValueError("label count must equal row count")
             if self.labels.size and self.labels.min() < 0:
@@ -346,8 +349,15 @@ def load_csv(path):
             tag = row[-1]
             if tag not in feats:
                 raise DataError(f"{path}: line {line_no}: unknown domain {tag!r}")
-            feats[tag].append([float(v) for v in row[:d]])
-            labels[tag].append(None if row[-2] == "" else int(row[-2]))
+            try:
+                feats[tag].append([float(v) for v in row[:d]])
+                label = None if row[-2] == "" else int(row[-2])
+            except ValueError as exc:
+                raise DataError(f"{path}: line {line_no}: {exc}") from None
+            if labels[tag] and (labels[tag][0] is None) != (label is None):
+                raise DataError(f"{path}: line {line_no}: {tag} rows must be all "
+                                f"labelled or all unlabelled")
+            labels[tag].append(label)
     out = []
     for tag in ("source", "target"):
         x = np.asarray(feats[tag], dtype=np.float64).reshape(len(feats[tag]), d)

@@ -36,8 +36,11 @@ __all__ = [
 ]
 
 METRICS_VERSION_LINE = "# acda-metrics-v1"
-METRICS_HEADER = ("strategy,seed,budget,round,epoch,L_cls,W1_estimate,L_grad,"
-                  "L_w_q,source_accuracy,target_accuracy")
+# metrics.csv's columns: the run's strategy, seed and budget, the round (0 is
+# stage 1), then the epoch record's values (NaN for an accuracy it lacks).
+_METRICS_COLUMNS = ("strategy", "seed", "budget", "round", "epoch", "L_cls", "W1_estimate",
+                    "L_grad", "L_w_q", "source_accuracy", "target_accuracy")
+METRICS_HEADER = ",".join(_METRICS_COLUMNS)
 
 # Each dataset kind's builder, and the keys it takes with their defaults.  A
 # key's type is its default's; a default of None marks a required path.
@@ -79,6 +82,9 @@ def _at(line_no) -> str:
 
 
 def _coerce(raw, typ, key, line_no):
+    """``raw`` as a ``typ``; a str or None type (a path) keeps the raw text."""
+    if typ in (str, type(None)):
+        return raw
     try:
         value = typ(raw.strip())
     except ValueError:
@@ -88,13 +94,6 @@ def _coerce(raw, typ, key, line_no):
     if typ is float and not math.isfinite(value):
         raise ConfigError(f"{_at(line_no)}key '{key}' must be finite, got '{raw.strip()}'")
     return value
-
-
-def _typed(key: str, raw: str, default, line_no: int):
-    """``raw`` as the type of ``default`` (a string when it is None)."""
-    if default is None or isinstance(default, str):
-        return raw
-    return _coerce(raw, type(default), key, line_no)
 
 
 def parse_seeds(raw: str, line_no: int | None = None) -> list:
@@ -158,9 +157,9 @@ def parse_config(path: str) -> ExperimentConfig:
             if sub not in dataset_defaults:
                 raise ConfigError(
                     f"line {line_no}: dataset key '{sub}' not valid for kind '{kind}'")
-            cfg.dataset[sub] = _typed(key, raw, dataset_defaults[sub], line_no)
+            cfg.dataset[sub] = _coerce(raw, type(dataset_defaults[sub]), key, line_no)
         elif key in _TRAIN_DEFAULTS:
-            value = _typed(key, raw, _TRAIN_DEFAULTS[key], line_no)
+            value = _coerce(raw, type(_TRAIN_DEFAULTS[key]), key, line_no)
             try:  # each TrainConfig check reads one field, so check it alone
                 TrainConfig(**{key: value})
             except ValueError as exc:
@@ -213,21 +212,12 @@ def _run_one(config: ExperimentConfig, run_seed: int, strategy: str) -> RunRecor
 
 def _metrics_rows(record: RunRecord, strategy: str, seed: int) -> list:
     rows = []
-
-    def emit(round_index, history):
+    stages = [(0, record.stage1)] + [(r.round_index, r.stage3) for r in record.rounds]
+    for round_index, history in stages:
         for rec in history.epochs:
-            rows.append(",".join([
-                strategy, repr(seed), repr(record.config.budget),
-                repr(round_index), repr(rec["epoch"]),
-                repr(rec["L_cls"]), repr(rec["W1_estimate"]), repr(rec["L_grad"]),
-                repr(rec["L_w_q"]),
-                repr(rec.get("source_accuracy", float("nan"))),
-                repr(rec.get("target_accuracy", float("nan"))),
-            ]))
-
-    emit(0, record.stage1)
-    for r in record.rounds:
-        emit(r.round_index, r.stage3)
+            values = {"seed": seed, "budget": record.config.budget, "round": round_index, **rec}
+            rows.append(",".join([strategy] + [repr(values.get(c, float("nan")))
+                                               for c in _METRICS_COLUMNS[1:]]))
     return rows
 
 
@@ -253,7 +243,7 @@ def _run_pairs(config: ExperimentConfig, pairs: list, out: str):
             raise ConfigError(f"run '{tag}' is named twice")
         try:
             replace(config.train, seed=run_seed, strategy=strategy)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"run '{tag}': {exc}") from None
     os.makedirs(out, exist_ok=True)
     rows = []

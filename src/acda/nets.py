@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import struct
 
 import numpy as np
+from scipy.special import softmax
 
 from .autodiff import Graph
 from .errors import CheckpointError
@@ -130,16 +131,10 @@ def init_network(spec: NetworkSpec, seed: int) -> NetworkParams:
     return NetworkParams(spec=spec, weights=weights, biases=biases, init_seed=int(seed))
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def forward(params: NetworkParams, x: np.ndarray) -> np.ndarray:
     """Batch inference; applies the configured output activation."""
     h = _pre_output(params.spec, params.weights, params.biases, x)
-    return _softmax(h) if params.spec.output_activation == "softmax" else h
+    return softmax(h, axis=-1) if params.spec.output_activation == "softmax" else h
 
 
 def forward_bound(spec: NetworkSpec, bindings: dict, name: str, x: np.ndarray) -> np.ndarray:
@@ -233,9 +228,7 @@ def cross_entropy(probabilities: np.ndarray, labels: np.ndarray) -> float:
     Training computes its losses from logits in the graphs; this numpy form
     ships as the reference that ``weighted_query_loss`` is checked against
     (acceptance criterion 5)."""
-    p = np.asarray(probabilities, dtype=np.float64)
-    if p.ndim == 1:
-        p = p[None, :]
+    p = np.atleast_2d(np.asarray(probabilities, dtype=np.float64))
     labels = _check_labels(labels, p.shape[1])
     picked = p[np.arange(p.shape[0]), labels]
     return float(np.mean(-np.log(np.maximum(picked, 1e-300))))

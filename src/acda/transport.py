@@ -8,7 +8,7 @@ diagnostic for the target-risk bound  eps_T <= eps_S + 2*W1 + disagreement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.sparse
@@ -66,14 +66,7 @@ class BoundReport:
     holds: bool
 
     def to_dict(self) -> dict:
-        return {
-            "source_risk": self.source_risk,
-            "w1_term": self.w1_term,
-            "disagreement": self.disagreement,
-            "rhs": self.rhs,
-            "target_risk": self.target_risk,
-            "holds": self.holds,
-        }
+        return asdict(self)
 
 
 def _check_points(points, label: str) -> np.ndarray:
@@ -256,18 +249,13 @@ def lipschitz_normalize(params: NetworkParams) -> NetworkParams:
     return out
 
 
-def _scores(fn, x: np.ndarray) -> np.ndarray:
-    scores = fn.score(x) if hasattr(fn, "score") else fn(x)
-    return np.asarray(scores, dtype=np.float64).reshape(-1)
-
-
 def bound_rhs(h_params: NetworkParams, source_x, target_x, f_s, f_t) -> BoundReport:
     """Evaluate  eps_T <= eps_S + 2*W1 + E_S|f_s - f_t|  on two samples.
 
     ``h_params`` must be a scalar-output network already made 1-Lipschitz
-    (see :func:`lipschitz_normalize`); ``f_s``/``f_t`` are labeling-score
-    functions on the input space with values in [0, 1] (synthetic generators
-    provide them).  Risks are mean absolute differences; the W1 term uses
+    (see :func:`lipschitz_normalize`); ``f_s``/``f_t`` are the synthetic
+    generators' labeling functions, whose ``score`` maps the input space to
+    [0, 1].  Risks are mean absolute differences; the W1 term uses
     the exact solver on the two samples, within its size limit.
     """
     if f_s is None or f_t is None:
@@ -276,9 +264,9 @@ def bound_rhs(h_params: NetworkParams, source_x, target_x, f_s, f_t) -> BoundRep
     xt = _check_points(target_x, "target_x")
     h_s = nets.forward(h_params, xs).reshape(-1)
     h_t = nets.forward(h_params, xt).reshape(-1)
-    fs_s = _scores(f_s, xs)
-    ft_s = _scores(f_t, xs)
-    ft_t = _scores(f_t, xt)
+    fs_s = f_s.score(xs)
+    ft_s = f_t.score(xs)
+    ft_t = f_t.score(xt)
     source_risk = float(np.mean(np.abs(h_s - fs_s)))
     target_risk = float(np.mean(np.abs(h_t - ft_t)))
     w1_value, _ = exact_w1(xs, xt)

@@ -16,8 +16,10 @@ Nine independent criteria, each printing a single PASS/FAIL verdict:
 """
 
 import itertools
+import multiprocessing
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -294,8 +296,13 @@ def _trend_run(seed: int, strategy: str) -> float:
 def test_criterion_7_end_to_end_trend():
     start = time.perf_counter()
     seeds = range(1, 21)
-    means = {strategy: float(np.mean([_trend_run(s, strategy) for s in seeds]))
-             for strategy in ("active", "random", "none")}
+    # the 60 runs are independent; spawned workers start from a clean process
+    with ProcessPoolExecutor(max_workers=min(os.cpu_count() or 1, 8),
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        runs = {strategy: [pool.submit(_trend_run, s, strategy) for s in seeds]
+                for strategy in ("active", "random", "none")}
+        means = {strategy: float(np.mean([run.result() for run in futures]))
+                 for strategy, futures in runs.items()}
     elapsed = time.perf_counter() - start
     ok = (means["active"] >= means["random"] - 0.005
           and means["active"] >= means["none"] + 0.02

@@ -65,6 +65,7 @@ def test_config_documented_defaults():
     {"stage1_epochs": 2.5}, {"batch_size": 40.0}, {"early_stop_patience": 1.5},
     {"query_rounds": True}, {"seed": True},
     {"learning_rate": True}, {"lambda_div": False},
+    {"learning_rate": "0.1"}, {"budget": None}, {"lambda_div": [1.0]},
 ])
 def test_config_rejects_invalid_values(bad):
     with pytest.raises(ValueError):

@@ -230,3 +230,24 @@ def test_csv_round_trip_is_exact(tmp_path):
     np.testing.assert_array_equal(target.features, pair.target.features)
     np.testing.assert_array_equal(source.labels, pair.source.labels)
     assert target.domain_tag == "target"
+
+
+def test_dataset_rejects_non_integer_labels():
+    x = np.zeros((2, 2))
+    with pytest.raises(ValueError, match="labels must be integer class ids"):
+        Dataset(x, [0.5, 1.7], "source")
+    np.testing.assert_array_equal(Dataset(x, [0.0, 1.0], "source").labels, [0, 1])
+
+
+@pytest.mark.parametrize("rows, line", [
+    (["0.0,0.0,0,source", "1.0,1.0,,target", "2.0,2.0,1,target"], 4),
+    (["0.0,0.0,0,source", "1.0,1.0,1,target", "2.0,2.0,,target"], 4),
+    (["0.0,0.0,0.5,source"], 2),
+    (["0.0,abc,0,source"], 2),
+], ids=["unlabelled-then-labelled", "labelled-then-unlabelled", "fractional-label",
+        "non-numeric-feature"])
+def test_load_csv_rejects_malformed_rows_with_their_line(tmp_path, rows, line):
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(["x_0,x_1,label,domain"] + rows) + "\n")
+    with pytest.raises(DataError, match=f"bad.csv: line {line}: "):
+        load_csv(path)
