@@ -138,12 +138,22 @@ class StageHistory:
 
 @dataclass
 class RoundRecord:
-    round_index: int
+    """One query round; its fields are the round's keys in the run JSON."""
+
+    round: int
     query: QueryResult | None
     queried_original_indices: np.ndarray | None
     queried_labels: np.ndarray | None
-    weights: WeightVector | None
-    stage3: StageHistory | None = None
+    alpha: np.ndarray | None
+    class_counts: np.ndarray | None
+    stage3: StageHistory
+
+
+def _json_fields(pairs) -> dict:
+    """``asdict``'s dict factory for the run JSON: arrays become lists, and
+    the parameters, which go to the checkpoint, are left out."""
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v
+            for k, v in pairs if k != "params"}
 
 
 @dataclass
@@ -152,38 +162,11 @@ class RunRecord:
     stage1: StageHistory
     rounds: list
     params: dict
-    final_source_accuracy: float = float("nan")
-    final_target_accuracy: float = float("nan")
+    final_source_accuracy: float
+    final_target_accuracy: float  # NaN without target labels
 
     def to_dict(self) -> dict:
-        rounds = []
-        for r in self.rounds:
-            rounds.append({
-                "round": r.round_index,
-                "query": None if r.query is None else {
-                    "indices": r.query.indices.tolist(),
-                    "uncertainty": r.query.uncertainty.tolist(),
-                    "diversity": r.query.diversity.tolist(),
-                    "combined": r.query.combined.tolist(),
-                },
-                "queried_original_indices": (
-                    None if r.queried_original_indices is None
-                    else r.queried_original_indices.tolist()
-                ),
-                "queried_labels": (
-                    None if r.queried_labels is None else r.queried_labels.tolist()
-                ),
-                "alpha": None if r.weights is None else r.weights.alpha.tolist(),
-                "class_counts": None if r.weights is None else r.weights.counts.tolist(),
-                "stage3": asdict(r.stage3),
-            })
-        return {
-            "config": asdict(self.config),
-            "stage1": asdict(self.stage1),
-            "rounds": rounds,
-            "final_source_accuracy": self.final_source_accuracy,
-            "final_target_accuracy": self.final_target_accuracy,
-        }
+        return asdict(self, dict_factory=_json_fields)
 
 
 def lambda_w(progress: float) -> float:
@@ -275,14 +258,12 @@ def update_pools(source: Dataset, target: Dataset, query_indices,
     new_source = Dataset(
         features=np.vstack([source.features, target.features[idx]]),
         labels=np.concatenate([source.labels, labels]),
-        domain_tag="source",
     )
     keep = np.ones(len(target), dtype=bool)
     keep[idx] = False
     new_target = Dataset(
         features=target.features[keep],
         labels=None if target.labels is None else target.labels[keep],
-        domain_tag="target",
     )
     return new_source, new_target
 
@@ -456,7 +437,6 @@ def _adversarial_fit(f_params, c_params, d_params, source: Dataset, target: Data
     history = StageHistory(seed=seed)
     best = np.inf
     stale = 0
-    global_step = 0
 
     for epoch in range(epochs):
         cls_batches = list(batch_iterator(len(source), config.batch_size, cls_seed, epoch))
@@ -467,7 +447,7 @@ def _adversarial_fit(f_params, c_params, d_params, source: Dataset, target: Data
         for step in range(steps_per_epoch):
             idx_cls = cls_batches[step % len(cls_batches)]
             idx_adv = adv_batches[step % len(adv_batches)]
-            lamw = lambda_w(global_step / max(1, total_model_steps - 1))
+            lamw = lambda_w((epoch * steps_per_epoch + step) / max(1, total_model_steps - 1))
             bindings.update(xs_cls=source.features[idx_cls],
                             y_onehot=_one_hot(source.labels[idx_cls], n_classes),
                             xs_adv=labelled.features[idx_adv], lambda_w=np.asarray(lamw))
@@ -501,7 +481,6 @@ def _adversarial_fit(f_params, c_params, d_params, source: Dataset, target: Data
                 raise TrainingDivergedError(epoch)
             bindings = opt_model.step(
                 bindings, {nm: vals[n] for nm, n in sg.model_nodes["grads"].items()})
-            global_step += 1
 
             sums["objective"] += obj
             sums["L_cls"] += float(vals[sg.model_nodes["l_cls"]])
@@ -626,19 +605,14 @@ def run_algorithm_1(source: Dataset, target: Dataset, config: TrainConfig,
         f_params, c_params, d_params, hist3 = stage3_train(
             f_params, c_params, d_params, source, labelled, pool, weights, config,
             derive_seed(config.seed, "stage", 3, round_index), eval_cb=eval_cb)
-        rounds.append(RoundRecord(round_index=round_index, query=query,
+        alpha, counts = (None, None) if weights is None else (weights.alpha, weights.counts)
+        rounds.append(RoundRecord(round=round_index, query=query,
                                   queried_original_indices=orig_idx, queried_labels=q_labels,
-                                  weights=weights, stage3=hist3))
+                                  alpha=alpha, class_counts=counts, stage3=hist3))
 
-    record = RunRecord(
-        config=config,
-        stage1=hist1,
-        rounds=rounds,
+    return RunRecord(
+        config=config, stage1=hist1, rounds=rounds,
         params={"F": f_params, "C": c_params, "D": d_params},
-    )
-    record.final_source_accuracy = accuracy(f_params, c_params,
-                                            source.features, source.labels)
-    if target.labels is not None:
-        record.final_target_accuracy = accuracy(f_params, c_params,
-                                                target.features, target.labels)
-    return record
+        final_source_accuracy=accuracy(f_params, c_params, source.features, source.labels),
+        final_target_accuracy=float("nan") if target.labels is None
+        else accuracy(f_params, c_params, target.features, target.labels))

@@ -38,11 +38,10 @@ __all__ = [
 
 @dataclass
 class Dataset:
-    """A feature matrix with optional labels and a domain tag."""
+    """A feature matrix with optional labels."""
 
     features: np.ndarray
     labels: np.ndarray | None
-    domain_tag: str
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -57,8 +56,6 @@ class Dataset:
                 raise ValueError("label count must equal row count")
             if self.labels.size and self.labels.min() < 0:
                 raise ValueError("labels must be non-negative class ids")
-        if self.domain_tag not in ("source", "target"):
-            raise ValueError(f"domain_tag must be 'source' or 'target', got {self.domain_tag!r}")
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -193,8 +190,8 @@ def gen_two_moons_pair(n_source: int, n_target: int, rotation_deg: float,
 
     xs = sample(n_source, make_rng(seed, "moons-source"), rotated=False)
     xt = sample(n_target, make_rng(seed, "moons-target"), rotated=True)
-    return DomainPair(Dataset(xs, f_source.label(xs), "source"),
-                      Dataset(xt, f_target.label(xt), "target"), f_source, f_target)
+    return DomainPair(Dataset(xs, f_source.label(xs)), Dataset(xt, f_target.label(xt)),
+                      f_source, f_target)
 
 
 # ----------------------------------------------------------------------
@@ -240,8 +237,8 @@ def gen_gaussian_shift_pair(n_classes: int, dim: int, mean_shift: float,
     xs = means[cid_s] + rng.normal(size=(n_source, dim))
     cid_t = rng.integers(0, n_classes, size=n_target)
     xt = means[cid_t] + shift_vec + rng.normal(size=(n_target, dim)) * covariance_scale
-    return DomainPair(Dataset(xs, f_source.label(xs), "source"),
-                      Dataset(xt, f_target.label(xt), "target"), f_source, f_target)
+    return DomainPair(Dataset(xs, f_source.label(xs)), Dataset(xt, f_target.label(xt)),
+                      f_source, f_target)
 
 
 # ----------------------------------------------------------------------
@@ -258,8 +255,7 @@ def _read_exact(fh, count: int, path, what: str) -> bytes:
     return data
 
 
-def load_idx(images_path, labels_path, max_items: int | None = None,
-             domain_tag: str = "source") -> Dataset:
+def load_idx(images_path, labels_path, max_items: int | None = None) -> Dataset:
     """Load an IDX image/label file pair as a flat [0, 1]-scaled dataset."""
     with open(images_path, "rb") as fh:
         magic, count, rows, cols = struct.unpack(">iiii", _read_exact(fh, 16, images_path, "header"))
@@ -280,17 +276,19 @@ def load_idx(images_path, labels_path, max_items: int | None = None,
     features = np.frombuffer(pixels, dtype=np.uint8).astype(np.float64) / 255.0
     features = features.reshape(take, rows * cols)
     labels = np.frombuffer(label_bytes, dtype=np.uint8).astype(np.int64)
-    return Dataset(features, labels, domain_tag)
+    return Dataset(features, labels)
 
 
 def load_idx_pair(source_images, source_labels, target_images, target_labels,
                   max_items: int = 0, seed: int | None = None) -> DomainPair:
-    """Source and target IDX file pairs, each cut to ``max_items`` (0: all),
-    with no labeling functions.  ``seed`` is ignored, so every dataset kind
-    builds with the same call."""
+    """Source and target IDX file pairs, each cut to ``max_items`` (0: all;
+    a negative count is a ValueError), with no labeling functions.  ``seed``
+    is ignored, so every dataset kind builds with the same call."""
+    if max_items < 0:
+        raise ValueError(f"max_items must be non-negative, got {max_items}")
     limit = max_items or None
-    return DomainPair(load_idx(source_images, source_labels, limit, "source"),
-                      load_idx(target_images, target_labels, limit, "target"), None, None)
+    return DomainPair(load_idx(source_images, source_labels, limit),
+                      load_idx(target_images, target_labels, limit), None, None)
 
 
 # ----------------------------------------------------------------------
@@ -319,15 +317,15 @@ def standardize_features(source_x: np.ndarray, target_x: np.ndarray):
 
 
 def export_csv(path, source: Dataset, target: Dataset):
-    """One CSV holding both domains: x_0..x_{d-1}, label, domain."""
+    """One CSV holding both domains, source rows first: x_0..x_{d-1}, label, domain."""
     d = source.dim
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"x_{i}" for i in range(d)] + ["label", "domain"])
-        for ds in (source, target):
+        for tag, ds in (("source", source), ("target", target)):
             labels = ds.labels if ds.labels is not None else [""] * len(ds)
             for row, label in zip(ds.features, labels):
-                writer.writerow([repr(float(v)) for v in row] + [label, ds.domain_tag])
+                writer.writerow([repr(float(v)) for v in row] + [label, tag])
 
 
 def load_csv(path):
@@ -337,7 +335,7 @@ def load_csv(path):
     run trains on can be read back and tests can round-trip them."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])  # an empty file fails the column check
         if len(header) < 3 or header[-2:] != ["label", "domain"]:
             raise DataError(f"{path}: expected columns x_0..x_(d-1), label, domain")
         d = len(header) - 2
@@ -363,5 +361,5 @@ def load_csv(path):
         x = np.asarray(feats[tag], dtype=np.float64).reshape(len(feats[tag]), d)
         lab = labels[tag]
         y = None if (not lab or lab[0] is None) else np.asarray(lab, dtype=np.int64)
-        out.append(Dataset(x, y, tag))
+        out.append(Dataset(x, y))
     return tuple(out)

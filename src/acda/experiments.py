@@ -188,13 +188,13 @@ def _pools_for_run(config: ExperimentConfig, run_seed: int):
     source, target = pair.source, pair.target
     if config.standardize:
         sx, tx, _, _ = standardize_features(source.features, target.features)
-        source = Dataset(sx, source.labels, "source")
-        target = Dataset(tx, target.labels, "target")
+        source = Dataset(sx, source.labels)
+        target = Dataset(tx, target.labels)
     return source, target
 
 
-def _run_one(config: ExperimentConfig, run_seed: int, strategy: str) -> RunRecord:
-    source, target = _pools_for_run(config, run_seed)
+def _run_one(config: ExperimentConfig, run_seed: int, strategy: str, pools) -> RunRecord:
+    source, target = pools
     train = replace(config.train, seed=run_seed, strategy=strategy)
 
     def eval_cb(f_params, c_params):
@@ -212,7 +212,7 @@ def _run_one(config: ExperimentConfig, run_seed: int, strategy: str) -> RunRecor
 
 def _metrics_rows(record: RunRecord, strategy: str, seed: int) -> list:
     rows = []
-    stages = [(0, record.stage1)] + [(r.round_index, r.stage3) for r in record.rounds]
+    stages = [(0, record.stage1)] + [(r.round, r.stage3) for r in record.rounds]
     for round_index, history in stages:
         for rec in history.epochs:
             values = {"seed": seed, "budget": record.config.budget, "round": round_index, **rec}
@@ -234,9 +234,12 @@ def _run_pairs(config: ExperimentConfig, pairs: list, out: str):
     ``metrics.csv`` over all of them, and a ``MANIFEST.json`` that marks a
     diverged run and sets the status to "failed" without stopping the rest.
     ``finals`` maps each strategy to its finished runs' final target accuracy;
-    the exit status is 0, or 1 when a run diverged.  A repeated pair, or one
-    that ``TrainConfig`` refuses, is a ConfigError before anything is written.
+    the exit status is 0, or 1 when a run diverged.  No pair, a repeated pair,
+    one that ``TrainConfig`` refuses, or a dataset that the first run's pools
+    cannot be built from, is a ConfigError before anything is written.
     """
+    if not pairs:
+        raise ConfigError("nothing to run: need at least one strategy and one seed")
     for i, (strategy, run_seed) in enumerate(pairs):
         tag = f"{strategy}-seed{run_seed}"
         if (strategy, run_seed) in pairs[:i]:
@@ -245,14 +248,20 @@ def _run_pairs(config: ExperimentConfig, pairs: list, out: str):
             replace(config.train, seed=run_seed, strategy=strategy)
         except ValueError as exc:
             raise ConfigError(f"run '{tag}': {exc}") from None
+    try:
+        pools = _pools_for_run(config, pairs[0][1])
+    except ValueError as exc:
+        raise ConfigError(f"dataset: {exc}") from None
     os.makedirs(out, exist_ok=True)
     rows = []
     manifest = {"runs": [], "status": "ok"}
     finals: dict = {}
-    for strategy, run_seed in pairs:
+    for i, (strategy, run_seed) in enumerate(pairs):
         tag = f"{strategy}-seed{run_seed}"
+        if i:
+            pools = _pools_for_run(config, run_seed)
         try:
-            record = _run_one(config, run_seed, strategy)
+            record = _run_one(config, run_seed, strategy, pools)
         except TrainingDivergedError as exc:
             manifest["runs"].append({"run": tag, "status": "diverged",
                                      "epoch": exc.epoch})
@@ -299,7 +308,7 @@ def compare_strategies(config: ExperimentConfig, strategies: list,
     """Run every strategy on every seed of ``config.seeds``; summarize final
     target accuracy.
 
-    Raises ConfigError before any training for an unknown or repeated
+    Raises ConfigError before any training for an empty, unknown or repeated
     strategy or seed.  Writes the same per-run files and MANIFEST as
     :func:`run_experiment`, a diverged run included.  Returns
     ``(summary, status)``: summary rows [(strategy, mean, sd)] over the
@@ -309,8 +318,6 @@ def compare_strategies(config: ExperimentConfig, strategies: list,
     Pairwise mean differences (e.g. active − random) follow the rows; a
     strategy with no finished run has neither.
     """
-    if not strategies or not config.seeds:
-        raise ValueError("compare_strategies needs >= 1 strategy and seed")
     out = out_dir if out_dir is not None else config.out_dir
     pairs = [(s, seed) for s in strategies for seed in config.seeds]
     finals, status = _run_pairs(config, pairs, out)

@@ -8,7 +8,7 @@ diagnostic for the target-risk bound  eps_T <= eps_S + 2*W1 + disagreement.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
@@ -43,14 +43,13 @@ EXACT_W1_SIZE_LIMIT = 512
 class TransportPlan:
     """An optimal coupling between two uniform empirical measures."""
 
-    coupling: np.ndarray      # (m, n), non-negative, sums to 1
-    row_marginal: np.ndarray  # (m,)
-    col_marginal: np.ndarray  # (n,)
-    cost: np.ndarray          # (m, n) pairwise ground costs
+    coupling: np.ndarray  # (m, n), non-negative, sums to 1
+    cost: np.ndarray      # (m, n) pairwise ground costs
 
     def marginal_error(self) -> float:
-        row = np.abs(self.coupling.sum(axis=1) - self.row_marginal).max()
-        col = np.abs(self.coupling.sum(axis=0) - self.col_marginal).max()
+        m, n = self.coupling.shape
+        row = np.abs(self.coupling.sum(axis=1) - 1.0 / m).max()
+        col = np.abs(self.coupling.sum(axis=0) - 1.0 / n).max()
         return float(max(row, col))
 
 
@@ -64,9 +63,6 @@ class BoundReport:
     rhs: float
     target_risk: float
     holds: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _check_points(points, label: str) -> np.ndarray:
@@ -103,13 +99,7 @@ def exact_w1(a_points, b_points):
     else:
         coupling = _transport_lp(cost, m, n)
         value = float((coupling * cost).sum())
-    plan = TransportPlan(
-        coupling=coupling,
-        row_marginal=np.full(m, 1.0 / m),
-        col_marginal=np.full(n, 1.0 / n),
-        cost=cost,
-    )
-    return value, plan
+    return value, TransportPlan(coupling=coupling, cost=cost)
 
 
 def _transport_lp(cost: np.ndarray, m: int, n: int) -> np.ndarray:

@@ -194,7 +194,7 @@ def test_criterion_4_query_machinery():
     f = init_network(nets.default_feature_spec(2), 1)
     c = init_network(nets.default_classifier_spec(2), 2)
     d = init_network(nets.default_critic_spec(), 3)
-    pool = Dataset(rng.normal(size=(257, 2)), None, "target")
+    pool = Dataset(rng.normal(size=(257, 2)), None)
     scores = query_scores(f, c, d, pool, 0.0)
     entropy = predictive_entropy(nets.forward(c, nets.forward(f, pool.features)))
     entropy_rank = np.lexsort((np.arange(len(entropy)), -entropy))
@@ -285,8 +285,8 @@ def _trend_run(seed: int, strategy: str) -> float:
                               seed=derive_seed(seed, "data"))
     sx, tx, _, _ = standardize_features(pair.source.features,
                                         pair.target.features)
-    source = Dataset(sx, pair.source.labels, "source")
-    target = Dataset(tx, pair.target.labels, "target")
+    source = Dataset(sx, pair.source.labels)
+    target = Dataset(tx, pair.target.labels)
     config = TrainConfig(budget=0.05, lambda_div=0.0, query_rounds=5,
                          stage1_epochs=20, stage3_epochs=20, batch_size=128,
                          learning_rate=2e-3, seed=seed, strategy=strategy)

@@ -107,7 +107,7 @@ def test_query_scores_hand_example():
         return NetworkParams(NetworkSpec((1, w.shape[1]), out), [w], [np.zeros(w.shape[1])])
 
     f, c, d = net([1.0]), net([1.0, -1.0], "softmax"), net([1.0])
-    pool = Dataset(np.array([[2.0], [0.5], [-0.5], [0.1]]), None, "target")
+    pool = Dataset(np.array([[2.0], [0.5], [-0.5], [0.1]]), None)
     entropy = predictive_entropy(nets.forward(c, pool.features))
     assert entropy[1] == entropy[2]
 
@@ -145,7 +145,7 @@ def test_query_scores_minmax_is_shift_invariant_and_handles_degenerate():
 
 def test_query_scores_rejects_empty_pool():
     f, c, d = _nets_for()
-    empty = Dataset(np.zeros((0, 2)), None, "target")
+    empty = Dataset(np.zeros((0, 2)), None)
     with pytest.raises(ValueError):
         query_scores(f, c, d, empty, 10.0)
 
@@ -309,8 +309,8 @@ def test_stage1_adapts_identical_pools_toward_zero_w1():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(120, 2))
     labels = (x[:, 0] > 0).astype(np.int64)
-    source = Dataset(x, labels, "source")
-    target = Dataset(x.copy(), None, "target")
+    source = Dataset(x, labels)
+    target = Dataset(x.copy(), None)
     f, c, d = _nets_for(seed=2)
     cfg = TrainConfig(stage1_epochs=30, batch_size=60, learning_rate=2e-3, seed=3)
     _, _, _, hist = stage1_train(f, c, d, source, target, cfg, _stage1_seed(cfg))
@@ -413,7 +413,7 @@ def test_stopping_rule_matches_the_recorded_objectives():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_training_diverged_error_carries_epoch():
     source, target = _small_pair(seed=7, n=30)
-    bad = Dataset(source.features * np.inf, source.labels, "source")
+    bad = Dataset(source.features * np.inf, source.labels)
     f, c, d = _nets_for(seed=3)
     cfg = TrainConfig(stage1_epochs=2, batch_size=16, seed=0)
     with pytest.raises(TrainingDivergedError) as err:
@@ -464,7 +464,7 @@ def test_run_algorithm_none_strategy_never_queries():
                       batch_size=32, seed=2, strategy="none")
     record = run_algorithm_1(source, target, cfg)
     assert record.rounds[0].query is None
-    assert record.rounds[0].weights is None
+    assert record.rounds[0].alpha is None
     assert np.isfinite(record.final_target_accuracy)
 
 
@@ -526,7 +526,7 @@ def test_run_algorithm_rejects_target_only_class_before_stage1(monkeypatch):
 
     monkeypatch.setattr(algorithm, "_adversarial_fit", stage1_must_not_run)
     source, target = _small_pair(seed=14, n=40)
-    target = Dataset(target.features, np.where(target.labels == 1, 2, 0), "target")
+    target = Dataset(target.features, np.where(target.labels == 1, 2, 0))
     cfg = TrainConfig(budget=0.1, stage1_epochs=2, stage3_epochs=2,
                       batch_size=20, seed=7, strategy="active")
     with pytest.raises(DataError, match="target label 2"):
@@ -541,7 +541,7 @@ def test_run_algorithm_rejects_querying_without_oracle_before_stage1(monkeypatch
 
     monkeypatch.setattr(algorithm, "_adversarial_fit", stage1_must_not_run)
     source, target = _small_pair(seed=16, n=40)
-    unlabelled = Dataset(target.features, None, "target")
+    unlabelled = Dataset(target.features, None)
     for strategy in ("active", "random"):
         cfg = TrainConfig(budget=0.1, stage1_epochs=2, stage3_epochs=2,
                           batch_size=20, seed=7, strategy=strategy)
@@ -563,5 +563,5 @@ def test_run_algorithm_keeps_weights_once_the_pool_is_empty():
     assert sorted(np.concatenate([first.queried_original_indices,
                                   second.queried_original_indices])) == [0, 1]
     assert last.query is None
-    assert last.weights is second.weights
+    assert last.alpha is second.alpha
     assert len(last.stage3.epochs) == 1

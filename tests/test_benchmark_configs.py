@@ -5,12 +5,15 @@
 config layer that drops a key those files set fails here.  Its traced run
 wraps the callables that ``perfbench/layers.py`` names in ``LAYERS`` and
 tells critic from model evaluations by the leaves ``xhat`` and ``xs_cls``;
-a refactor that renames either fails here, not in a traced run.
+a refactor that renames either fails here, not in a traced run.  Its
+checks (``perfbench/checks.py``) read the run JSON and ``metrics.csv`` by
+key; a renamed record field fails here too.
 """
 
 import ast
 import glob
-import importlib
+import importlib.util
+import json
 import os
 
 import pytest
@@ -18,7 +21,7 @@ import pytest
 import acda.acda as algorithm
 from acda.acda import TrainConfig, _StepGraphs, stage1_train
 from acda.data import gen_two_moons_pair
-from acda.experiments import build_pair, parse_config
+from acda.experiments import _pools_for_run, build_pair, parse_config, run_experiment
 from acda.nets import (default_classifier_spec, default_critic_spec, default_feature_spec,
                        init_network)
 from acda.seeding import derive_seed
@@ -92,3 +95,41 @@ def test_a_training_stage_evaluates_only_critic_and_model_graphs(monkeypatch):
     assert kinds.count("model") == 2
     assert kinds.count("critic") == 2 * algorithm.CRITIC_STEPS
     assert "other" not in kinds
+
+
+def _perfbench_checks():
+    """``perfbench/checks.py``, loaded by path."""
+    spec = importlib.util.spec_from_file_location("perfbench_checks",
+                                                  os.path.join(PERFBENCH, "checks.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_an_active_run_passes_the_benchmark_checks(tmp_path):
+    checks = _perfbench_checks()
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("""
+budget = 0.1
+query_rounds = 3
+stage1_epochs = 2
+stage3_epochs = 2
+batch_size = 40
+strategy = active
+seeds = 1,2
+dataset.kind = two_moons
+dataset.n_source = 120
+dataset.n_target = 120
+""", encoding="utf-8")
+    config = parse_config(str(cfg_path))
+    out = str(tmp_path / "out")
+    assert run_experiment(config, out_dir=out) == 0
+    train = {name: getattr(config.train, name) for name in
+             ("budget", "lambda_div", "query_rounds", "stage1_epochs", "stage3_epochs")}
+    for seed in config.seeds:
+        with open(os.path.join(out, f"run-active-seed{seed}.json"), encoding="utf-8") as fh:
+            record = json.load(fh)
+        _, target = _pools_for_run(config, seed)
+        assert checks.check_record(record, train, target.labels) == []
+    assert checks.check_metrics_csv(os.path.join(out, "metrics.csv"), train,
+                                    config.seeds) == []

@@ -171,7 +171,7 @@ def test_config_idx_builds_pair_from_files(tmp_path):
     cfg = parse_config(write_cfg(tmp_path, body))
     pair = build_pair(cfg.dataset, 7)
     assert (len(pair.source), len(pair.target)) == (3, 3)
-    assert pair.target.domain_tag == "target" and pair.f_target is None
+    assert pair.f_target is None
     np.testing.assert_array_equal(pair.target.labels, labels[:3])
 
 
@@ -246,6 +246,41 @@ def test_run_experiment_checks_every_seed_before_writing(tmp_path, seeds, train,
     out = tmp_path / "out"
     with pytest.raises(ConfigError, match=message):
         run_experiment(cfg, out_dir=str(out))
+    assert not out.exists()
+
+
+_MISSING_IDX = "".join(f"dataset.{domain}_{part} = missing-{domain}.{part}\n"
+                       for domain in ("source", "target") for part in ("images", "labels"))
+
+
+@pytest.mark.parametrize("dataset, message", [
+    ("dataset.kind = two_moons\ndataset.n_source = 1\n", "need at least 2 points per domain"),
+    ("dataset.kind = two_moons\ndataset.noise_sd = -1\n", "noise_sd must be non-negative"),
+    ("dataset.kind = gaussian\ndataset.swap_fraction = 2\n", "swap_fraction must lie in"),
+    ("dataset.kind = idx\ndataset.max_items = -1\n" + _MISSING_IDX,
+     "max_items must be non-negative"),
+], ids=["moons-n_source-1", "moons-noise_sd-negative", "gaussian-swap_fraction-2",
+        "idx-max_items-negative"])
+@pytest.mark.parametrize("entry", ["run_experiment", "compare_strategies"])
+def test_a_dataset_the_builder_refuses_is_a_config_error_before_writing(tmp_path, dataset,
+                                                                        message, entry):
+    cfg = parse_config(write_cfg(tmp_path, SMALL_TRAIN + dataset + "seeds = 1,2\n"))
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match=f"dataset: {message}"):
+        if entry == "run_experiment":
+            run_experiment(cfg, out_dir=str(out))
+        else:
+            compare_strategies(cfg, ["active", "random"], out_dir=str(out))
+    assert not out.exists()
+
+
+def test_compare_refuses_an_empty_strategy_list(tmp_path, capsys):
+    cfg_path = write_cfg(tmp_path, SMALL_TRAIN + SMALL_DATASET)
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match="at least one strategy"):
+        compare_strategies(parse_config(cfg_path), [], out_dir=str(out))
+    assert main(["compare", cfg_path, "--strategies", ",", "--out", str(out)]) == 2
+    assert "at least one strategy" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -332,7 +367,6 @@ def test_cli_gen_writes_dataset_csv(tmp_path):
     written = load_csv(os.path.join(out, "dataset.csv"))
     pools = _pools_for_run(parse_config(cfg_path), 3)
     for got, want in zip(written, pools):
-        assert got.domain_tag == want.domain_tag
         np.testing.assert_array_equal(got.features, want.features)
         np.testing.assert_array_equal(got.labels, want.labels)
 
@@ -411,10 +445,10 @@ def test_cli_compare_records_diverged_seed_and_finishes(tmp_path, monkeypatch):
 
     real_run_one = experiments._run_one
 
-    def run_one(config, run_seed, strategy):
+    def run_one(config, run_seed, strategy, pools):
         if (strategy, run_seed) == ("random", 2):
             raise TrainingDivergedError(3)
-        return real_run_one(config, run_seed, strategy)
+        return real_run_one(config, run_seed, strategy, pools)
 
     monkeypatch.setattr(experiments, "_run_one", run_one)
     cfg_path = write_cfg(tmp_path, SMALL_TRAIN + SMALL_DATASET)

@@ -19,8 +19,6 @@ def test_moons_shapes_and_tags():
                               label_flip_rate=0.1, seed=0)
     assert pair.source.features.shape == (120, 2)
     assert pair.target.features.shape == (80, 2)
-    assert pair.source.domain_tag == "source"
-    assert pair.target.domain_tag == "target"
     assert set(np.unique(pair.source.labels)) <= {0, 1}
     assert len(pair.source) == 120 and pair.target.dim == 2
 
@@ -146,9 +144,8 @@ def _write_idx_pair(tmp_path, n=7, rows=3, cols=2):
 
 def test_idx_round_trip(tmp_path):
     images_path, labels_path, pixels, labels = _write_idx_pair(tmp_path)
-    ds = load_idx(images_path, labels_path, domain_tag="target")
+    ds = load_idx(images_path, labels_path)
     assert ds.features.shape == (7, 6)
-    assert ds.domain_tag == "target"
     np.testing.assert_allclose(ds.features,
                                pixels.reshape(7, -1).astype(np.float64) / 255.0)
     np.testing.assert_array_equal(ds.labels, labels)
@@ -229,14 +226,13 @@ def test_csv_round_trip_is_exact(tmp_path):
     np.testing.assert_array_equal(source.features, pair.source.features)
     np.testing.assert_array_equal(target.features, pair.target.features)
     np.testing.assert_array_equal(source.labels, pair.source.labels)
-    assert target.domain_tag == "target"
 
 
 def test_dataset_rejects_non_integer_labels():
     x = np.zeros((2, 2))
     with pytest.raises(ValueError, match="labels must be integer class ids"):
-        Dataset(x, [0.5, 1.7], "source")
-    np.testing.assert_array_equal(Dataset(x, [0.0, 1.0], "source").labels, [0, 1])
+        Dataset(x, [0.5, 1.7])
+    np.testing.assert_array_equal(Dataset(x, [0.0, 1.0]).labels, [0, 1])
 
 
 @pytest.mark.parametrize("rows, line", [
@@ -250,4 +246,11 @@ def test_load_csv_rejects_malformed_rows_with_their_line(tmp_path, rows, line):
     path = tmp_path / "bad.csv"
     path.write_text("\n".join(["x_0,x_1,label,domain"] + rows) + "\n")
     with pytest.raises(DataError, match=f"bad.csv: line {line}: "):
+        load_csv(path)
+
+
+def test_load_csv_rejects_an_empty_file(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_bytes(b"")
+    with pytest.raises(DataError, match="empty.csv: expected columns"):
         load_csv(path)

@@ -1,6 +1,7 @@
 """Unit tests for exact transport, the critic estimate, and the risk bound."""
 
 import itertools
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -215,7 +216,7 @@ def test_bound_report_holds_and_serializes():
                        pair.f_source, pair.f_target)
     assert report.holds
     assert report.target_risk <= report.rhs + 1e-6
-    d = report.to_dict()
+    d = asdict(report)
     assert set(d) == {"source_risk", "w1_term", "disagreement", "rhs",
                       "target_risk", "holds"}
     assert d["rhs"] == pytest.approx(d["source_risk"] + d["w1_term"]
