@@ -17,8 +17,7 @@ from .data import (Dataset, DomainPair, LabelingFunction, batch_iterator,
                    load_csv, load_idx, standardize_features)
 from .errors import (AcdaError, CapacityError, CheckpointError, ConfigError,
                      DataError, GraphError, TrainingDivergedError, TransportError)
-from .experiments import (ExperimentConfig, compare_strategies, parse_config,
-                          run_experiment)
+from .experiments import ExperimentConfig, parse_config, run_experiment
 from .nets import (NetworkParams, NetworkSpec, cross_entropy, forward,
                    init_network, load_checkpoint, predictive_entropy,
                    save_checkpoint)

@@ -1,18 +1,17 @@
 """Command-line interface.
 
 Subcommands:
-  run <config>       execute the configured experiment (one run per seed)
-  compare <config>   sweep strategies x seeds and summarize final accuracy
+  run <config>       run every configured strategy on every configured seed
   gen <config>       write the pools one seed's run trains on as CSV
   check              run fast self-diagnostics, printing PASS/FAIL per item
 
 Every run setting is a config key (the TrainConfig fields but seed, the
 dataset.* keys of the chosen kind, seeds, standardize and out_dir), each set
-once in the file.  Flags pick only the seeds and the output root: run and gen
-take --seed, one seed that replaces the config's seeds; compare takes --seeds,
-a list such as '1..20' or '3,5,8', and --strategies.  All three take --out,
-which defaults to the config's out_dir.  check takes no flags.  A negative
-seed exits with status 2 before anything is written.
+once in the file; ``strategy`` takes a list such as 'active,random,none'.
+Flags pick only the seed and the output root: run and gen take --seed, one
+seed that replaces the config's seeds, and --out, which defaults to the
+config's out_dir.  check takes no flags.  A negative seed exits with status
+2 before anything is written.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from . import experiments, transport
 from .acda import lambda_w, uncertainty_weights, weighted_query_loss
 from .data import export_csv
 from .errors import AcdaError
-from .experiments import compare_strategies, parse_config, parse_seeds, run_experiment
+from .experiments import parse_config, parse_seeds, run_experiment
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -36,25 +35,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Active adversarial domain adaptation experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, summary):
-        # no abbreviations, so compare does not read --seed as --seeds
+    for name, summary in (("run", "run every configured strategy on every seed"),
+                          ("gen", "write one seed's training pools as CSV")):
+        # no abbreviations: each flag has one spelling
         p = sub.add_parser(name, help=summary, allow_abbrev=False)
         p.add_argument("config", help="path to a key=value config file")
         p.add_argument("--out", default=None,
                        help="output directory root (default: the config's out_dir)")
-        return p
-
-    def one_seed(p):
         p.add_argument("--seed", type=int, default=None, dest="seeds",
                        help="one seed, replacing the config's seeds")
-
-    one_seed(command("run", "execute the configured experiment"))
-    p_cmp = command("compare", "sweep strategies x seeds")
-    p_cmp.add_argument("--strategies", default="active,random,none",
-                       help="comma-separated strategies to compare")
-    p_cmp.add_argument("--seeds", default=None,
-                       help="seed list replacing the config's, e.g. '1..20' or '3,5,8'")
-    one_seed(command("gen", "write one seed's training pools as CSV"))
 
     sub.add_parser("check", help="run fast self-diagnostics")
     return parser
@@ -71,13 +60,6 @@ def _load(args):
 def _cmd_run(args) -> int:
     config = _load(args)
     return run_experiment(config, out_dir=args.out or config.out_dir)
-
-
-def _cmd_compare(args) -> int:
-    config = _load(args)
-    strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
-    _, status = compare_strategies(config, strategies, out_dir=args.out or config.out_dir)
-    return status
 
 
 def _cmd_gen(args) -> int:
@@ -146,8 +128,7 @@ def _cmd_check(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handler = {"run": _cmd_run, "compare": _cmd_compare,
-               "gen": _cmd_gen, "check": _cmd_check}[args.command]
+    handler = {"run": _cmd_run, "gen": _cmd_gen, "check": _cmd_check}[args.command]
     try:
         return handler(args)
     except (AcdaError, OSError, ValueError) as exc:

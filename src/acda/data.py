@@ -12,6 +12,7 @@ disagreement is exactly zero on any sample.
 from __future__ import annotations
 
 import csv
+import io
 import struct
 from dataclasses import dataclass
 
@@ -32,6 +33,7 @@ __all__ = [
     "batch_iterator",
     "export_csv",
     "load_csv",
+    "read_text",
     "standardize_features",
 ]
 
@@ -328,34 +330,45 @@ def export_csv(path, source: Dataset, target: Dataset):
                 writer.writerow([repr(float(v)) for v in row] + [label, tag])
 
 
+def read_text(path, error: type = DataError) -> str:
+    """The file's UTF-8 text; other bytes are an ``error`` naming file and line."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = raw.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}: line {line_no}: not UTF-8 text ({exc.reason} "
+                    f"at byte {exc.start})") from None
+
+
 def load_csv(path):
     """Inverse of :func:`export_csv`; returns ``(source, target)``.
 
     Ships as the reader of the CSV that ``acda gen`` writes, so the pools a
     run trains on can be read back and tests can round-trip them."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])  # an empty file fails the column check
-        if len(header) < 3 or header[-2:] != ["label", "domain"]:
-            raise DataError(f"{path}: expected columns x_0..x_(d-1), label, domain")
-        d = len(header) - 2
-        feats = {"source": [], "target": []}
-        labels = {"source": [], "target": []}
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != d + 2:
-                raise DataError(f"{path}: line {line_no}: expected {d + 2} fields")
-            tag = row[-1]
-            if tag not in feats:
-                raise DataError(f"{path}: line {line_no}: unknown domain {tag!r}")
-            try:
-                feats[tag].append([float(v) for v in row[:d]])
-                label = None if row[-2] == "" else int(row[-2])
-            except ValueError as exc:
-                raise DataError(f"{path}: line {line_no}: {exc}") from None
-            if labels[tag] and (labels[tag][0] is None) != (label is None):
-                raise DataError(f"{path}: line {line_no}: {tag} rows must be all "
-                                f"labelled or all unlabelled")
-            labels[tag].append(label)
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    header = next(reader, [])  # an empty file fails the column check
+    if len(header) < 3 or header[-2:] != ["label", "domain"]:
+        raise DataError(f"{path}: expected columns x_0..x_(d-1), label, domain")
+    d = len(header) - 2
+    feats = {"source": [], "target": []}
+    labels = {"source": [], "target": []}
+    for line_no, row in enumerate(reader, start=2):
+        if len(row) != d + 2:
+            raise DataError(f"{path}: line {line_no}: expected {d + 2} fields")
+        tag = row[-1]
+        if tag not in feats:
+            raise DataError(f"{path}: line {line_no}: unknown domain {tag!r}")
+        try:
+            feats[tag].append([float(v) for v in row[:d]])
+            label = None if row[-2] == "" else int(row[-2])
+        except ValueError as exc:
+            raise DataError(f"{path}: line {line_no}: {exc}") from None
+        if labels[tag] and (labels[tag][0] is None) != (label is None):
+            raise DataError(f"{path}: line {line_no}: {tag} rows must be all "
+                            f"labelled or all unlabelled")
+        labels[tag].append(label)
     out = []
     for tag in ("source", "target"):
         x = np.asarray(feats[tag], dtype=np.float64).reshape(len(feats[tag]), d)

@@ -3,13 +3,16 @@
 Config files are flat ``key = value`` text with ``#`` comments, each key set
 at most once.  Dataset parameters live under a ``dataset.`` prefix (one
 generator per config).
-Every run writes a per-epoch metrics CSV, one RunRecord JSON per seed, a
-final-parameter checkpoint, and a MANIFEST describing success or failure.
+An experiment runs every configured strategy on every seed.  It writes a
+per-epoch metrics CSV, one RunRecord JSON and final-parameter checkpoint per
+finished run, a MANIFEST describing success or failure, and a summary of
+final target accuracy per strategy.
 All outputs are byte-stable for a fixed (config, seed).
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -20,7 +23,7 @@ import numpy as np
 from . import nets
 from .acda import RunRecord, TrainConfig, accuracy, run_algorithm_1
 from .data import (Dataset, DomainPair, gen_gaussian_shift_pair,
-                   gen_two_moons_pair, load_idx_pair, standardize_features)
+                   gen_two_moons_pair, load_idx_pair, read_text, standardize_features)
 from .errors import ConfigError, TrainingDivergedError
 from .seeding import derive_seed
 
@@ -30,7 +33,6 @@ __all__ = [
     "parse_seeds",
     "build_pair",
     "run_experiment",
-    "compare_strategies",
     "METRICS_HEADER",
     "METRICS_VERSION_LINE",
 ]
@@ -63,18 +65,21 @@ def _dataset_defaults(kind: str) -> dict:
 
 @dataclass
 class ExperimentConfig:
-    """A TrainConfig plus dataset recipe, seed list and output location."""
+    """A TrainConfig plus dataset recipe, strategy and seed lists and output
+    location; each run takes its strategy and seed from the lists."""
 
     train: TrainConfig = field(default_factory=TrainConfig)
     dataset: dict = field(default_factory=lambda: _dataset_defaults(_DEFAULT_KIND))
     out_dir: str = "runs"
+    strategies: list = field(default_factory=lambda: ["active"])
     seeds: list = field(default_factory=lambda: [0])
     standardize: bool = True
 
 
-# The TrainConfig fields a config file sets: all but seed, which each run
-# takes from ``seeds``.
-_TRAIN_DEFAULTS = {f.name: f.default for f in fields(TrainConfig) if f.name != "seed"}
+# The TrainConfig fields a config file sets: all but seed and strategy, which
+# each run takes from ``seeds`` and ``strategies``.
+_TRAIN_DEFAULTS = {f.name: f.default for f in fields(TrainConfig)
+                   if f.name not in ("seed", "strategy")}
 
 
 def _at(line_no) -> str:
@@ -119,22 +124,42 @@ def parse_seeds(raw: str, line_no: int | None = None) -> list:
     return seeds
 
 
+def _check_train_field(key: str, value, line_no: int):
+    try:  # each TrainConfig check reads one field, so check it alone
+        TrainConfig(**{key: value})
+    except ValueError as exc:
+        raise ConfigError(f"line {line_no}: {exc}") from None
+
+
+def _parse_strategies(raw: str, line_no: int) -> list:
+    """Strategies from 'a' or 'a,b,c', spaces stripped; ConfigError if one is
+    empty, repeated or unknown."""
+    names = [name.strip() for name in raw.split(",")]
+    if "" in names:
+        raise ConfigError(f"line {line_no}: strategy list '{raw}' has an empty entry")
+    if len(set(names)) != len(names):
+        raise ConfigError(f"line {line_no}: strategy list '{raw}' repeats a strategy")
+    for name in names:
+        _check_train_field("strategy", name, line_no)
+    return names
+
+
 def parse_config(path: str) -> ExperimentConfig:
     """Parse a flat key=value config file; unknown or repeated keys are errors."""
     entries: dict = {}  # key -> (raw value, line number)
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ConfigError(f"line {line_no}: expected 'key = value', got '{text}'")
-            key, _, raw = text.partition("=")
-            key = key.strip()
-            if key in entries:
-                raise ConfigError(
-                    f"line {line_no}: key '{key}' is already set on line {entries[key][1]}")
-            entries[key] = (raw.strip(), line_no)
+    lines = io.StringIO(read_text(path, ConfigError), newline=None)
+    for line_no, line in enumerate(lines, start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise ConfigError(f"line {line_no}: expected 'key = value', got '{text}'")
+        key, _, raw = text.partition("=")
+        key = key.strip()
+        if key in entries:
+            raise ConfigError(
+                f"line {line_no}: key '{key}' is already set on line {entries[key][1]}")
+        entries[key] = (raw.strip(), line_no)
 
     kind, line_no = entries.pop("dataset.kind", (_DEFAULT_KIND, None))
     if kind not in _DATASETS:
@@ -148,6 +173,8 @@ def parse_config(path: str) -> ExperimentConfig:
             cfg.out_dir = raw
         elif key == "seeds":
             cfg.seeds = parse_seeds(raw, line_no)
+        elif key == "strategy":
+            cfg.strategies = _parse_strategies(raw, line_no)
         elif key == "standardize":
             if raw.lower() not in ("true", "false"):
                 raise ConfigError(f"line {line_no}: standardize expects true/false")
@@ -160,10 +187,7 @@ def parse_config(path: str) -> ExperimentConfig:
             cfg.dataset[sub] = _coerce(raw, type(dataset_defaults[sub]), key, line_no)
         elif key in _TRAIN_DEFAULTS:
             value = _coerce(raw, type(_TRAIN_DEFAULTS[key]), key, line_no)
-            try:  # each TrainConfig check reads one field, so check it alone
-                TrainConfig(**{key: value})
-            except ValueError as exc:
-                raise ConfigError(f"line {line_no}: {exc}") from None
+            _check_train_field(key, value, line_no)
             train_kw[key] = value
         else:
             raise ConfigError(f"line {line_no}: unknown key '{key}'")
@@ -221,23 +245,51 @@ def _metrics_rows(record: RunRecord, strategy: str, seed: int) -> list:
     return rows
 
 
+def _write_lines(path: str, lines: list):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(line + "\n" for line in lines)
+
+
 def _write_json(path: str, obj: dict):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    _write_lines(path, [json.dumps(obj, sort_keys=True, indent=1)])
 
 
-def _run_pairs(config: ExperimentConfig, pairs: list, out: str):
-    """Run each (strategy, seed) pair; returns ``(finals, exit_status)``.
+def _run_and_save(config: ExperimentConfig, run_seed: int, strategy: str, pools,
+                  out: str) -> tuple:
+    """Run one (strategy, seed) pair, write its RunRecord JSON and checkpoint,
+    and return its ``(metrics rows, manifest entry)``; a diverged run has no
+    rows and no files, and its entry says so."""
+    tag = f"{strategy}-seed{run_seed}"
+    try:
+        record = _run_one(config, run_seed, strategy, pools)
+    except TrainingDivergedError as exc:
+        return [], {"run": tag, "status": "diverged", "epoch": exc.epoch}
+    _write_json(os.path.join(out, f"run-{tag}.json"), record.to_dict())
+    nets.save_checkpoint(os.path.join(out, f"run-{tag}.ckpt"), record.params)
+    return _metrics_rows(record, strategy, run_seed), {
+        "run": tag, "status": "ok", "record": f"run-{tag}.json", "checkpoint": f"run-{tag}.ckpt",
+        "final_source_accuracy": record.final_source_accuracy,
+        "final_target_accuracy": record.final_target_accuracy,
+    }
 
-    Writes a RunRecord JSON and a checkpoint per finished run, one
-    ``metrics.csv`` over all of them, and a ``MANIFEST.json`` that marks a
-    diverged run and sets the status to "failed" without stopping the rest.
-    ``finals`` maps each strategy to its finished runs' final target accuracy;
-    the exit status is 0, or 1 when a run diverged.  No pair, a repeated pair,
-    one that ``TrainConfig`` refuses, or a dataset that the first run's pools
-    cannot be built from, is a ConfigError before anything is written.
+
+def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> int:
+    """Run every strategy of ``config.strategies`` on every seed of
+    ``config.seeds``; returns the exit status, 0, or 1 when a run diverged.
+
+    Builds each seed's pools once, for all its strategies.  Writes a
+    RunRecord JSON and a checkpoint per finished run, one ``metrics.csv``
+    over all of them, a ``MANIFEST.json`` that marks a diverged run and sets
+    the status to "failed" without stopping the rest, and ``summary.csv``
+    (see :func:`_summary_lines`).  Rows and manifest entries go strategy by
+    strategy, then seed by seed, in list order.  No strategy or no seed, a
+    repeated pair, one that ``TrainConfig`` refuses, or a dataset that the
+    first seed's pools cannot be built from, is a ConfigError before
+    anything is written.
     """
+    out = out_dir if out_dir is not None else config.out_dir
+    pairs = [(strategy, run_seed) for strategy in config.strategies
+             for run_seed in config.seeds]
     if not pairs:
         raise ConfigError("nothing to run: need at least one strategy and one seed")
     for i, (strategy, run_seed) in enumerate(pairs):
@@ -249,93 +301,37 @@ def _run_pairs(config: ExperimentConfig, pairs: list, out: str):
         except ValueError as exc:
             raise ConfigError(f"run '{tag}': {exc}") from None
     try:
-        pools = _pools_for_run(config, pairs[0][1])
+        pools = _pools_for_run(config, config.seeds[0])
     except ValueError as exc:
         raise ConfigError(f"dataset: {exc}") from None
     os.makedirs(out, exist_ok=True)
-    rows = []
-    manifest = {"runs": [], "status": "ok"}
-    finals: dict = {}
-    for i, (strategy, run_seed) in enumerate(pairs):
-        tag = f"{strategy}-seed{run_seed}"
+    results, finals = {}, {strategy: [] for strategy in config.strategies}
+    for i, run_seed in enumerate(config.seeds):
         if i:
             pools = _pools_for_run(config, run_seed)
-        try:
-            record = _run_one(config, run_seed, strategy, pools)
-        except TrainingDivergedError as exc:
-            manifest["runs"].append({"run": tag, "status": "diverged",
-                                     "epoch": exc.epoch})
-            manifest["status"] = "failed"
-            continue
-        finals.setdefault(strategy, []).append(record.final_target_accuracy)
-        rows.extend(_metrics_rows(record, strategy, run_seed))
-        record_path = os.path.join(out, f"run-{tag}.json")
-        _write_json(record_path, record.to_dict())
-        ckpt_path = os.path.join(out, f"run-{tag}.ckpt")
-        nets.save_checkpoint(ckpt_path, record.params)
-        manifest["runs"].append({
-            "run": tag, "status": "ok",
-            "record": os.path.basename(record_path),
-            "checkpoint": os.path.basename(ckpt_path),
-            "final_source_accuracy": record.final_source_accuracy,
-            "final_target_accuracy": record.final_target_accuracy,
-        })
-    _write_metrics(os.path.join(out, "metrics.csv"), rows)
-    _write_json(os.path.join(out, "MANIFEST.json"), manifest)
-    return finals, 0 if manifest["status"] == "ok" else 1
+        for strategy in config.strategies:
+            rows, entry = _run_and_save(config, run_seed, strategy, pools, out)
+            results[strategy, run_seed] = rows, entry
+            if entry["status"] == "ok":
+                finals[strategy].append(entry["final_target_accuracy"])
+    runs = [results[pair][1] for pair in pairs]
+    status = "ok" if all(run["status"] == "ok" for run in runs) else "failed"
+    _write_lines(os.path.join(out, "metrics.csv"), [METRICS_VERSION_LINE, METRICS_HEADER]
+                 + [row for pair in pairs for row in results[pair][0]])
+    _write_json(os.path.join(out, "MANIFEST.json"), {"runs": runs, "status": status})
+    _write_lines(os.path.join(out, "summary.csv"), _summary_lines(finals))
+    return 0 if status == "ok" else 1
 
 
-def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> int:
-    """One run per seed under config.train.strategy; returns exit status.
-    A negative, non-integer or repeated seed is a ConfigError before
-    anything is written."""
-    out = out_dir if out_dir is not None else config.out_dir
-    pairs = [(config.train.strategy, run_seed) for run_seed in config.seeds]
-    _, status = _run_pairs(config, pairs, out)
-    return status
-
-
-def _write_metrics(path: str, rows: list):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(METRICS_VERSION_LINE + "\n")
-        fh.write(METRICS_HEADER + "\n")
-        for row in rows:
-            fh.write(row + "\n")
-
-
-def compare_strategies(config: ExperimentConfig, strategies: list,
-                       out_dir: str | None = None) -> tuple:
-    """Run every strategy on every seed of ``config.seeds``; summarize final
-    target accuracy.
-
-    Raises ConfigError before any training for an empty, unknown or repeated
-    strategy or seed.  Writes the same per-run files and MANIFEST as
-    :func:`run_experiment`, a diverged run included.  Returns
-    ``(summary, status)``: summary rows [(strategy, mean, sd)] over the
-    finished runs, and :func:`run_experiment`'s exit status (1 when a run
-    diverged).  Writes the rows with each strategy's finished-run count to
-    summary.csv, and prints a small table.
-    Pairwise mean differences (e.g. active − random) follow the rows; a
-    strategy with no finished run has neither.
-    """
-    out = out_dir if out_dir is not None else config.out_dir
-    pairs = [(s, seed) for s in strategies for seed in config.seeds]
-    finals, status = _run_pairs(config, pairs, out)
-
-    summary = [(s, float(np.mean(finals[s])), float(np.std(finals[s])))
-               for s in strategies if s in finals]
+def _summary_lines(finals: dict) -> list:
+    """summary.csv: one row per strategy with finished runs, in ``finals``'
+    order, with the mean and sd of their final target accuracy and their
+    count; then the mean difference of every pair of those strategies (e.g.
+    active − random).  A strategy with no finished run has neither."""
+    done = {strategy: accs for strategy, accs in finals.items() if accs}
     lines = ["strategy,mean_target_accuracy,sd_target_accuracy,finished_runs"]
-    print(f"{'strategy':10s} {'mean':>8s} {'sd':>8s} {'runs':>5s}")
-    for s, mean, sd in summary:
-        lines.append(f"{s},{mean!r},{sd!r},{len(finals[s])}")
-        print(f"{s:10s} {mean:8.4f} {sd:8.4f} {len(finals[s]):5d}")
-    for i, a in enumerate(strategies):
-        for b in strategies[i + 1:]:
-            if a not in finals or b not in finals:
-                continue
-            diff = float(np.mean(finals[a]) - np.mean(finals[b]))
-            lines.append(f"{a}_minus_{b},{diff!r},,")
-            print(f"{a} - {b} mean difference: {diff:+.4f}")
-    with open(os.path.join(out, "summary.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return summary, status
+    lines += [f"{s},{float(np.mean(accs))!r},{float(np.std(accs))!r},{len(accs)}"
+              for s, accs in done.items()]
+    names = list(done)
+    return lines + [f"{a}_minus_{b},{float(np.mean(done[a]) - np.mean(done[b]))!r},,"
+                    for i, a in enumerate(names) for b in names[i + 1:]]

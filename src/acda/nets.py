@@ -337,7 +337,10 @@ def load_checkpoint(path) -> dict:
     networks = {}
     for _ in range(count):
         (name_len,) = r.unpack("<B")
-        name = r.take(name_len).decode("utf8")
+        try:
+            name = r.take(name_len).decode("utf8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: network name {exc.object!r} is not UTF-8") from None
         (n_widths,) = r.unpack("<I")
         if n_widths < 2 or n_widths > 1024:
             raise CheckpointError(f"implausible width count {n_widths}")

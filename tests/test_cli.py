@@ -11,8 +11,7 @@ from acda.cli import main
 from acda.errors import ConfigError
 from acda.data import load_csv
 from acda.experiments import (METRICS_HEADER, METRICS_VERSION_LINE, _pools_for_run,
-                              build_pair, compare_strategies, parse_config,
-                              run_experiment)
+                              build_pair, parse_config, run_experiment)
 
 SMALL_DATASET = """
 dataset.kind = two_moons
@@ -48,6 +47,7 @@ def test_empty_config_gets_documented_defaults(tmp_path):
     assert cfg.dataset == {"kind": "two_moons", "n_source": 1000, "n_target": 1000,
                            "rotation_deg": 40.0, "noise_sd": 0.1, "label_flip_rate": 0.1}
     assert cfg.seeds == [0]
+    assert cfg.strategies == ["active"]
     assert cfg.standardize is True
 
 
@@ -63,12 +63,14 @@ out_dir = /tmp/somewhere
 """))
     assert cfg.train.budget == 0.05
     assert cfg.train.lambda_div == 2.5
-    assert cfg.train.strategy == "random"
+    assert cfg.strategies == ["random"]
     assert cfg.seeds == [1, 2, 3, 4]
     assert cfg.dataset["n_classes"] == 3
     assert cfg.out_dir == "/tmp/somewhere"
-    cfg2 = parse_config(write_cfg(tmp_path, "seeds = 3,5,8\n", "b.cfg"))
+    cfg2 = parse_config(write_cfg(tmp_path, "seeds = 3,5,8\nstrategy = active, random\n",
+                                  "b.cfg"))
     assert cfg2.seeds == [3, 5, 8]
+    assert cfg2.strategies == ["active", "random"]
 
 
 def test_config_unknown_key_reports_line_number(tmp_path):
@@ -132,7 +134,12 @@ def test_config_range_error_for_budget(tmp_path):
     ("budget", "1.5", r"budget must lie in \(0, 1\), got 1.5"),
     ("batch_size", "0", "batch_size must be >= 1"),
     ("strategy", "bogus", "unknown strategy 'bogus'"),
-], ids=["budget", "batch_size", "strategy"])
+    ("strategy", "active, bogus", "unknown strategy 'bogus'"),
+    ("strategy", "random,random", "strategy list 'random,random' repeats a strategy"),
+    ("strategy", "active,,none", "strategy list 'active,,none' has an empty entry"),
+    ("strategy", "", "strategy list '' has an empty entry"),
+], ids=["budget", "batch_size", "strategy", "strategy-list-unknown", "strategy-list-repeated",
+        "strategy-list-empty-entry", "strategy-empty"])
 def test_config_range_errors_report_line(tmp_path, key, value, message):
     body = f"seeds = 1\n# a comment\n{key} = {value}\nlambda_div = 1\n"
     with pytest.raises(ConfigError, match=f"^line 3: {message}"):
@@ -261,26 +268,28 @@ _MISSING_IDX = "".join(f"dataset.{domain}_{part} = missing-{domain}.{part}\n"
      "max_items must be non-negative"),
 ], ids=["moons-n_source-1", "moons-noise_sd-negative", "gaussian-swap_fraction-2",
         "idx-max_items-negative"])
-@pytest.mark.parametrize("entry", ["run_experiment", "compare_strategies"])
+@pytest.mark.parametrize("strategy", ["", "strategy = active,random\n"],
+                         ids=["run_experiment", "several-strategies"])
 def test_a_dataset_the_builder_refuses_is_a_config_error_before_writing(tmp_path, dataset,
-                                                                        message, entry):
-    cfg = parse_config(write_cfg(tmp_path, SMALL_TRAIN + dataset + "seeds = 1,2\n"))
+                                                                        message, strategy):
+    cfg = parse_config(write_cfg(tmp_path, SMALL_TRAIN + dataset + strategy + "seeds = 1,2\n"))
     out = tmp_path / "out"
     with pytest.raises(ConfigError, match=f"dataset: {message}"):
-        if entry == "run_experiment":
-            run_experiment(cfg, out_dir=str(out))
-        else:
-            compare_strategies(cfg, ["active", "random"], out_dir=str(out))
+        run_experiment(cfg, out_dir=str(out))
     assert not out.exists()
 
 
 def test_compare_refuses_an_empty_strategy_list(tmp_path, capsys):
+    """An empty strategy list is refused in code and in the file alike."""
     cfg_path = write_cfg(tmp_path, SMALL_TRAIN + SMALL_DATASET)
     out = tmp_path / "out"
+    cfg = parse_config(cfg_path)
+    cfg.strategies = []
     with pytest.raises(ConfigError, match="at least one strategy"):
-        compare_strategies(parse_config(cfg_path), [], out_dir=str(out))
-    assert main(["compare", cfg_path, "--strategies", ",", "--out", str(out)]) == 2
-    assert "at least one strategy" in capsys.readouterr().err
+        run_experiment(cfg, out_dir=str(out))
+    empty_path = write_cfg(tmp_path, SMALL_TRAIN + SMALL_DATASET + "strategy = ,\n", "e.cfg")
+    assert main(["run", empty_path, "--out", str(out)]) == 2
+    assert "strategy list ',' has an empty entry" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -295,38 +304,71 @@ def test_checkpoints_reload_with_final_parameters(tmp_path):
     assert nets["F"].spec.input_dim == 2
 
 
-# ------------------------------------------------------ compare_strategies
+# ----------------------------------------- comparisons: several strategies
 
 
-def test_compare_single_strategy_has_no_difference_rows(tmp_path, capsys):
+def test_compare_single_strategy_has_no_difference_rows(tmp_path):
+    """A run of one strategy still writes summary.csv, with no difference rows."""
     cfg = parse_config(write_cfg(tmp_path, SMALL_TRAIN + SMALL_DATASET + "seeds = 1,2\n"))
     out = str(tmp_path / "cmp")
-    compare_strategies(cfg, ["active"], out_dir=out)
+    assert run_experiment(cfg, out_dir=out) == 0
     lines = open(os.path.join(out, "summary.csv")).read().splitlines()
     assert len(lines) == 2  # header + one strategy row
     assert lines[1].startswith("active,")
 
 
 @pytest.mark.parametrize("strategies,message", [
-    (["random", "random"], "named twice"),
-    (["random", "bogus"], "unknown strategy 'bogus'"),
+    (["random", "random"], "run 'random-seed1' is named twice"),
+    (["random", "bogus"], "run 'bogus-seed1': unknown strategy 'bogus'"),
 ], ids=["repeated", "unknown"])
 def test_compare_rejects_bad_strategies_before_training(tmp_path, strategies, message):
+    """A config built in code skips parse_config's checks; the runner refuses
+    a bad strategy list before it trains or writes anything."""
     cfg = parse_config(write_cfg(tmp_path, SMALL_TRAIN + SMALL_DATASET + "seeds = 1\n"))
+    cfg.strategies = strategies
     out = tmp_path / "cmp"
     with pytest.raises(ConfigError, match=message):
-        compare_strategies(cfg, strategies, out_dir=str(out))
+        run_experiment(cfg, out_dir=str(out))
     assert not out.exists()
 
 
 def test_compare_reports_active_minus_random(tmp_path):
-    cfg = parse_config(write_cfg(tmp_path, SMALL_TRAIN + SMALL_DATASET + "seeds = 1,2\n"))
+    cfg = parse_config(write_cfg(tmp_path, SMALL_TRAIN + SMALL_DATASET
+                                 + "strategy = active,random\nseeds = 1,2\n"))
     out = str(tmp_path / "cmp")
-    summary, status = compare_strategies(cfg, ["active", "random"], out_dir=out)
-    assert status == 0
-    assert [s for s, _, _ in summary] == ["active", "random"]
+    assert run_experiment(cfg, out_dir=out) == 0
     lines = open(os.path.join(out, "summary.csv")).read().splitlines()
-    assert any(l.startswith("active_minus_random,") for l in lines)
+    assert [l.split(",")[0] for l in lines] == [
+        "strategy", "active", "random", "active_minus_random"]
+
+
+def test_compare_builds_each_seeds_pools_once(tmp_path, monkeypatch):
+    """Seeds run outer and strategies inner, so a seed's pools serve all its
+    strategies; rows and manifest entries still go strategy by strategy."""
+    import acda.experiments as experiments
+    from acda.errors import TrainingDivergedError
+
+    real_pools = experiments._pools_for_run
+    built, ran = [], []
+
+    def pools_for_run(config, run_seed):
+        built.append(run_seed)
+        return real_pools(config, run_seed)
+
+    def run_one(config, run_seed, strategy, pools):
+        ran.append((strategy, run_seed))
+        raise TrainingDivergedError(0)  # no training: only the order matters
+
+    monkeypatch.setattr(experiments, "_pools_for_run", pools_for_run)
+    monkeypatch.setattr(experiments, "_run_one", run_one)
+    cfg = parse_config(write_cfg(tmp_path, SMALL_TRAIN + SMALL_DATASET
+                                 + "strategy = active,random,none\nseeds = 1,2\n"))
+    assert run_experiment(cfg, out_dir=str(tmp_path / "out")) == 1
+    assert built == [1, 2]
+    assert ran == [(s, seed) for seed in (1, 2) for s in ("active", "random", "none")]
+    manifest = json.load(open(tmp_path / "out" / "MANIFEST.json"))
+    assert [r["run"] for r in manifest["runs"]] == [
+        f"{s}-seed{seed}" for s in ("active", "random", "none") for seed in (1, 2)]
 
 
 # ----------------------------------------------------------------- the CLI
@@ -387,8 +429,9 @@ _REMOVED_FLAGS = [["--budget", "0.2"], ["--lambda-div", "3"], ["--strategy", "no
                                   for flags in _REMOVED_FLAGS] + [["compare", "--seed", "3"]],
                          ids=lambda argv: "-".join(argv[:2]).replace("--", ""))
 def test_cli_settings_are_not_flags(tmp_path, monkeypatch, argv):
-    """Run settings are config keys only, and compare takes its seeds from
-    --seeds: each of these flags exits 2 before any output directory exists."""
+    """Run settings are config keys only, and ``compare`` is no command (a
+    comparison is ``run`` on a config whose ``strategy`` lists several): each
+    of these exits 2 before any output directory exists."""
     monkeypatch.chdir(tmp_path)
     cfg_path = write_cfg(tmp_path, SMALL_TRAIN + SMALL_DATASET)
     with pytest.raises(SystemExit) as exc:
@@ -398,22 +441,21 @@ def test_cli_settings_are_not_flags(tmp_path, monkeypatch, argv):
 
 
 def test_cli_compare_seed_list(tmp_path):
-    cfg_path = write_cfg(tmp_path, SMALL_TRAIN + SMALL_DATASET)
+    cfg_path = write_cfg(tmp_path, SMALL_TRAIN + SMALL_DATASET
+                         + "strategy = random,none\nseeds = 1..2\n")
     out = str(tmp_path / "cmp-out")
-    code = main(["compare", cfg_path, "--strategies", "random,none",
-                 "--seeds", "1..2", "--out", out])
-    assert code == 0
+    assert main(["run", cfg_path, "--out", out]) == 0
     assert os.path.exists(os.path.join(out, "summary.csv"))
     assert os.path.exists(os.path.join(out, "run-none-seed2.json"))
 
 
 def test_cli_compare_strips_spaces_around_strategy_names(tmp_path):
-    cfg_path = write_cfg(tmp_path, SMALL_TRAIN + SMALL_DATASET)
     written = {}
     for name, strategies in (("plain", "active,random"), ("spaced", "active, random")):
+        cfg_path = write_cfg(tmp_path, SMALL_TRAIN + SMALL_DATASET + "seeds = 1\n"
+                             + f"strategy = {strategies}\n", f"{name}.cfg")
         out = tmp_path / name
-        assert main(["compare", cfg_path, "--strategies", strategies,
-                     "--seeds", "1", "--out", str(out)]) == 0
+        assert main(["run", cfg_path, "--out", str(out)]) == 0
         written[name] = {p.name: p.read_bytes() for p in out.iterdir()}
     assert "run-random-seed1.json" in written["spaced"]
     assert written["spaced"] == written["plain"]
@@ -421,18 +463,21 @@ def test_cli_compare_strips_spaces_around_strategy_names(tmp_path):
 
 @pytest.mark.parametrize("seeds", ["5..1", "x", "1..y", "1,1"])
 def test_cli_compare_bad_seed_list_exits_with_config_error(tmp_path, capsys, seeds):
-    cfg_path = write_cfg(tmp_path, SMALL_TRAIN + SMALL_DATASET)
-    code = main(["compare", cfg_path, "--seeds", seeds, "--out", str(tmp_path / "o")])
+    cfg_path = write_cfg(tmp_path, SMALL_TRAIN + SMALL_DATASET
+                         + f"strategy = active,random\nseeds = {seeds}\n")
+    code = main(["run", cfg_path, "--out", str(tmp_path / "o")])
     assert code == 2
     assert "seeds" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("argv", [["run", "--seed", "-1"], ["compare", "--seeds", "1,-1"],
-                                  ["gen", "--seed", "-1"]],
-                         ids=["run", "compare-seeds", "gen"])
-def test_cli_negative_seed_exits_before_writing(tmp_path, capsys, argv):
-    cfg_path = write_cfg(tmp_path, SMALL_TRAIN + SMALL_DATASET)
+@pytest.mark.parametrize("argv,body", [
+    (["run", "--seed", "-1"], ""),
+    (["run"], "strategy = active,random\nseeds = 1,-1\n"),
+    (["gen", "--seed", "-1"], ""),
+], ids=["run", "compare-seeds", "gen"])
+def test_cli_negative_seed_exits_before_writing(tmp_path, capsys, argv, body):
+    cfg_path = write_cfg(tmp_path, SMALL_TRAIN + SMALL_DATASET + body)
     code = main([argv[0], cfg_path] + argv[1:] + ["--out", str(tmp_path / "o")])
     assert code == 2
     assert "non-negative" in capsys.readouterr().err
@@ -451,10 +496,10 @@ def test_cli_compare_records_diverged_seed_and_finishes(tmp_path, monkeypatch):
         return real_run_one(config, run_seed, strategy, pools)
 
     monkeypatch.setattr(experiments, "_run_one", run_one)
-    cfg_path = write_cfg(tmp_path, SMALL_TRAIN + SMALL_DATASET)
+    cfg_path = write_cfg(tmp_path, SMALL_TRAIN + SMALL_DATASET
+                         + "strategy = active,random\nseeds = 1,2\n")
     out = tmp_path / "cmp-out"
-    code = main(["compare", cfg_path, "--strategies", "active,random",
-                 "--seeds", "1,2", "--out", str(out)])
+    code = main(["run", cfg_path, "--out", str(out)])
     assert code == 1
     manifest = json.load(open(out / "MANIFEST.json"))
     assert manifest["status"] == "failed"

@@ -8,7 +8,9 @@ import pytest
 from acda.data import (Dataset, LabelingFunction, batch_iterator, export_csv,
                        gen_gaussian_shift_pair, gen_two_moons_pair, load_csv,
                        load_idx, standardize_features)
-from acda.errors import DataError
+from acda.errors import CheckpointError, ConfigError, DataError
+from acda.experiments import parse_config
+from acda.nets import NetworkSpec, init_network, load_checkpoint, save_checkpoint
 
 
 # ---------------------------------------------------------------- two moons
@@ -254,3 +256,24 @@ def test_load_csv_rejects_an_empty_file(tmp_path):
     path.write_bytes(b"")
     with pytest.raises(DataError, match="empty.csv: expected columns"):
         load_csv(path)
+
+
+@pytest.mark.parametrize("name, content, reader, error, message", [
+    ("nets.ckpt", None, load_checkpoint, CheckpointError,
+     r"nets.ckpt: network name b'\\xff\\xfe' is not UTF-8"),
+    ("pair.csv", b"x_0,x_1,label,domain\n0.0,0.0,0,source\n0.5,1.0,\xff,target\n", load_csv,
+     DataError, "pair.csv: line 3: not UTF-8 text"),
+    ("exp.cfg", b"budget = 0.1\n# caf\xff\nseeds = 1\n", parse_config, ConfigError,
+     "exp.cfg: line 2: not UTF-8 text"),
+], ids=["checkpoint", "csv", "config"])
+def test_non_utf8_input_is_a_typed_error_naming_the_file(tmp_path, name, content, reader,
+                                                         error, message):
+    path = tmp_path / name
+    if content is None:  # a checkpoint whose one network's two-byte name is not UTF-8
+        save_checkpoint(path, {"ab": init_network(NetworkSpec((2, 3, 1), "identity"), 0)})
+        blob = path.read_bytes()
+        assert blob[6:9] == b"\x02ab"
+        content = blob[:7] + b"\xff\xfe" + blob[9:]
+    path.write_bytes(content)
+    with pytest.raises(error, match=message):
+        reader(str(path))

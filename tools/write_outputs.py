@@ -7,25 +7,41 @@ must not exist yet):
 
 - ``run/``: ``acda run`` on a small two-moons config (120+120 points, 3 query
   rounds, 2+2 epochs, seeds 1 and 2);
-- ``compare/`` and ``compare.stdout``: ``acda compare --strategies
-  active,random,none --seeds 1,2`` on the same config;
+- ``compare/``: ``acda run`` on the same config plus ``strategy =
+  active,random,none``;
 - ``gen/dataset.csv``: ``acda gen`` on it;
 - ``check.stdout``: ``acda check``;
 - ``perfbench-moons-run/`` and ``perfbench-gauss-wide/``: ``run_experiment``
   with seed 1 on each config under ``perfbench/configs`` (read, not changed);
 - ``status.txt``: every command's exit status.
 
-A change that should keep every output byte-identical is checked by running
-this script in the parent's checkout and in the change's, then ``diff -r`` on
-the two directories.
+It then prints, as JSON, the numpy, scipy and BLAS versions and the machine
+type it ran under, and the sha256 of every file it wrote.
+``tests/reference_outputs.json`` holds that print-out for the committed code;
+a change that moves output bytes on purpose regenerates it with
+
+    python3 tools/write_outputs.py OUT_DIR > tests/reference_outputs.json
+
+The BLAS pool is fixed at one thread before numpy loads, because the
+784-d runs' bytes depend on the thread count.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
+import json
 import os
+import platform
 import sys
+import tempfile
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+import scipy  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -61,6 +77,29 @@ def _cli(args: list, stdout_file: str | None = None) -> int:
     return status
 
 
+def library_versions() -> dict:
+    """The libraries and machine type whose arithmetic the outputs' bytes
+    depend on."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy before 1.25 only prints its config
+        blas = "unknown"
+    return {"numpy": np.__version__, "scipy": scipy.__version__, "blas": blas,
+            "machine": platform.machine()}
+
+
+def file_hashes(root: str) -> dict:
+    """``{path relative to root: sha256}`` for every file under ``root``."""
+    hashes = {}
+    for folder, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(folder, name)
+            with open(path, "rb") as fh:
+                hashes[os.path.relpath(path, root)] = hashlib.sha256(fh.read()).hexdigest()
+    return dict(sorted(hashes.items()))
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1:
@@ -73,10 +112,15 @@ def main(argv=None) -> int:
     with open("exp.cfg", "w", encoding="utf-8") as fh:
         fh.write(CONFIG)
 
-    statuses = [
-        ("run", _cli(["run", "exp.cfg", "--out", "run"])),
-        ("compare", _cli(["compare", "exp.cfg", "--strategies", "active,random,none",
-                          "--seeds", "1,2", "--out", "compare"], "compare.stdout")),
+    statuses = [("run", _cli(["run", "exp.cfg", "--out", "run"]))]
+    # exp.cfg plus a strategy list, written outside OUT_DIR: the set holds
+    # exp.cfg and the outputs only
+    with tempfile.TemporaryDirectory() as tmp:
+        compare_cfg = os.path.join(tmp, "compare.cfg")
+        with open(compare_cfg, "w", encoding="utf-8") as fh:
+            fh.write(CONFIG + "strategy = active,random,none\n")
+        statuses.append(("compare", _cli(["run", compare_cfg, "--out", "compare"])))
+    statuses += [
         ("gen", _cli(["gen", "exp.cfg", "--out", "gen"], "gen.stdout")),
         ("check", _cli(["check"], "check.stdout")),
     ]
@@ -88,6 +132,9 @@ def main(argv=None) -> int:
                                                           out_dir=f"perfbench-{name}")))
     with open("status.txt", "w", encoding="utf-8") as fh:
         fh.writelines(f"{name} {status}\n" for name, status in statuses)
+    json.dump({"versions": library_versions(), "sha256": file_hashes(".")},
+              sys.stdout, indent=1)
+    print()
     return max(status for _, status in statuses)
 
 
