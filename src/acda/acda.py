@@ -7,7 +7,7 @@ descends  L_cls + lambda_w * W1_estimate.  Stage 2 scores the target
 pool by predictive entropy minus a scaled critic score, queries the top
 slice of the budget, and moves the queried points into the labeled pool.
 Stage 3 retrains with an extra per-class uncertainty-weighted loss on the
-queried set.  Everything is deterministic in the configured seed.
+queried set.  Everything is deterministic in the run's seed.
 """
 
 from __future__ import annotations
@@ -62,9 +62,9 @@ class TrainConfig:
 
     The critic takes ``CRITIC_STEPS`` ascent steps on lambda_w * (W1 -
     penalty) per model step, and lambda_w follows the :func:`lambda_w`
-    schedule over the stage's steps.  Float fields must be finite numbers,
-    integer fields integers (neither takes a bool, nor an integer field a
-    float) and the seed non-negative (ValueError otherwise).
+    schedule over the stage's steps.  Float fields must be finite numbers
+    and integer fields integers (neither takes a bool, nor an integer field
+    a float; ValueError otherwise).
     """
 
     budget: float = 0.1
@@ -74,8 +74,6 @@ class TrainConfig:
     stage3_epochs: int = 20
     batch_size: int = 128
     learning_rate: float = 2e-3
-    seed: int = 0
-    strategy: str = "active"
     early_stop_patience: int = 5
 
     def __post_init__(self):
@@ -99,11 +97,16 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.strategy not in _STRATEGIES:
-            raise ValueError(f"unknown strategy '{self.strategy}' "
-                             f"(choose from {list(_STRATEGIES)})")
+
+
+def _check_run(seed, strategy):
+    """ValueError unless ``seed`` is a non-negative int (no bool) and ``strategy`` known."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    if strategy not in _STRATEGIES:
+        raise ValueError(f"unknown strategy '{strategy}' (choose from {list(_STRATEGIES)})")
 
 
 @dataclass
@@ -159,6 +162,8 @@ def _json_fields(pairs) -> dict:
 @dataclass
 class RunRecord:
     config: TrainConfig
+    seed: int
+    strategy: str
     stage1: StageHistory
     rounds: list
     params: dict
@@ -181,10 +186,12 @@ def query_size(m_t: int, budget: float) -> int:
     return max(1, int(np.floor(budget * m_t + 0.5)))
 
 
-def accuracy(f_params: NetworkParams, c_params: NetworkParams,
-             x: np.ndarray, y: np.ndarray) -> float:
-    probs = nets.forward(c_params, nets.forward(f_params, x))
-    return float((probs.argmax(axis=1) == np.asarray(y)).mean())
+def accuracy(f_params: NetworkParams, c_params: NetworkParams, data: Dataset) -> float:
+    """Share of ``data``'s rows that C(F(x)) labels right; NaN without labels."""
+    if data.labels is None:
+        return float("nan")
+    probs = nets.forward(c_params, nets.forward(f_params, data.features))
+    return float((probs.argmax(axis=1) == data.labels).mean())
 
 
 # ----------------------------------------------------------------------
@@ -543,18 +550,21 @@ def stage3_train(f_params, c_params, d_params, source: Dataset, labelled: Datase
 # the full pipeline
 
 
-def run_algorithm_1(source: Dataset, target: Dataset, config: TrainConfig,
-                    eval_cb=None) -> RunRecord:
+def run_algorithm_1(source: Dataset, target: Dataset, config: TrainConfig, seed: int,
+                    strategy: str, eval_cb=None) -> RunRecord:
     """Stage 1, then per round: query -> pool update -> weights -> stage 3.
 
     ``target.labels`` acts as the annotation oracle for queried instances
     (and is never read otherwise).  The per-round budget is
     ``config.budget / config.query_rounds`` of the then-current pool.
+    ``strategy`` is "active", "random" or "none" (no queries); every random
+    choice derives from ``seed``.
     ``eval_cb(f_params, c_params)`` may add metrics to every epoch record.
-    Every target label must be a source class (DataError otherwise), and a
-    querying strategy needs target labels (ValueError otherwise); both are
-    checked before stage 1.
+    A bad seed or strategy (ValueError), a target label that is no source
+    class (DataError) and a querying strategy without target labels
+    (ValueError) fail before stage 1.
     """
+    _check_run(seed, strategy)
     if source.labels is None:
         raise ValueError("source pool must be labeled")
     n_classes = int(source.labels.max()) + 1 if source.labels.size else 2
@@ -562,18 +572,18 @@ def run_algorithm_1(source: Dataset, target: Dataset, config: TrainConfig,
     if target.labels is not None and target.labels.size and target.labels.max() >= n_classes:
         raise DataError(f"target label {int(target.labels.max())} is not a source class "
                         f"(the source has {n_classes} classes)")
-    if config.strategy != "none" and target.labels is None:
+    if strategy != "none" and target.labels is None:
         raise ValueError("querying needs target labels as the oracle")
     f_spec = nets.default_feature_spec(source.dim)
     c_spec = nets.default_classifier_spec(n_classes)
     d_spec = nets.default_critic_spec()
-    f_params = nets.init_network(f_spec, derive_seed(config.seed, "init", "F"))
-    c_params = nets.init_network(c_spec, derive_seed(config.seed, "init", "C"))
-    d_params = nets.init_network(d_spec, derive_seed(config.seed, "init", "D"))
+    f_params = nets.init_network(f_spec, derive_seed(seed, "init", "F"))
+    c_params = nets.init_network(c_spec, derive_seed(seed, "init", "C"))
+    d_params = nets.init_network(d_spec, derive_seed(seed, "init", "D"))
 
     f_params, c_params, d_params, hist1 = stage1_train(
         f_params, c_params, d_params, source, target, config,
-        derive_seed(config.seed, "stage", 1), eval_cb=eval_cb)
+        derive_seed(seed, "stage", 1), eval_cb=eval_cb)
 
     # labelled = source + every queried row so far; pool = the rest of the
     # target, whose row i is target row original_index[i]
@@ -586,13 +596,13 @@ def run_algorithm_1(source: Dataset, target: Dataset, config: TrainConfig,
     per_round_budget = config.budget / config.query_rounds
     for round_index in range(1, config.query_rounds + 1):
         query = orig_idx = q_labels = None
-        if config.strategy != "none" and len(pool) > 0:
+        if strategy != "none" and len(pool) > 0:
             scores = query_scores(f_params, c_params, d_params, pool, config.lambda_div)
-            if config.strategy == "active":
+            if strategy == "active":
                 picked = select_queries(scores, per_round_budget)
             else:
                 picked = random_queries(len(pool), per_round_budget,
-                                        derive_seed(config.seed, "query", round_index))
+                                        derive_seed(seed, "query", round_index))
             orig_idx = original_index[picked]
             q_labels = target.labels[orig_idx]
             query = replace(scores, indices=picked)
@@ -604,15 +614,14 @@ def run_algorithm_1(source: Dataset, target: Dataset, config: TrainConfig,
 
         f_params, c_params, d_params, hist3 = stage3_train(
             f_params, c_params, d_params, source, labelled, pool, weights, config,
-            derive_seed(config.seed, "stage", 3, round_index), eval_cb=eval_cb)
+            derive_seed(seed, "stage", 3, round_index), eval_cb=eval_cb)
         alpha, counts = (None, None) if weights is None else (weights.alpha, weights.counts)
         rounds.append(RoundRecord(round=round_index, query=query,
                                   queried_original_indices=orig_idx, queried_labels=q_labels,
                                   alpha=alpha, class_counts=counts, stage3=hist3))
 
     return RunRecord(
-        config=config, stage1=hist1, rounds=rounds,
+        config=config, seed=seed, strategy=strategy, stage1=hist1, rounds=rounds,
         params={"F": f_params, "C": c_params, "D": d_params},
-        final_source_accuracy=accuracy(f_params, c_params, source.features, source.labels),
-        final_target_accuracy=float("nan") if target.labels is None
-        else accuracy(f_params, c_params, target.features, target.labels))
+        final_source_accuracy=accuracy(f_params, c_params, source),
+        final_target_accuracy=accuracy(f_params, c_params, target))

@@ -5,8 +5,8 @@ Subcommands:
   gen <config>       write the pools one seed's run trains on as CSV
   check              run fast self-diagnostics, printing PASS/FAIL per item
 
-Every run setting is a config key (the TrainConfig fields but seed, the
-dataset.* keys of the chosen kind, seeds, standardize and out_dir), each set
+Every run setting is a config key (the TrainConfig fields, the dataset.*
+keys of the chosen kind, strategy, seeds, standardize and out_dir), each set
 once in the file; ``strategy`` takes a list such as 'active,random,none'.
 Flags pick only the seed and the output root: run and gen take --seed, one
 seed that replaces the config's seeds, and --out, which defaults to the

@@ -361,10 +361,13 @@ def load_csv(path):
         if tag not in feats:
             raise DataError(f"{path}: line {line_no}: unknown domain {tag!r}")
         try:
-            feats[tag].append([float(v) for v in row[:d]])
+            x = [float(v) for v in row[:d]]
             label = None if row[-2] == "" else int(row[-2])
         except ValueError as exc:
             raise DataError(f"{path}: line {line_no}: {exc}") from None
+        if not np.isfinite(x).all():
+            raise DataError(f"{path}: line {line_no}: non-finite feature in {row[:d]}")
+        feats[tag].append(x)
         if labels[tag] and (labels[tag][0] is None) != (label is None):
             raise DataError(f"{path}: line {line_no}: {tag} rows must be all "
                             f"labelled or all unlabelled")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import nets
-from .acda import RunRecord, TrainConfig, accuracy, run_algorithm_1
+from .acda import _STRATEGIES, RunRecord, TrainConfig, _check_run, accuracy, run_algorithm_1
 from .data import (Dataset, DomainPair, gen_gaussian_shift_pair,
                    gen_two_moons_pair, load_idx_pair, read_text, standardize_features)
 from .errors import ConfigError, TrainingDivergedError
@@ -76,10 +76,7 @@ class ExperimentConfig:
     standardize: bool = True
 
 
-# The TrainConfig fields a config file sets: all but seed and strategy, which
-# each run takes from ``seeds`` and ``strategies``.
-_TRAIN_DEFAULTS = {f.name: f.default for f in fields(TrainConfig)
-                   if f.name not in ("seed", "strategy")}
+_TRAIN_DEFAULTS = {f.name: f.default for f in fields(TrainConfig)}
 
 
 def _at(line_no) -> str:
@@ -124,13 +121,6 @@ def parse_seeds(raw: str, line_no: int | None = None) -> list:
     return seeds
 
 
-def _check_train_field(key: str, value, line_no: int):
-    try:  # each TrainConfig check reads one field, so check it alone
-        TrainConfig(**{key: value})
-    except ValueError as exc:
-        raise ConfigError(f"line {line_no}: {exc}") from None
-
-
 def _parse_strategies(raw: str, line_no: int) -> list:
     """Strategies from 'a' or 'a,b,c', spaces stripped; ConfigError if one is
     empty, repeated or unknown."""
@@ -140,7 +130,9 @@ def _parse_strategies(raw: str, line_no: int) -> list:
     if len(set(names)) != len(names):
         raise ConfigError(f"line {line_no}: strategy list '{raw}' repeats a strategy")
     for name in names:
-        _check_train_field("strategy", name, line_no)
+        if name not in _STRATEGIES:
+            raise ConfigError(f"line {line_no}: unknown strategy '{name}' "
+                              f"(choose from {list(_STRATEGIES)})")
     return names
 
 
@@ -170,6 +162,8 @@ def parse_config(path: str) -> ExperimentConfig:
     train_kw: dict = {}
     for key, (raw, line_no) in entries.items():
         if key == "out_dir":
+            if not raw:
+                raise ConfigError(f"line {line_no}: out_dir is empty")
             cfg.out_dir = raw
         elif key == "seeds":
             cfg.seeds = parse_seeds(raw, line_no)
@@ -187,7 +181,10 @@ def parse_config(path: str) -> ExperimentConfig:
             cfg.dataset[sub] = _coerce(raw, type(dataset_defaults[sub]), key, line_no)
         elif key in _TRAIN_DEFAULTS:
             value = _coerce(raw, type(_TRAIN_DEFAULTS[key]), key, line_no)
-            _check_train_field(key, value, line_no)
+            try:  # each TrainConfig check reads one field, so check it alone
+                TrainConfig(**{key: value})
+            except ValueError as exc:
+                raise ConfigError(f"line {line_no}: {exc}") from None
             train_kw[key] = value
         else:
             raise ConfigError(f"line {line_no}: unknown key '{key}'")
@@ -219,29 +216,23 @@ def _pools_for_run(config: ExperimentConfig, run_seed: int):
 
 def _run_one(config: ExperimentConfig, run_seed: int, strategy: str, pools) -> RunRecord:
     source, target = pools
-    train = replace(config.train, seed=run_seed, strategy=strategy)
 
     def eval_cb(f_params, c_params):
-        out = {"source_accuracy": accuracy(f_params, c_params, source.features,
-                                           source.labels)}
-        if target.labels is not None:
-            out["target_accuracy"] = accuracy(f_params, c_params, target.features,
-                                              target.labels)
-        else:
-            out["target_accuracy"] = float("nan")
-        return out
+        return {"source_accuracy": accuracy(f_params, c_params, source),
+                "target_accuracy": accuracy(f_params, c_params, target)}
 
-    return run_algorithm_1(source, target, train, eval_cb=eval_cb)
+    return run_algorithm_1(source, target, config.train, run_seed, strategy, eval_cb=eval_cb)
 
 
-def _metrics_rows(record: RunRecord, strategy: str, seed: int) -> list:
+def _metrics_rows(record: RunRecord) -> list:
     rows = []
     stages = [(0, record.stage1)] + [(r.round, r.stage3) for r in record.rounds]
     for round_index, history in stages:
         for rec in history.epochs:
-            values = {"seed": seed, "budget": record.config.budget, "round": round_index, **rec}
-            rows.append(",".join([strategy] + [repr(values.get(c, float("nan")))
-                                               for c in _METRICS_COLUMNS[1:]]))
+            values = {"seed": record.seed, "budget": record.config.budget,
+                      "round": round_index, **rec}
+            rows.append(",".join([record.strategy] + [repr(values.get(c, float("nan")))
+                                                      for c in _METRICS_COLUMNS[1:]]))
     return rows
 
 
@@ -266,7 +257,7 @@ def _run_and_save(config: ExperimentConfig, run_seed: int, strategy: str, pools,
         return [], {"run": tag, "status": "diverged", "epoch": exc.epoch}
     _write_json(os.path.join(out, f"run-{tag}.json"), record.to_dict())
     nets.save_checkpoint(os.path.join(out, f"run-{tag}.ckpt"), record.params)
-    return _metrics_rows(record, strategy, run_seed), {
+    return _metrics_rows(record), {
         "run": tag, "status": "ok", "record": f"run-{tag}.json", "checkpoint": f"run-{tag}.ckpt",
         "final_source_accuracy": record.final_source_accuracy,
         "final_target_accuracy": record.final_target_accuracy,
@@ -283,9 +274,9 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> int:
     the status to "failed" without stopping the rest, and ``summary.csv``
     (see :func:`_summary_lines`).  Rows and manifest entries go strategy by
     strategy, then seed by seed, in list order.  No strategy or no seed, a
-    repeated pair, one that ``TrainConfig`` refuses, or a dataset that the
-    first seed's pools cannot be built from, is a ConfigError before
-    anything is written.
+    repeated pair, a bad seed or strategy, a ``TrainConfig`` field that its
+    own check refuses, or a dataset that the first seed's pools cannot be
+    built from, is a ConfigError before anything is written.
     """
     out = out_dir if out_dir is not None else config.out_dir
     pairs = [(strategy, run_seed) for strategy in config.strategies
@@ -297,7 +288,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> int:
         if (strategy, run_seed) in pairs[:i]:
             raise ConfigError(f"run '{tag}' is named twice")
         try:
-            replace(config.train, seed=run_seed, strategy=strategy)
+            replace(config.train)  # re-checks fields set after construction
+            _check_run(run_seed, strategy)
         except ValueError as exc:
             raise ConfigError(f"run '{tag}': {exc}") from None
     try:

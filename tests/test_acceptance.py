@@ -289,8 +289,8 @@ def _trend_run(seed: int, strategy: str) -> float:
     target = Dataset(tx, pair.target.labels)
     config = TrainConfig(budget=0.05, lambda_div=0.0, query_rounds=5,
                          stage1_epochs=20, stage3_epochs=20, batch_size=128,
-                         learning_rate=2e-3, seed=seed, strategy=strategy)
-    return run_algorithm_1(source, target, config).final_target_accuracy
+                         learning_rate=2e-3)
+    return run_algorithm_1(source, target, config, seed, strategy).final_target_accuracy
 
 
 def test_criterion_7_end_to_end_trend():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acda.acda import (CRITIC_STEPS, EARLY_STOP_TOL, LAMBDA_W_DELTA, QueryResult,
-                       TrainConfig, WeightVector, lambda_w,
+                       TrainConfig, WeightVector, accuracy, lambda_w,
                        query_scores, query_size, random_queries, run_algorithm_1,
                        select_queries, stage1_train, stage3_train,
                        uncertainty_weights, update_pools, weighted_query_loss)
@@ -29,9 +29,9 @@ def _nets_for(dim=2, n_classes=2, seed=0):
     return f, c, d
 
 
-def _stage1_seed(cfg):
-    """The stage-1 seed ``run_algorithm_1`` derives from the config's seed."""
-    return derive_seed(cfg.seed, "stage", 1)
+def _stage1_seed(seed):
+    """The stage-1 seed ``run_algorithm_1`` derives from the run's seed."""
+    return derive_seed(seed, "stage", 1)
 
 
 def _small_pair(seed=0, n=60):
@@ -49,21 +49,20 @@ def test_config_documented_defaults():
     assert cfg.budget == 0.1
     assert cfg.lambda_div == 10.0
     assert cfg.query_rounds == 1
-    assert cfg.strategy == "active"
     assert (LAMBDA_W_DELTA, CRITIC_STEPS, EARLY_STOP_TOL) == (10.0, 5, 1e-4)
     assert [f.name for f in fields(TrainConfig)] == [
         "budget", "lambda_div", "query_rounds", "stage1_epochs", "stage3_epochs",
-        "batch_size", "learning_rate", "seed", "strategy", "early_stop_patience"]
+        "batch_size", "learning_rate", "early_stop_patience"]
 
 
 @pytest.mark.parametrize("bad", [
     {"budget": 0.0}, {"budget": 1.0}, {"budget": 1.5},
     {"lambda_div": -1.0}, {"query_rounds": 0}, {"batch_size": 0},
-    {"learning_rate": 0.0}, {"strategy": "greedy"},
-    {"seed": -1}, {"lambda_div": float("nan")}, {"learning_rate": float("inf")},
-    {"budget": float("nan")}, {"seed": 1.5},
+    {"learning_rate": 0.0}, {"stage1_epochs": 0}, {"stage3_epochs": 0},
+    {"early_stop_patience": 0}, {"lambda_div": float("nan")}, {"learning_rate": float("inf")},
+    {"budget": float("nan")},
     {"stage1_epochs": 2.5}, {"batch_size": 40.0}, {"early_stop_patience": 1.5},
-    {"query_rounds": True}, {"seed": True},
+    {"query_rounds": True},
     {"learning_rate": True}, {"lambda_div": False},
     {"learning_rate": "0.1"}, {"budget": None}, {"lambda_div": [1.0]},
 ])
@@ -296,7 +295,7 @@ def test_weighted_query_loss_hand_case():
 
 def test_stage1_same_seed_is_bitwise_reproducible():
     source, target = _small_pair(seed=5)
-    cfg = TrainConfig(stage1_epochs=3, batch_size=32, seed=7)
+    cfg = TrainConfig(stage1_epochs=3, batch_size=32)
     f, c, d = _nets_for(seed=1)
     a = stage1_train(f, c, d, source, target, cfg, 99)
     b = stage1_train(f, c, d, source, target, cfg, 99)
@@ -312,8 +311,8 @@ def test_stage1_adapts_identical_pools_toward_zero_w1():
     source = Dataset(x, labels)
     target = Dataset(x.copy(), None)
     f, c, d = _nets_for(seed=2)
-    cfg = TrainConfig(stage1_epochs=30, batch_size=60, learning_rate=2e-3, seed=3)
-    _, _, _, hist = stage1_train(f, c, d, source, target, cfg, _stage1_seed(cfg))
+    cfg = TrainConfig(stage1_epochs=30, batch_size=60, learning_rate=2e-3)
+    _, _, _, hist = stage1_train(f, c, d, source, target, cfg, _stage1_seed(3))
     first = abs(hist.epochs[0]["W1_estimate"])
     last = abs(hist.epochs[-1]["W1_estimate"])
     assert last <= max(0.1 * first, 0.05)
@@ -392,9 +391,8 @@ def test_stopping_rule_matches_the_recorded_objectives():
     epochs = 6
     stopped = {}
     for patience in (1, 2, epochs, epochs + 3):
-        cfg = TrainConfig(stage1_epochs=epochs, batch_size=15, seed=9,
-                          early_stop_patience=patience)
-        _, _, _, hist = stage1_train(f, c, d, source, target, cfg, _stage1_seed(cfg))
+        cfg = TrainConfig(stage1_epochs=epochs, batch_size=15, early_stop_patience=patience)
+        _, _, _, hist = stage1_train(f, c, d, source, target, cfg, _stage1_seed(9))
         objectives = [rec["objective"] for rec in hist.epochs]
         best, stale, ran, stop = np.inf, 0, epochs, False
         for epoch, objective in enumerate(objectives):
@@ -415,9 +413,9 @@ def test_training_diverged_error_carries_epoch():
     source, target = _small_pair(seed=7, n=30)
     bad = Dataset(source.features * np.inf, source.labels)
     f, c, d = _nets_for(seed=3)
-    cfg = TrainConfig(stage1_epochs=2, batch_size=16, seed=0)
+    cfg = TrainConfig(stage1_epochs=2, batch_size=16)
     with pytest.raises(TrainingDivergedError) as err:
-        stage1_train(f, c, d, bad, target, cfg, _stage1_seed(cfg))
+        stage1_train(f, c, d, bad, target, cfg, _stage1_seed(0))
     assert err.value.epoch == 0
 
 
@@ -438,8 +436,8 @@ def test_l_grad_is_the_mean_penalty_over_the_critic_steps(monkeypatch):
     monkeypatch.setattr(algorithm, "forward_eval", spy)
     source, target = _small_pair(seed=15, n=60)
     f, c, d = _nets_for(seed=5)
-    cfg = TrainConfig(stage1_epochs=1, batch_size=20, seed=8)
-    _, _, _, hist = stage1_train(f, c, d, source, target, cfg, _stage1_seed(cfg))
+    cfg = TrainConfig(stage1_epochs=1, batch_size=20)
+    _, _, _, hist = stage1_train(f, c, d, source, target, cfg, _stage1_seed(8))
     per_step = np.array(penalties).reshape(3, CRITIC_STEPS)  # 3 model steps
     assert np.ptp(per_step, axis=1).min() > 0
     assert hist.epochs[0]["L_grad"] == pytest.approx(per_step.mean(axis=1).mean(), rel=1e-12)
@@ -448,11 +446,19 @@ def test_l_grad_is_the_mean_penalty_over_the_critic_steps(monkeypatch):
 def test_stage3_with_empty_query_set_equals_stage1_dynamics():
     source, target = _small_pair(seed=8)
     f, c, d = _nets_for(seed=4)
-    cfg = TrainConfig(stage1_epochs=3, stage3_epochs=3, batch_size=32, seed=5)
+    cfg = TrainConfig(stage1_epochs=3, stage3_epochs=3, batch_size=32)
     a = stage1_train(f, c, d, source, target, cfg, 123)
     b = stage3_train(f, c, d, source, source, target, None, cfg, 123)
     for wa, wb in zip(a[0].weights + a[1].weights, b[0].weights + b[1].weights):
         np.testing.assert_array_equal(wa, wb)
+
+
+def test_accuracy_is_nan_without_labels():
+    source, _ = _small_pair(seed=2, n=20)
+    f, c, _ = _nets_for()
+    predicted = nets.forward(c, nets.forward(f, source.features)).argmax(axis=1)
+    assert accuracy(f, c, source) == np.mean(predicted == source.labels)
+    assert np.isnan(accuracy(f, c, Dataset(source.features, None)))
 
 
 # ----------------------------------------------------------------- pipeline
@@ -460,9 +466,8 @@ def test_stage3_with_empty_query_set_equals_stage1_dynamics():
 
 def test_run_algorithm_none_strategy_never_queries():
     source, target = _small_pair(seed=9)
-    cfg = TrainConfig(budget=0.2, stage1_epochs=2, stage3_epochs=2,
-                      batch_size=32, seed=2, strategy="none")
-    record = run_algorithm_1(source, target, cfg)
+    cfg = TrainConfig(budget=0.2, stage1_epochs=2, stage3_epochs=2, batch_size=32)
+    record = run_algorithm_1(source, target, cfg, 2, "none")
     assert record.rounds[0].query is None
     assert record.rounds[0].alpha is None
     assert np.isfinite(record.final_target_accuracy)
@@ -471,8 +476,8 @@ def test_run_algorithm_none_strategy_never_queries():
 def test_run_algorithm_queries_are_disjoint_across_rounds():
     source, target = _small_pair(seed=10, n=80)
     cfg = TrainConfig(budget=0.2, query_rounds=2, stage1_epochs=2,
-                      stage3_epochs=2, batch_size=32, seed=3, strategy="active")
-    record = run_algorithm_1(source, target, cfg)
+                      stage3_epochs=2, batch_size=32)
+    record = run_algorithm_1(source, target, cfg, 3, "active")
     first = record.rounds[0].queried_original_indices
     second = record.rounds[1].queried_original_indices
     assert len(np.intersect1d(first, second)) == 0
@@ -483,9 +488,8 @@ def test_run_algorithm_queries_are_disjoint_across_rounds():
 
 def test_run_algorithm_oracle_labels_match_target_pool():
     source, target = _small_pair(seed=11, n=60)
-    cfg = TrainConfig(budget=0.1, stage1_epochs=2, stage3_epochs=2,
-                      batch_size=32, seed=4, strategy="random")
-    record = run_algorithm_1(source, target, cfg)
+    cfg = TrainConfig(budget=0.1, stage1_epochs=2, stage3_epochs=2, batch_size=32)
+    record = run_algorithm_1(source, target, cfg, 4, "random")
     r = record.rounds[0]
     np.testing.assert_array_equal(r.queried_labels,
                                   target.labels[r.queried_original_indices])
@@ -493,9 +497,8 @@ def test_run_algorithm_oracle_labels_match_target_pool():
 
 def test_run_record_serializes_to_json():
     source, target = _small_pair(seed=12, n=40)
-    cfg = TrainConfig(budget=0.1, stage1_epochs=2, stage3_epochs=2,
-                      batch_size=20, seed=5, strategy="active")
-    record = run_algorithm_1(source, target, cfg)
+    cfg = TrainConfig(budget=0.1, stage1_epochs=2, stage3_epochs=2, batch_size=20)
+    record = run_algorithm_1(source, target, cfg, 5, "active")
     blob = json.dumps(record.to_dict(), sort_keys=True)
     parsed = json.loads(blob)
     assert parsed["config"]["budget"] == 0.1
@@ -506,10 +509,9 @@ def test_run_record_serializes_to_json():
 
 def test_run_algorithm_is_bitwise_deterministic():
     source, target = _small_pair(seed=13, n=50)
-    cfg = TrainConfig(budget=0.1, stage1_epochs=2, stage3_epochs=2,
-                      batch_size=25, seed=6, strategy="active")
-    a = run_algorithm_1(source, target, cfg)
-    b = run_algorithm_1(source, target, cfg)
+    cfg = TrainConfig(budget=0.1, stage1_epochs=2, stage3_epochs=2, batch_size=25)
+    a = run_algorithm_1(source, target, cfg, 6, "active")
+    b = run_algorithm_1(source, target, cfg, 6, "active")
     assert a.final_target_accuracy == b.final_target_accuracy
     for name in ("F", "C", "D"):
         for wa, wb in zip(a.params[name].weights, b.params[name].weights):
@@ -527,10 +529,9 @@ def test_run_algorithm_rejects_target_only_class_before_stage1(monkeypatch):
     monkeypatch.setattr(algorithm, "_adversarial_fit", stage1_must_not_run)
     source, target = _small_pair(seed=14, n=40)
     target = Dataset(target.features, np.where(target.labels == 1, 2, 0))
-    cfg = TrainConfig(budget=0.1, stage1_epochs=2, stage3_epochs=2,
-                      batch_size=20, seed=7, strategy="active")
+    cfg = TrainConfig(budget=0.1, stage1_epochs=2, stage3_epochs=2, batch_size=20)
     with pytest.raises(DataError, match="target label 2"):
-        run_algorithm_1(source, target, cfg)
+        run_algorithm_1(source, target, cfg, 7, "active")
 
 
 def test_run_algorithm_rejects_querying_without_oracle_before_stage1(monkeypatch):
@@ -542,11 +543,29 @@ def test_run_algorithm_rejects_querying_without_oracle_before_stage1(monkeypatch
     monkeypatch.setattr(algorithm, "_adversarial_fit", stage1_must_not_run)
     source, target = _small_pair(seed=16, n=40)
     unlabelled = Dataset(target.features, None)
+    cfg = TrainConfig(budget=0.1, stage1_epochs=2, stage3_epochs=2, batch_size=20)
     for strategy in ("active", "random"):
-        cfg = TrainConfig(budget=0.1, stage1_epochs=2, stage3_epochs=2,
-                          batch_size=20, seed=7, strategy=strategy)
         with pytest.raises(ValueError, match="querying needs target labels"):
-            run_algorithm_1(source, unlabelled, cfg)
+            run_algorithm_1(source, unlabelled, cfg, 7, strategy)
+
+
+@pytest.mark.parametrize("seed, strategy, message", [
+    (-1, "active", "seed must be non-negative, got -1"),
+    (1.5, "active", "seed must be an integer, got 1.5"),
+    (True, "active", "seed must be an integer, got True"),
+    (0, "greedy", r"unknown strategy 'greedy' \(choose from \['active', 'random', 'none'\]\)"),
+], ids=["negative-seed", "fractional-seed", "bool-seed", "unknown-strategy"])
+def test_run_algorithm_rejects_bad_seed_or_strategy_before_stage1(monkeypatch, seed,
+                                                                  strategy, message):
+    import acda.acda as algorithm
+
+    def stage1_must_not_run(*args, **kwargs):
+        raise AssertionError("stage 1 ran before the seed and strategy check")
+
+    monkeypatch.setattr(algorithm, "_adversarial_fit", stage1_must_not_run)
+    source, target = _small_pair(seed=16, n=40)
+    with pytest.raises(ValueError, match=message):
+        run_algorithm_1(source, target, TrainConfig(), seed, strategy)
 
 
 def test_run_algorithm_keeps_weights_once_the_pool_is_empty():
@@ -557,8 +576,8 @@ def test_run_algorithm_keeps_weights_once_the_pool_is_empty():
                                    covariance_scale=0.8, swap_fraction=0.0,
                                    n_source=20, n_target=2, seed=0)
     cfg = TrainConfig(budget=0.5, query_rounds=3, stage1_epochs=1, stage3_epochs=1,
-                      batch_size=10, seed=1, strategy="random")
-    record = run_algorithm_1(pair.source, pair.target, cfg)
+                      batch_size=10)
+    record = run_algorithm_1(pair.source, pair.target, cfg, 1, "random")
     first, second, last = record.rounds
     assert sorted(np.concatenate([first.queried_original_indices,
                                   second.queried_original_indices])) == [0, 1]

@@ -138,8 +138,9 @@ def test_config_range_error_for_budget(tmp_path):
     ("strategy", "random,random", "strategy list 'random,random' repeats a strategy"),
     ("strategy", "active,,none", "strategy list 'active,,none' has an empty entry"),
     ("strategy", "", "strategy list '' has an empty entry"),
+    ("out_dir", "", "out_dir is empty"),
 ], ids=["budget", "batch_size", "strategy", "strategy-list-unknown", "strategy-list-repeated",
-        "strategy-list-empty-entry", "strategy-empty"])
+        "strategy-list-empty-entry", "strategy-empty", "out-dir-empty"])
 def test_config_range_errors_report_line(tmp_path, key, value, message):
     body = f"seeds = 1\n# a comment\n{key} = {value}\nlambda_div = 1\n"
     with pytest.raises(ConfigError, match=f"^line 3: {message}"):
@@ -383,7 +384,8 @@ def test_cli_run_applies_flag_overrides(tmp_path):
     assert main(["run", cfg_path, "--seed", "9", "--out", str(out)]) == 0
     assert sorted(p.name for p in out.glob("run-*.json")) == ["run-random-seed9.json"]
     record = json.load(open(out / "run-random-seed9.json"))
-    assert (record["config"]["seed"], record["config"]["budget"]) == (9, 0.1)
+    assert (record["seed"], record["strategy"], record["config"]["budget"]) == (9, "random", 0.1)
+    assert "seed" not in record["config"]
     assert not (tmp_path / "unused").exists()
 
 

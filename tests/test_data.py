@@ -242,8 +242,11 @@ def test_dataset_rejects_non_integer_labels():
     (["0.0,0.0,0,source", "1.0,1.0,1,target", "2.0,2.0,,target"], 4),
     (["0.0,0.0,0.5,source"], 2),
     (["0.0,abc,0,source"], 2),
+    (["nan,0.5,0,source"], 2),
+    (["0.0,0.5,0,source", "inf,0.5,1,target"], 3),
+    (["0.0,0.5,0,source", "0.5,-inf,,target"], 3),
 ], ids=["unlabelled-then-labelled", "labelled-then-unlabelled", "fractional-label",
-        "non-numeric-feature"])
+        "non-numeric-feature", "nan-feature", "inf-feature", "minus-inf-feature"])
 def test_load_csv_rejects_malformed_rows_with_their_line(tmp_path, rows, line):
     path = tmp_path / "bad.csv"
     path.write_text("\n".join(["x_0,x_1,label,domain"] + rows) + "\n")
