@@ -65,6 +65,7 @@ def test_config_documented_defaults():
     {"query_rounds": True},
     {"learning_rate": True}, {"lambda_div": False},
     {"learning_rate": "0.1"}, {"budget": None}, {"lambda_div": [1.0]},
+    {"learning_rate": -1e-3},
 ])
 def test_config_rejects_invalid_values(bad):
     with pytest.raises(ValueError):
