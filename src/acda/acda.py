@@ -55,6 +55,11 @@ LAMBDA_W_DELTA = 10.0
 CRITIC_STEPS = 5
 EARLY_STOP_TOL = 1e-4
 
+# The loss terms of an epoch record, which metrics.csv writes in this order:
+# each is the mean over the epoch's model steps of a step graph's term of
+# that name (L_grad: of the mean penalty over a model step's critic steps).
+LOSS_NAMES = ("L_cls", "W1_estimate", "L_grad", "L_w_q")
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -64,7 +69,7 @@ class TrainConfig:
     penalty) per model step, and lambda_w follows the :func:`lambda_w`
     schedule over the stage's steps.  Float fields must be finite numbers
     and integer fields integers (neither takes a bool, nor an integer field
-    a float; ValueError otherwise).
+    a float; ValueError otherwise); each is stored as a Python float or int.
     """
 
     budget: float = 0.1
@@ -87,6 +92,7 @@ class TrainConfig:
             if isinstance(f.default, int) and not (number
                                                    and isinstance(value, (int, np.integer))):
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            object.__setattr__(self, f.name, type(f.default)(value))  # no numpy scalars
         if not 0.0 < self.budget < 1.0:
             raise ValueError(f"budget must lie in (0, 1), got {self.budget}")
         if self.lambda_div < 0:
@@ -316,10 +322,23 @@ def weighted_query_loss(probabilities, labels, weights: WeightVector) -> float:
 # adversarial training (shared by stage 1 and stage 3)
 
 
-def _one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    out = np.zeros((labels.size, n_classes))
-    out[np.arange(labels.size), labels] = 1.0
-    return out
+class _Step:
+    """One step graph as a step reads it: ``terms`` maps epoch-record names
+    to scalar nodes, and ``grads`` maps each leaf in ``wrt`` to the gradient
+    of ``objective`` with respect to it.  An evaluation computes the terms,
+    then the gradients, and nothing else."""
+
+    def __init__(self, graph: Graph, objective: int, terms: dict, wrt: list):
+        grads = graph.add_gradient_nodes(objective, [graph.leaves[nm] for nm in wrt])
+        self.graph, self.objective, self.terms = graph, objective, terms
+        self.grads = {nm: grads[graph.leaves[nm]] for nm in wrt}
+        self.outputs = (*terms.values(), *self.grads.values())
+
+    def evaluate(self, bindings: dict) -> tuple:
+        """(terms as floats, gradients as arrays), both keyed by name."""
+        vals = forward_eval(self.graph, bindings, self.outputs)
+        return ({name: float(vals[n]) for name, n in self.terms.items()},
+                {name: vals[n] for name, n in self.grads.items()})
 
 
 class _StepGraphs:
@@ -331,35 +350,29 @@ class _StepGraphs:
     serves every step.  F is frozen while the critic steps, so the critic
     graph holds D alone: its W1 term reads the features F(xs_adv), F(xt) as
     leaves ``fs_adv``, ``ft``, and its gradient penalty differentiates D at
-    the feature interpolates ``xhat`` between them.
+    the feature interpolates ``xhat`` between them.  ``critic_w1`` is that
+    W1 node, which no step reads alone.  Without a target batch there is no
+    critic graph: ``critic`` is None.
     """
 
     def __init__(self, dims, specs, n_classes: int):
         ns_cls, nt, ns_adv, nq, d = dims
         f_spec, c_spec, d_spec = specs
 
-        g = Graph()
+        self.critic = None
         if nt:
+            g = Graph()
             fs_adv = g.leaf("fs_adv", (ns_adv, f_spec.output_dim))
             ft = g.leaf("ft", (nt, f_spec.output_dim))
             xhat = g.leaf("xhat", (min(ns_adv, nt), f_spec.output_dim))
             lamw = g.leaf("lambda_w", ())
             # D(fs) < D(ft) < w1 < penalty path: the order in which the
             # D-gradient sums accumulate
-            w1 = transport.build_critic_w1(g, d_spec, fs_adv, ft)
+            self.critic_w1 = transport.build_critic_w1(g, d_spec, fs_adv, ft)
             penalty = transport.build_gradient_penalty(g, d_spec, xhat)
-            objective = g.mul(lamw, g.sub(w1, penalty))
-            d_names = nets.param_leaf_names(d_spec, "D")
-            grads = g.add_gradient_nodes(objective, [g.leaves[nm] for nm in d_names])
-            self.critic_graph = g
-            self.critic_nodes = {
-                "objective": objective,
-                "w1": w1,
-                "penalty": penalty,
-                "grads": {nm: grads[g.leaves[nm]] for nm in d_names},
-            }
-            # a critic step reads its D-gradients and the penalty
-            self.critic_outputs = [penalty] + list(self.critic_nodes["grads"].values())
+            objective = g.mul(lamw, g.sub(self.critic_w1, penalty))
+            self.critic = _Step(g, objective, {"L_grad": penalty},
+                                nets.param_leaf_names(d_spec, "D"))
 
         m = Graph()
         xs_cls = m.leaf("xs_cls", (ns_cls, d))
@@ -367,57 +380,44 @@ class _StepGraphs:
         logits = nets.build_forward(m, c_spec, nets.build_forward(m, f_spec, xs_cls, "F"), "C")
         lse = m.logsumexp(logits, axis=1)
         picked = m.sum(m.mul(logits, y_onehot), axis=1)
-        l_cls = m.mean(m.sub(lse, picked))
-        objective = l_cls
-        l_wq = None
+        terms = {"L_cls": m.mean(m.sub(lse, picked))}
+        objective = terms["L_cls"]
         if nq:
             qx = m.leaf("qx", (nq, d))
             q_onehot = m.leaf("q_onehot", (nq, n_classes))
             q_alpha = m.leaf("q_alpha", (nq,))
             q_logits = nets.build_forward(m, c_spec, nets.build_forward(m, f_spec, qx, "F"), "C")
             q_ce = m.sub(m.logsumexp(q_logits, axis=1), m.sum(m.mul(q_logits, q_onehot), axis=1))
-            l_wq = m.mean(m.mul(q_alpha, q_ce))
-            objective = m.add(objective, l_wq)
-        w1_node = None
+            terms["L_w_q"] = m.mean(m.mul(q_alpha, q_ce))
+            objective = m.add(objective, terms["L_w_q"])
         if nt:
             xs_adv_m = m.leaf("xs_adv", (ns_adv, d))
             xt_m = m.leaf("xt", (nt, d))
             lamw_m = m.leaf("lambda_w", ())
-            w1_node = transport.build_critic_w1(m, d_spec, nets.build_forward(m, f_spec, xs_adv_m, "F"),
-                                                nets.build_forward(m, f_spec, xt_m, "F"))
-            objective = m.add(objective, m.mul(lamw_m, w1_node))
-        model_names = nets.param_leaf_names(f_spec, "F") + nets.param_leaf_names(c_spec, "C")
-        grads = m.add_gradient_nodes(objective, [m.leaves[nm] for nm in model_names])
-        self.model_graph = m
-        self.model_nodes = {
-            "objective": objective,
-            "l_cls": l_cls,
-            "l_wq": l_wq,
-            "w1": w1_node,
-            "grads": {nm: grads[m.leaves[nm]] for nm in model_names},
-        }
-        self.model_outputs = [n for n in (objective, l_cls, l_wq, w1_node) if n is not None]
-        self.model_outputs += self.model_nodes["grads"].values()
+            terms["W1_estimate"] = transport.build_critic_w1(
+                m, d_spec, nets.build_forward(m, f_spec, xs_adv_m, "F"),
+                nets.build_forward(m, f_spec, xt_m, "F"))
+            objective = m.add(objective, m.mul(lamw_m, terms["W1_estimate"]))
+        self.model = _Step(m, objective, {"objective": objective, **terms},
+                           nets.param_leaf_names(f_spec, "F") + nets.param_leaf_names(c_spec, "C"))
 
 
 def _adversarial_fit(f_params, c_params, d_params, source: Dataset, target: Dataset,
-                     config: TrainConfig, epochs: int, seed: int,
-                     labelled: Dataset | None = None, weights: WeightVector | None = None,
-                     eval_cb=None):
+                     config: TrainConfig, epochs: int, seed: int, labelled: Dataset,
+                     weights: WeightVector | None = None, eval_cb=None):
     """Alternating critic/model updates; returns updated params and history.
 
     ``source`` drives the classification loss; ``labelled`` (``source``
-    followed by the queried rows; defaults to ``source``) and ``target``
-    drive the adversarial W1 term; the queried rows, the ones past
-    ``len(source)``, add the loss weighted by ``weights``.  Stage 1 is
-    exactly this with no queried rows.
+    followed by the queried rows) and ``target`` drive the adversarial W1
+    term; the queried rows, the ones past ``len(source)``, add the loss
+    weighted by ``weights``.  Stage 1 is exactly this with no queried rows.
 
     One ``bindings`` dict feeds both graphs for the whole fit: the F, C and
     D parameters, which each Adam step replaces, the query leaves, bound
     once, and the batch leaves, which each step rebinds.
     """
     n_classes = c_params.spec.output_dim
-    labelled = source if labelled is None else labelled
+    one_hot = np.eye(n_classes)
     query_y = labelled.labels[len(source):]
     specs = (f_params.spec, c_params.spec, d_params.spec)
 
@@ -425,8 +425,8 @@ def _adversarial_fit(f_params, c_params, d_params, source: Dataset, target: Data
     for name, net in (("F", f_params), ("C", c_params), ("D", d_params)):
         bindings.update(nets.param_bindings(net.copy(), name))
     if query_y.size:
-        bindings.update(qx=labelled.features[len(source):],
-                        q_onehot=_one_hot(query_y, n_classes), q_alpha=weights.alpha[query_y])
+        bindings.update(qx=labelled.features[len(source):], q_onehot=one_hot[query_y],
+                        q_alpha=weights.alpha[query_y])
 
     opt_model = Adam(config.learning_rate)
     opt_critic = Adam(config.learning_rate)
@@ -449,14 +449,13 @@ def _adversarial_fit(f_params, c_params, d_params, source: Dataset, target: Data
         cls_batches = list(batch_iterator(len(source), config.batch_size, cls_seed, epoch))
         adv_batches = list(batch_iterator(len(labelled), config.batch_size, adv_seed, epoch))
         tgt_batches = list(batch_iterator(len(target), config.batch_size, tgt_seed, epoch))
-        sums = dict.fromkeys(("objective", "L_cls", "W1_estimate", "L_grad", "L_w_q",
-                              "lambda_w"), 0.0)
+        sums = dict.fromkeys(("objective", *LOSS_NAMES, "lambda_w"), 0.0)
         for step in range(steps_per_epoch):
             idx_cls = cls_batches[step % len(cls_batches)]
             idx_adv = adv_batches[step % len(adv_batches)]
             lamw = lambda_w((epoch * steps_per_epoch + step) / max(1, total_model_steps - 1))
             bindings.update(xs_cls=source.features[idx_cls],
-                            y_onehot=_one_hot(source.labels[idx_cls], n_classes),
+                            y_onehot=one_hot[source.labels[idx_cls]],
                             xs_adv=labelled.features[idx_adv], lambda_w=np.asarray(lamw))
             nt = 0
             if tgt_batches:
@@ -476,25 +475,17 @@ def _adversarial_fit(f_params, c_params, d_params, source: Dataset, target: Data
                     eps_seed = derive_seed(seed, "eps", epoch, step, critic_step)
                     bindings["xhat"] = transport.interpolates(bindings["fs_adv"],
                                                               bindings["ft"], eps_seed)
-                    vals = forward_eval(sg.critic_graph, bindings, sg.critic_outputs)
-                    penalty += float(vals[sg.critic_nodes["penalty"]])
-                    bindings = opt_critic.step_ascent(
-                        bindings, {nm: vals[n] for nm, n in sg.critic_nodes["grads"].items()})
+                    terms, grads = sg.critic.evaluate(bindings)
+                    penalty += terms["L_grad"]
+                    bindings = opt_critic.step_ascent(bindings, grads)
                 sums["L_grad"] += penalty / CRITIC_STEPS
 
-            vals = forward_eval(sg.model_graph, bindings, sg.model_outputs)
-            obj = float(vals[sg.model_nodes["objective"]])
-            if not np.isfinite(obj):
+            terms, grads = sg.model.evaluate(bindings)
+            if not np.isfinite(terms["objective"]):
                 raise TrainingDivergedError(epoch)
-            bindings = opt_model.step(
-                bindings, {nm: vals[n] for nm, n in sg.model_nodes["grads"].items()})
-
-            sums["objective"] += obj
-            sums["L_cls"] += float(vals[sg.model_nodes["l_cls"]])
-            if sg.model_nodes["l_wq"] is not None:
-                sums["L_w_q"] += float(vals[sg.model_nodes["l_wq"]])
-            if sg.model_nodes["w1"] is not None:
-                sums["W1_estimate"] += float(vals[sg.model_nodes["w1"]])
+            bindings = opt_model.step(bindings, grads)
+            for name, value in terms.items():
+                sums[name] += value
             sums["lambda_w"] += lamw
 
         record = {"epoch": epoch, **{k: v / steps_per_epoch for k, v in sums.items()}}
@@ -525,8 +516,8 @@ def stage1_train(f_params, c_params, d_params, source: Dataset, target: Dataset,
     """Adversarial pre-adaptation on the unlabeled target pool."""
     if len(source) == 0 or len(target) == 0:
         raise ValueError("stage 1 needs non-empty source and target pools")
-    return _adversarial_fit(f_params, c_params, d_params, source, target,
-                            config, config.stage1_epochs, seed, eval_cb=eval_cb)
+    return _adversarial_fit(f_params, c_params, d_params, source, target, config,
+                            config.stage1_epochs, seed, labelled=source, eval_cb=eval_cb)
 
 
 def stage3_train(f_params, c_params, d_params, source: Dataset, labelled: Dataset,
@@ -621,7 +612,7 @@ def run_algorithm_1(source: Dataset, target: Dataset, config: TrainConfig, seed:
                                   alpha=alpha, class_counts=counts, stage3=hist3))
 
     return RunRecord(
-        config=config, seed=seed, strategy=strategy, stage1=hist1, rounds=rounds,
+        config=config, seed=int(seed), strategy=strategy, stage1=hist1, rounds=rounds,
         params={"F": f_params, "C": c_params, "D": d_params},
         final_source_accuracy=accuracy(f_params, c_params, source),
         final_target_accuracy=accuracy(f_params, c_params, target))

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import nets
-from .acda import _STRATEGIES, RunRecord, TrainConfig, _check_run, accuracy, run_algorithm_1
+from .acda import (_STRATEGIES, LOSS_NAMES, RunRecord, TrainConfig, _check_run, accuracy,
+                   run_algorithm_1)
 from .data import (Dataset, DomainPair, gen_gaussian_shift_pair,
                    gen_two_moons_pair, load_idx_pair, read_text, standardize_features)
 from .errors import ConfigError, TrainingDivergedError
@@ -40,8 +41,8 @@ __all__ = [
 METRICS_VERSION_LINE = "# acda-metrics-v1"
 # metrics.csv's columns: the run's strategy, seed and budget, the round (0 is
 # stage 1), then the epoch record's values (NaN for an accuracy it lacks).
-_METRICS_COLUMNS = ("strategy", "seed", "budget", "round", "epoch", "L_cls", "W1_estimate",
-                    "L_grad", "L_w_q", "source_accuracy", "target_accuracy")
+_METRICS_COLUMNS = ("strategy", "seed", "budget", "round", "epoch", *LOSS_NAMES,
+                    "source_accuracy", "target_accuracy")
 METRICS_HEADER = ",".join(_METRICS_COLUMNS)
 
 # Each dataset kind's builder, and the keys it takes with their defaults.  A
@@ -61,6 +62,42 @@ _DEFAULT_KIND = "two_moons"
 
 def _dataset_defaults(kind: str) -> dict:
     return {"kind": kind, **_DATASETS[kind][1]}
+
+
+def _check_dataset(dataset: dict, lines: dict | None = None) -> tuple:
+    """``(kind, its keys with their defaults)`` for the recipe ``dataset``;
+    ConfigError unless the kind is in ``_DATASETS``, every other key is one
+    of its keys, and every required key is set.  ``lines`` maps a key to
+    the config-file line that set it."""
+    lines = lines or {}
+    kind = dataset.get("kind")
+    if kind not in _DATASETS:
+        raise ConfigError(f"{_at(lines.get('kind'))}unknown dataset kind '{kind}' "
+                          f"(choose from {sorted(_DATASETS)})")
+    defaults = _DATASETS[kind][1]
+    for key in dataset:
+        if key != "kind" and key not in defaults:
+            raise ConfigError(f"{_at(lines.get(key))}dataset key '{key}' not valid for kind "
+                              f"'{kind}'")
+    missing = [k for k, v in defaults.items() if dataset.get(k, v) is None]
+    if missing:
+        raise ConfigError(f"dataset kind '{kind}' needs keys {missing}")
+    return kind, defaults
+
+
+def _parse_dataset(entries: dict) -> dict:
+    """The recipe that ``entries``, ``{key: (raw value, line)}`` for the
+    ``dataset.`` keys of a config file, describe: every key of its kind, a
+    key the file leaves out at its default, each value of its default's
+    type."""
+    lines = {key: line for key, (_, line) in entries.items()}
+    given = {key: raw for key, (raw, _) in entries.items()}
+    kind, defaults = _check_dataset(given, lines)
+    recipe = {"kind": kind, **defaults}
+    for key, (raw, line) in entries.items():
+        if key != "kind":
+            recipe[key] = _coerce(raw, type(defaults[key]), f"dataset.{key}", line)
+    return recipe
 
 
 @dataclass
@@ -153,12 +190,10 @@ def parse_config(path: str) -> ExperimentConfig:
                 f"line {line_no}: key '{key}' is already set on line {entries[key][1]}")
         entries[key] = (raw.strip(), line_no)
 
-    kind, line_no = entries.pop("dataset.kind", (_DEFAULT_KIND, None))
-    if kind not in _DATASETS:
-        raise ConfigError(f"{_at(line_no)}unknown dataset kind '{kind}' "
-                          f"(choose from {sorted(_DATASETS)})")
-    dataset_defaults = _DATASETS[kind][1]
-    cfg = ExperimentConfig(dataset=_dataset_defaults(kind))
+    dataset = {"kind": (_DEFAULT_KIND, None)}
+    for key in [key for key in entries if key.startswith("dataset.")]:
+        dataset[key[len("dataset."):]] = entries.pop(key)
+    cfg = ExperimentConfig(dataset=_parse_dataset(dataset))
     train_kw: dict = {}
     for key, (raw, line_no) in entries.items():
         if key == "out_dir":
@@ -173,12 +208,6 @@ def parse_config(path: str) -> ExperimentConfig:
             if raw.lower() not in ("true", "false"):
                 raise ConfigError(f"line {line_no}: standardize expects true/false")
             cfg.standardize = raw.lower() == "true"
-        elif key.startswith("dataset."):
-            sub = key[len("dataset."):]
-            if sub not in dataset_defaults:
-                raise ConfigError(
-                    f"line {line_no}: dataset key '{sub}' not valid for kind '{kind}'")
-            cfg.dataset[sub] = _coerce(raw, type(dataset_defaults[sub]), key, line_no)
         elif key in _TRAIN_DEFAULTS:
             value = _coerce(raw, type(_TRAIN_DEFAULTS[key]), key, line_no)
             try:  # each TrainConfig check reads one field, so check it alone
@@ -188,9 +217,6 @@ def parse_config(path: str) -> ExperimentConfig:
             train_kw[key] = value
         else:
             raise ConfigError(f"line {line_no}: unknown key '{key}'")
-    missing = [k for k, v in cfg.dataset.items() if v is None]
-    if missing:
-        raise ConfigError(f"dataset kind '{kind}' needs keys {missing}")
     cfg.train = TrainConfig(**train_kw)
     return cfg
 
@@ -293,8 +319,9 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> int:
         except ValueError as exc:
             raise ConfigError(f"run '{tag}': {exc}") from None
     try:
+        _check_dataset(config.dataset)
         pools = _pools_for_run(config, config.seeds[0])
-    except ValueError as exc:
+    except (ConfigError, TypeError, ValueError) as exc:
         raise ConfigError(f"dataset: {exc}") from None
     os.makedirs(out, exist_ok=True)
     results, finals = {}, {strategy: [] for strategy in config.strategies}

@@ -331,7 +331,7 @@ def test_critic_graph_penalty_equals_gradient_penalty_on_the_same_features():
     f_spec, c_spec, d_spec = (default_feature_spec(2), default_classifier_spec(2),
                               default_critic_spec())
     sg = _StepGraphs((128, 100, 128, 0, 2), (f_spec, c_spec, d_spec), 2)
-    assert sg.critic_graph.shapes[sg.critic_graph.leaves["xhat"]] == (100, f_spec.output_dim)
+    assert sg.critic.graph.shapes[sg.critic.graph.leaves["xhat"]] == (100, f_spec.output_dim)
 
     rng = np.random.default_rng(9)
     xs_adv, xt = rng.normal(size=(128, 2)), rng.normal(size=(100, 2)) + 1.0
@@ -341,16 +341,16 @@ def test_critic_graph_penalty_equals_gradient_penalty_on_the_same_features():
     bindings["fs_adv"] = nets.forward_bound(f_spec, bindings, "F", xs_adv)
     bindings["ft"] = nets.forward_bound(f_spec, bindings, "F", xt)
     bindings["xhat"] = transport.interpolates(bindings["fs_adv"], bindings["ft"], 11)
-    vals = forward_eval(sg.critic_graph, bindings)
-    step = forward_eval(sg.critic_graph, bindings, sg.critic_outputs)
+    vals = forward_eval(sg.critic.graph, bindings)
+    step = forward_eval(sg.critic.graph, bindings, sg.critic.outputs)
 
-    nodes = sg.critic_nodes
+    penalty, w1, objective = sg.critic.terms["L_grad"], sg.critic_w1, sg.critic.objective
     fs, ft = nets.forward(f, xs_adv), nets.forward(f, xt)
     expected = transport.gradient_penalty(d, fs, ft, 11)
-    assert vals[nodes["penalty"]].tobytes() == np.float64(expected).tobytes()
-    assert float(vals[nodes["w1"]]) == transport.critic_w1_estimate(d, fs, ft)
-    assert float(vals[nodes["objective"]]) == 0.7 * (float(vals[nodes["w1"]]) - expected)
-    for node in sg.critic_outputs:
+    assert vals[penalty].tobytes() == np.float64(expected).tobytes()
+    assert float(vals[w1]) == transport.critic_w1_estimate(d, fs, ft)
+    assert float(vals[objective]) == 0.7 * (float(vals[w1]) - expected)
+    for node in sg.critic.outputs:
         assert step[node].tobytes() == vals[node].tobytes()
 
 
@@ -373,13 +373,13 @@ def test_model_graph_losses_equal_the_numpy_references():
                 "qx": qx, "q_onehot": np.eye(2)[qy], "q_alpha": weights.alpha[qy],
                 "xs_adv": rng.normal(size=(40, 2)), "xt": rng.normal(size=(30, 2)),
                 "lambda_w": np.asarray(0.5)}
-    vals = forward_eval(sg.model_graph, bindings, sg.model_outputs)
+    vals = forward_eval(sg.model.graph, bindings, sg.model.outputs)
 
     logits = nets.forward_bound(specs[1], bindings, "C", nets.forward(f, xs_cls))
-    l_cls = float(vals[sg.model_nodes["l_cls"]])
+    l_cls = float(vals[sg.model.terms["L_cls"]])
     assert abs(l_cls - nets.cross_entropy_from_logits(logits, y)) < 1e-12
     q_probs = nets.forward(c, nets.forward(f, qx))
-    l_wq = float(vals[sg.model_nodes["l_wq"]])
+    l_wq = float(vals[sg.model.terms["L_w_q"]])
     assert abs(l_wq - weighted_query_loss(q_probs, qy, weights)) < 1e-12
 
 

@@ -248,7 +248,7 @@ def _step_graphs(query: bool):
     bindings = {}
     for spec, name in zip(specs, "FCD"):
         bindings.update(nets.param_bindings(nets.init_network(spec, 3), name))
-    for graph in (sg.critic_graph, sg.model_graph):
+    for graph in (sg.critic.graph, sg.model.graph):
         for name, nid in graph.leaves.items():
             bindings.setdefault(name, rng.normal(size=graph.shapes[nid]))
     return sg, bindings
@@ -259,8 +259,8 @@ def _plan_case(case):
         return _all_op_graph()
     sg, bindings = _step_graphs(query=case == "model_query")
     if case == "critic":
-        return sg.critic_graph, bindings, sg.critic_outputs
-    return sg.model_graph, bindings, sg.model_outputs
+        return sg.critic.graph, bindings, sg.critic.outputs
+    return sg.model.graph, bindings, sg.model.outputs
 
 
 @pytest.mark.parametrize("case", ["all_ops", "critic", "model", "model_query"])
@@ -283,12 +283,12 @@ def test_step_graphs_use_exactly_the_engine_primitives():
     critic graph is D alone: it reads features, never F's parameters."""
     with_query, _ = _step_graphs(query=True)
     without_query, _ = _step_graphs(query=False)
-    assert with_query.critic_graph.num_nodes == 121
-    assert not [name for name in with_query.critic_graph.leaves if name.startswith("F.")]
-    assert with_query.model_graph.num_nodes == 238
-    assert without_query.model_graph.num_nodes == 160
+    assert with_query.critic.graph.num_nodes == 121
+    assert not [name for name in with_query.critic.graph.leaves if name.startswith("F.")]
+    assert with_query.model.graph.num_nodes == 238
+    assert without_query.model.graph.num_nodes == 160
     used = {op for sg in (with_query, without_query)
-            for graph in (sg.critic_graph, sg.model_graph) for op in graph.ops}
+            for graph in (sg.critic.graph, sg.model.graph) for op in graph.ops}
     assert used == set(_FORWARD) | {"leaf"}
 
 

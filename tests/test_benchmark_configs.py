@@ -73,8 +73,8 @@ def test_every_traced_callable_exists():
 def test_step_graphs_carry_the_leaves_that_tell_critic_from_model():
     specs = (default_feature_spec(2), default_classifier_spec(2), default_critic_spec())
     sg = _StepGraphs((40, 30, 40, 7, 2), specs, 2)
-    assert "xhat" in sg.critic_graph.leaves and "xs_cls" not in sg.critic_graph.leaves
-    assert "xs_cls" in sg.model_graph.leaves and "xhat" not in sg.model_graph.leaves
+    assert "xhat" in sg.critic.graph.leaves and "xs_cls" not in sg.critic.graph.leaves
+    assert "xs_cls" in sg.model.graph.leaves and "xhat" not in sg.model.graph.leaves
 
 
 def test_a_training_stage_evaluates_only_critic_and_model_graphs(monkeypatch):

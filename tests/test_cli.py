@@ -3,15 +3,18 @@
 import json
 import os
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from acda.acda import LOSS_NAMES, TrainConfig, _StepGraphs
 from acda.cli import main
 from acda.errors import ConfigError
 from acda.data import load_csv
 from acda.experiments import (METRICS_HEADER, METRICS_VERSION_LINE, _pools_for_run,
                               build_pair, parse_config, run_experiment)
+from acda.nets import default_classifier_spec, default_critic_spec, default_feature_spec
 
 SMALL_DATASET = """
 dataset.kind = two_moons
@@ -139,8 +142,11 @@ def test_config_range_error_for_budget(tmp_path):
     ("strategy", "active,,none", "strategy list 'active,,none' has an empty entry"),
     ("strategy", "", "strategy list '' has an empty entry"),
     ("out_dir", "", "out_dir is empty"),
+    ("dataset.kind", "spiral", "unknown dataset kind 'spiral'"),
+    ("dataset.radius", "2", "dataset key 'radius' not valid for kind 'two_moons'"),
 ], ids=["budget", "batch_size", "strategy", "strategy-list-unknown", "strategy-list-repeated",
-        "strategy-list-empty-entry", "strategy-empty", "out-dir-empty"])
+        "strategy-list-empty-entry", "strategy-empty", "out-dir-empty", "dataset-kind",
+        "dataset-key"])
 def test_config_range_errors_report_line(tmp_path, key, value, message):
     body = f"seeds = 1\n# a comment\n{key} = {value}\nlambda_div = 1\n"
     with pytest.raises(ConfigError, match=f"^line 3: {message}"):
@@ -204,6 +210,43 @@ def test_run_experiment_emits_metrics_records_and_manifest(tmp_path):
     assert all(r["status"] == "ok" for r in manifest["runs"])
 
 
+def test_numpy_scalars_write_the_same_files_as_python_scalars(tmp_path):
+    """A code-built config whose TrainConfig fields and seed are numpy scalars
+    writes every file byte for byte as the same config with Python scalars."""
+    cfg = parse_config(write_cfg(tmp_path, SMALL_TRAIN + SMALL_DATASET + "seeds = 1\n"))
+    as_numpy = {name: (np.float64 if isinstance(value, float) else np.int64)(value)
+                for name, value in vars(cfg.train).items()}
+    numpy_cfg = replace(cfg, train=TrainConfig(**as_numpy), seeds=[np.int64(1)])
+    assert type(numpy_cfg.train.budget) is float and type(numpy_cfg.train.batch_size) is int
+    outs = [tmp_path / "python", tmp_path / "numpy"]
+    for config, out in zip((cfg, numpy_cfg), outs):
+        assert run_experiment(config, out_dir=str(out)) == 0
+    names = sorted(os.listdir(outs[0]))
+    assert names == sorted(os.listdir(outs[1]))
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_step_terms_epoch_losses_and_metrics_columns_share_their_names(tmp_path):
+    """The step graphs' terms, the epoch record's losses and metrics.csv's
+    loss columns are one set of names, so a term renamed in one place only
+    fails here."""
+    specs = (default_feature_spec(2), default_classifier_spec(2), default_critic_spec())
+    sg = _StepGraphs((40, 30, 40, 7, 2), specs, 2)
+    terms = (set(sg.critic.terms) | set(sg.model.terms)) - {"objective"}
+    cfg = parse_config(write_cfg(tmp_path, SMALL_TRAIN + SMALL_DATASET + "seeds = 1\n"))
+    out = tmp_path / "out"
+    run_experiment(cfg, out_dir=str(out))
+    record = json.loads((out / "run-active-seed1.json").read_text())
+    epoch = record["rounds"][0]["stage3"]["epochs"][0]
+    losses = set(epoch) - {"epoch", "objective", "lambda_w", "source_accuracy",
+                           "target_accuracy"}
+    header = (out / "metrics.csv").read_text().splitlines()[1].split(",")
+    columns = header[header.index("epoch") + 1:header.index("source_accuracy")]
+    assert terms == losses == set(columns)
+    assert columns == list(LOSS_NAMES) == ["L_cls", "W1_estimate", "L_grad", "L_w_q"]
+
+
 def test_run_experiment_rows_rederive_from_records(tmp_path):
     cfg = parse_config(write_cfg(tmp_path, SMALL_TRAIN + SMALL_DATASET
                                  + "seeds = 4\n"))
@@ -257,6 +300,8 @@ def test_run_experiment_checks_every_seed_before_writing(tmp_path, seeds, train,
     assert not out.exists()
 
 
+_MOONS = {"kind": "two_moons", "n_source": 120, "n_target": 120, "rotation_deg": 30.0,
+          "noise_sd": 0.1, "label_flip_rate": 0.1}
 _MISSING_IDX = "".join(f"dataset.{domain}_{part} = missing-{domain}.{part}\n"
                        for domain in ("source", "target") for part in ("images", "labels"))
 
@@ -267,13 +312,24 @@ _MISSING_IDX = "".join(f"dataset.{domain}_{part} = missing-{domain}.{part}\n"
     ("dataset.kind = gaussian\ndataset.swap_fraction = 2\n", "swap_fraction must lie in"),
     ("dataset.kind = idx\ndataset.max_items = -1\n" + _MISSING_IDX,
      "max_items must be non-negative"),
+    ({"kind": "spiral"}, "unknown dataset kind 'spiral'"),
+    ({**_MOONS, "radius": 2.0}, "dataset key 'radius' not valid for kind 'two_moons'"),
+    ({"kind": "idx", "source_images": "a", "source_labels": "b", "target_images": "c"},
+     r"dataset kind 'idx' needs keys \['target_labels'\]"),
+    ({**_MOONS, "n_source": "120"}, "'<' not supported between instances of 'str' and 'int'"),
 ], ids=["moons-n_source-1", "moons-noise_sd-negative", "gaussian-swap_fraction-2",
-        "idx-max_items-negative"])
+        "idx-max_items-negative", "code-unknown-kind", "code-unknown-key", "code-missing-key",
+        "code-str-n_source"])
 @pytest.mark.parametrize("strategy", ["", "strategy = active,random\n"],
                          ids=["run_experiment", "several-strategies"])
 def test_a_dataset_the_builder_refuses_is_a_config_error_before_writing(tmp_path, dataset,
                                                                         message, strategy):
-    cfg = parse_config(write_cfg(tmp_path, SMALL_TRAIN + dataset + strategy + "seeds = 1,2\n"))
+    """A dict is a recipe built in code, which no parser has checked."""
+    built_in_code = isinstance(dataset, dict)
+    cfg = parse_config(write_cfg(tmp_path, SMALL_TRAIN + ("" if built_in_code else dataset)
+                                 + strategy + "seeds = 1,2\n"))
+    if built_in_code:
+        cfg.dataset = dataset
     out = tmp_path / "out"
     with pytest.raises(ConfigError, match=f"dataset: {message}"):
         run_experiment(cfg, out_dir=str(out))

@@ -35,3 +35,13 @@ def test_reference_outputs_match_the_recorded_hashes(tmp_path):
     want, got = reference["sha256"], written["sha256"]
     moved = sorted(name for name in want.keys() | got.keys() if want.get(name) != got.get(name))
     assert moved == [], f"outputs whose bytes moved: {moved}"
+
+
+def test_an_existing_out_dir_is_refused_before_anything_is_written(tmp_path):
+    (tmp_path / "kept.txt").write_text("kept")
+    done = subprocess.run([sys.executable, TOOL, str(tmp_path)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == f"write_outputs: {tmp_path} exists already; OUT_DIR must be new\n"
+    assert sorted(os.listdir(tmp_path)) == ["kept.txt"]

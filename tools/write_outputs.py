@@ -106,7 +106,11 @@ def main(argv=None) -> int:
         print(__doc__.strip().splitlines()[0], file=sys.stderr)
         print("usage: python3 tools/write_outputs.py OUT_DIR", file=sys.stderr)
         return 2
-    os.makedirs(argv[0])
+    try:
+        os.makedirs(argv[0])
+    except FileExistsError:
+        print(f"write_outputs: {argv[0]} exists already; OUT_DIR must be new", file=sys.stderr)
+        return 2
     # relative paths, so the captured stdout does not name OUT_DIR
     os.chdir(argv[0])
     with open("exp.cfg", "w", encoding="utf-8") as fh:
