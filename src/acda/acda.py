@@ -20,7 +20,6 @@ from . import nets, transport
 from .autodiff import Graph, forward_eval
 from .data import Dataset, batch_iterator
 from .errors import CapacityError, DataError, TrainingDivergedError
-from .nets import NetworkParams
 from .optim import Adam
 from .seeding import derive_seed, make_rng
 
@@ -192,11 +191,11 @@ def query_size(m_t: int, budget: float) -> int:
     return max(1, int(np.floor(budget * m_t + 0.5)))
 
 
-def accuracy(f_params: NetworkParams, c_params: NetworkParams, data: Dataset) -> float:
+def accuracy(params: dict, data: Dataset) -> float:
     """Share of ``data``'s rows that C(F(x)) labels right; NaN without labels."""
     if data.labels is None:
         return float("nan")
-    probs = nets.forward(c_params, nets.forward(f_params, data.features))
+    probs = nets.forward(params["C"], nets.forward(params["F"], data.features))
     return float((probs.argmax(axis=1) == data.labels).mean())
 
 
@@ -204,9 +203,7 @@ def accuracy(f_params: NetworkParams, c_params: NetworkParams, data: Dataset) ->
 # query machinery
 
 
-def query_scores(f_params: NetworkParams, c_params: NetworkParams,
-                 d_params: NetworkParams, target_pool: Dataset,
-                 lambda_div: float) -> QueryResult:
+def query_scores(params: dict, target_pool: Dataset, lambda_div: float) -> QueryResult:
     """Rank every target-pool instance for querying.
 
     The combined score is the predictive entropy minus ``lambda_div`` times
@@ -217,9 +214,9 @@ def query_scores(f_params: NetworkParams, c_params: NetworkParams,
     """
     if len(target_pool) == 0:
         raise ValueError("cannot score an empty target pool")
-    feats = nets.forward(f_params, target_pool.features)
-    uncertainty = nets.predictive_entropy(nets.forward(c_params, feats))
-    diversity = _minmax(nets.forward(d_params, feats).reshape(-1))
+    feats = nets.forward(params["F"], target_pool.features)
+    uncertainty = nets.predictive_entropy(nets.forward(params["C"], feats))
+    diversity = _minmax(nets.forward(params["D"], feats).reshape(-1))
     combined = uncertainty - lambda_div * diversity
     order = np.lexsort((np.arange(combined.size), -combined))
     return QueryResult(indices=order.astype(np.int64), uncertainty=uncertainty,
@@ -286,11 +283,15 @@ def uncertainty_weights(labels, entropies, n_classes: int) -> WeightVector:
 
     Classes absent from the queried set get weight 0.  If the total entropy
     is below 1e-12 the weights fall back to class frequencies N_j / m_q.
+    ValueError unless there is one entropy per label.
     """
     labels = np.asarray(labels, dtype=np.int64)
     entropies = np.asarray(entropies, dtype=np.float64)
     if labels.size == 0:
         raise ValueError("need at least one queried instance")
+    if entropies.shape != labels.shape:
+        raise ValueError(f"need one entropy per label, got {entropies.size} for "
+                         f"{labels.size} labels")
     if labels.min() < 0 or labels.max() >= n_classes:
         raise ValueError(f"label outside [0, {n_classes})")
     counts = np.bincount(labels, minlength=n_classes).astype(np.int64)
@@ -308,9 +309,13 @@ def weighted_query_loss(probabilities, labels, weights: WeightVector) -> float:
 
     Training computes this loss in the model graph (``L_w_q``); this numpy
     form ships as the reference that graph is tested against, and as a
-    ``check`` item."""
+    ``check`` item.  ValueError unless there is one probability row per
+    label."""
     p = np.atleast_2d(np.asarray(probabilities, dtype=np.float64))
     labels = np.asarray(labels, dtype=np.int64)
+    if p.shape[0] != labels.size:
+        raise ValueError(f"need one probability row per label, got {p.shape[0]} rows for "
+                         f"{labels.size} labels")
     if labels.min() < 0 or labels.max() >= p.shape[1]:
         raise ValueError(f"label outside [0, {p.shape[1]})")
     picked = p[np.arange(p.shape[0]), labels]
@@ -352,12 +357,13 @@ class _StepGraphs:
     leaves ``fs_adv``, ``ft``, and its gradient penalty differentiates D at
     the feature interpolates ``xhat`` between them.  ``critic_w1`` is that
     W1 node, which no step reads alone.  Without a target batch there is no
-    critic graph: ``critic`` is None.
+    critic graph: ``critic`` is None.  ``dims`` holds the batch row counts
+    ``(ns_cls, nt, ns_adv, nq)``, and ``specs`` the F, C and D specs by name.
     """
 
-    def __init__(self, dims, specs, n_classes: int):
-        ns_cls, nt, ns_adv, nq, d = dims
-        f_spec, c_spec, d_spec = specs
+    def __init__(self, dims, specs: dict):
+        ns_cls, nt, ns_adv, nq = dims
+        f_spec, c_spec, d_spec = specs["F"], specs["C"], specs["D"]
 
         self.critic = None
         if nt:
@@ -375,24 +381,24 @@ class _StepGraphs:
                                 nets.param_leaf_names(d_spec, "D"))
 
         m = Graph()
-        xs_cls = m.leaf("xs_cls", (ns_cls, d))
-        y_onehot = m.leaf("y_onehot", (ns_cls, n_classes))
+        xs_cls = m.leaf("xs_cls", (ns_cls, f_spec.input_dim))
+        y_onehot = m.leaf("y_onehot", (ns_cls, c_spec.output_dim))
         logits = nets.build_forward(m, c_spec, nets.build_forward(m, f_spec, xs_cls, "F"), "C")
         lse = m.logsumexp(logits, axis=1)
         picked = m.sum(m.mul(logits, y_onehot), axis=1)
         terms = {"L_cls": m.mean(m.sub(lse, picked))}
         objective = terms["L_cls"]
         if nq:
-            qx = m.leaf("qx", (nq, d))
-            q_onehot = m.leaf("q_onehot", (nq, n_classes))
+            qx = m.leaf("qx", (nq, f_spec.input_dim))
+            q_onehot = m.leaf("q_onehot", (nq, c_spec.output_dim))
             q_alpha = m.leaf("q_alpha", (nq,))
             q_logits = nets.build_forward(m, c_spec, nets.build_forward(m, f_spec, qx, "F"), "C")
             q_ce = m.sub(m.logsumexp(q_logits, axis=1), m.sum(m.mul(q_logits, q_onehot), axis=1))
             terms["L_w_q"] = m.mean(m.mul(q_alpha, q_ce))
             objective = m.add(objective, terms["L_w_q"])
         if nt:
-            xs_adv_m = m.leaf("xs_adv", (ns_adv, d))
-            xt_m = m.leaf("xt", (nt, d))
+            xs_adv_m = m.leaf("xs_adv", (ns_adv, f_spec.input_dim))
+            xt_m = m.leaf("xt", (nt, f_spec.input_dim))
             lamw_m = m.leaf("lambda_w", ())
             terms["W1_estimate"] = transport.build_critic_w1(
                 m, d_spec, nets.build_forward(m, f_spec, xs_adv_m, "F"),
@@ -402,8 +408,8 @@ class _StepGraphs:
                            nets.param_leaf_names(f_spec, "F") + nets.param_leaf_names(c_spec, "C"))
 
 
-def _adversarial_fit(f_params, c_params, d_params, source: Dataset, target: Dataset,
-                     config: TrainConfig, epochs: int, seed: int, labelled: Dataset,
+def _adversarial_fit(params: dict, source: Dataset, target: Dataset, config: TrainConfig,
+                     epochs: int, seed: int, labelled: Dataset,
                      weights: WeightVector | None = None, eval_cb=None):
     """Alternating critic/model updates; returns updated params and history.
 
@@ -416,13 +422,12 @@ def _adversarial_fit(f_params, c_params, d_params, source: Dataset, target: Data
     D parameters, which each Adam step replaces, the query leaves, bound
     once, and the batch leaves, which each step rebinds.
     """
-    n_classes = c_params.spec.output_dim
-    one_hot = np.eye(n_classes)
+    one_hot = np.eye(params["C"].spec.output_dim)
     query_y = labelled.labels[len(source):]
-    specs = (f_params.spec, c_params.spec, d_params.spec)
+    specs = {name: net.spec for name, net in params.items()}
 
     bindings = {}
-    for name, net in (("F", f_params), ("C", c_params), ("D", d_params)):
+    for name, net in params.items():
         bindings.update(nets.param_bindings(net.copy(), name))
     if query_y.size:
         bindings.update(qx=labelled.features[len(source):], q_onehot=one_hot[query_y],
@@ -464,12 +469,13 @@ def _adversarial_fit(f_params, c_params, d_params, source: Dataset, target: Data
 
             key = (len(idx_cls), nt, len(idx_adv))
             if key not in graphs:
-                graphs[key] = _StepGraphs((*key, query_y.size, source.dim), specs, n_classes)
+                graphs[key] = _StepGraphs((*key, query_y.size), specs)
             sg = graphs[key]
 
             if nt:
-                bindings["fs_adv"] = nets.forward_bound(specs[0], bindings, "F", bindings["xs_adv"])
-                bindings["ft"] = nets.forward_bound(specs[0], bindings, "F", bindings["xt"])
+                f_spec = specs["F"]
+                bindings["fs_adv"] = nets.forward_bound(f_spec, bindings, "F", bindings["xs_adv"])
+                bindings["ft"] = nets.forward_bound(f_spec, bindings, "F", bindings["xt"])
                 penalty = 0.0
                 for critic_step in range(CRITIC_STEPS):
                     eps_seed = derive_seed(seed, "eps", epoch, step, critic_step)
@@ -490,8 +496,7 @@ def _adversarial_fit(f_params, c_params, d_params, source: Dataset, target: Data
 
         record = {"epoch": epoch, **{k: v / steps_per_epoch for k, v in sums.items()}}
         if eval_cb is not None:
-            f_now, c_now, _ = _unpack(bindings, f_params, c_params, d_params)
-            record.update(eval_cb(f_now, c_now))
+            record.update(eval_cb(_unbind(bindings, params)))
         history.epochs.append(record)
 
         if best - record["objective"] < EARLY_STOP_TOL:
@@ -503,27 +508,25 @@ def _adversarial_fit(f_params, c_params, d_params, source: Dataset, target: Data
             stale = 0
         best = min(best, record["objective"])
 
-    return (*_unpack(bindings, f_params, c_params, d_params), history)
+    return _unbind(bindings, params), history
 
 
-def _unpack(bindings: dict, f_params, c_params, d_params):
-    return tuple(nets.params_from_bindings(bindings, net, name)
-                 for name, net in (("F", f_params), ("C", c_params), ("D", d_params)))
+def _unbind(bindings: dict, like: dict) -> dict:
+    return {name: nets.params_from_bindings(bindings, net, name) for name, net in like.items()}
 
 
-def stage1_train(f_params, c_params, d_params, source: Dataset, target: Dataset,
-                 config: TrainConfig, seed: int, eval_cb=None):
-    """Adversarial pre-adaptation on the unlabeled target pool."""
+def stage1_train(params: dict, source: Dataset, target: Dataset, config: TrainConfig,
+                 seed: int, eval_cb=None):
+    """Adversarial pre-adaptation on the unlabeled target pool; returns ``(params, history)``."""
     if len(source) == 0 or len(target) == 0:
         raise ValueError("stage 1 needs non-empty source and target pools")
-    return _adversarial_fit(f_params, c_params, d_params, source, target, config,
-                            config.stage1_epochs, seed, labelled=source, eval_cb=eval_cb)
+    return _adversarial_fit(params, source, target, config, config.stage1_epochs, seed,
+                            labelled=source, eval_cb=eval_cb)
 
 
-def stage3_train(f_params, c_params, d_params, source: Dataset, labelled: Dataset,
-                 remaining_target: Dataset, weights: WeightVector | None,
-                 config: TrainConfig, seed: int, eval_cb=None):
-    """Retraining with the queried set folded in.
+def stage3_train(params: dict, source: Dataset, labelled: Dataset, remaining_target: Dataset,
+                 weights: WeightVector | None, config: TrainConfig, seed: int, eval_cb=None):
+    """Retraining with the queried set folded in; returns ``(params, history)``.
 
     ``labelled`` is ``source`` followed by the queried rows, as
     :func:`update_pools` builds it.  With no queried rows this is exactly
@@ -532,9 +535,8 @@ def stage3_train(f_params, c_params, d_params, source: Dataset, labelled: Datase
     """
     if len(labelled) > len(source) and weights is None:
         raise ValueError("queried retraining needs uncertainty weights")
-    return _adversarial_fit(f_params, c_params, d_params, source, remaining_target,
-                            config, config.stage3_epochs, seed,
-                            labelled=labelled, weights=weights, eval_cb=eval_cb)
+    return _adversarial_fit(params, source, remaining_target, config, config.stage3_epochs,
+                            seed, labelled=labelled, weights=weights, eval_cb=eval_cb)
 
 
 # ----------------------------------------------------------------------
@@ -549,8 +551,8 @@ def run_algorithm_1(source: Dataset, target: Dataset, config: TrainConfig, seed:
     (and is never read otherwise).  The per-round budget is
     ``config.budget / config.query_rounds`` of the then-current pool.
     ``strategy`` is "active", "random" or "none" (no queries); every random
-    choice derives from ``seed``.
-    ``eval_cb(f_params, c_params)`` may add metrics to every epoch record.
+    choice derives from ``seed``.  Every stage takes and returns F, C and D
+    as one dict; ``eval_cb(params)`` may add metrics to every epoch record.
     A bad seed or strategy (ValueError), a target label that is no source
     class (DataError) and a querying strategy without target labels
     (ValueError) fail before stage 1.
@@ -565,16 +567,13 @@ def run_algorithm_1(source: Dataset, target: Dataset, config: TrainConfig, seed:
                         f"(the source has {n_classes} classes)")
     if strategy != "none" and target.labels is None:
         raise ValueError("querying needs target labels as the oracle")
-    f_spec = nets.default_feature_spec(source.dim)
-    c_spec = nets.default_classifier_spec(n_classes)
-    d_spec = nets.default_critic_spec()
-    f_params = nets.init_network(f_spec, derive_seed(seed, "init", "F"))
-    c_params = nets.init_network(c_spec, derive_seed(seed, "init", "C"))
-    d_params = nets.init_network(d_spec, derive_seed(seed, "init", "D"))
-
-    f_params, c_params, d_params, hist1 = stage1_train(
-        f_params, c_params, d_params, source, target, config,
-        derive_seed(seed, "stage", 1), eval_cb=eval_cb)
+    specs = {"F": nets.default_feature_spec(source.dim),
+             "C": nets.default_classifier_spec(n_classes),
+             "D": nets.default_critic_spec()}
+    params = {name: nets.init_network(spec, derive_seed(seed, "init", name))
+              for name, spec in specs.items()}
+    params, hist1 = stage1_train(params, source, target, config, derive_seed(seed, "stage", 1),
+                                 eval_cb=eval_cb)
 
     # labelled = source + every queried row so far; pool = the rest of the
     # target, whose row i is target row original_index[i]
@@ -588,7 +587,7 @@ def run_algorithm_1(source: Dataset, target: Dataset, config: TrainConfig, seed:
     for round_index in range(1, config.query_rounds + 1):
         query = orig_idx = q_labels = None
         if strategy != "none" and len(pool) > 0:
-            scores = query_scores(f_params, c_params, d_params, pool, config.lambda_div)
+            scores = query_scores(params, pool, config.lambda_div)
             if strategy == "active":
                 picked = select_queries(scores, per_round_budget)
             else:
@@ -603,9 +602,8 @@ def run_algorithm_1(source: Dataset, target: Dataset, config: TrainConfig, seed:
             weights = uncertainty_weights(labelled.labels[len(source):], queried_entropy,
                                           n_classes)
 
-        f_params, c_params, d_params, hist3 = stage3_train(
-            f_params, c_params, d_params, source, labelled, pool, weights, config,
-            derive_seed(seed, "stage", 3, round_index), eval_cb=eval_cb)
+        params, hist3 = stage3_train(params, source, labelled, pool, weights, config,
+                                     derive_seed(seed, "stage", 3, round_index), eval_cb=eval_cb)
         alpha, counts = (None, None) if weights is None else (weights.alpha, weights.counts)
         rounds.append(RoundRecord(round=round_index, query=query,
                                   queried_original_indices=orig_idx, queried_labels=q_labels,
@@ -613,6 +611,5 @@ def run_algorithm_1(source: Dataset, target: Dataset, config: TrainConfig, seed:
 
     return RunRecord(
         config=config, seed=int(seed), strategy=strategy, stage1=hist1, rounds=rounds,
-        params={"F": f_params, "C": c_params, "D": d_params},
-        final_source_accuracy=accuracy(f_params, c_params, source),
-        final_target_accuracy=accuracy(f_params, c_params, target))
+        params=params, final_source_accuracy=accuracy(params, source),
+        final_target_accuracy=accuracy(params, target))

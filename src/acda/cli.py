@@ -10,8 +10,8 @@ keys of the chosen kind, strategy, seeds, standardize and out_dir), each set
 once in the file; ``strategy`` takes a list such as 'active,random,none'.
 Flags pick only the seed and the output root: run and gen take --seed, one
 seed that replaces the config's seeds, and --out, which defaults to the
-config's out_dir.  check takes no flags.  A negative seed exits with status
-2 before anything is written.
+config's out_dir.  check takes no flags.  A negative seed or an empty output
+root exits with status 2 before anything is written.
 """
 
 from __future__ import annotations
@@ -59,13 +59,13 @@ def _load(args):
 
 def _cmd_run(args) -> int:
     config = _load(args)
-    return run_experiment(config, out_dir=args.out or config.out_dir)
+    return run_experiment(config, out_dir=args.out)
 
 
 def _cmd_gen(args) -> int:
     config = _load(args)
+    out = experiments._out_root(config, args.out)
     source, target = experiments._pools_for_run(config, config.seeds[0])
-    out = args.out or config.out_dir
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "dataset.csv")
     export_csv(path, source, target)

@@ -243,9 +243,9 @@ def _pools_for_run(config: ExperimentConfig, run_seed: int):
 def _run_one(config: ExperimentConfig, run_seed: int, strategy: str, pools) -> RunRecord:
     source, target = pools
 
-    def eval_cb(f_params, c_params):
-        return {"source_accuracy": accuracy(f_params, c_params, source),
-                "target_accuracy": accuracy(f_params, c_params, target)}
+    def eval_cb(params):
+        return {"source_accuracy": accuracy(params, source),
+                "target_accuracy": accuracy(params, target)}
 
     return run_algorithm_1(source, target, config.train, run_seed, strategy, eval_cb=eval_cb)
 
@@ -290,21 +290,32 @@ def _run_and_save(config: ExperimentConfig, run_seed: int, strategy: str, pools,
     }
 
 
+def _out_root(config: ExperimentConfig, out_dir: str | None) -> str:
+    """The output root: ``out_dir``, or the config's when it is None;
+    ConfigError if it is empty."""
+    out = config.out_dir if out_dir is None else out_dir
+    if not out:
+        raise ConfigError("out_dir is empty")
+    return out
+
+
 def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> int:
     """Run every strategy of ``config.strategies`` on every seed of
-    ``config.seeds``; returns the exit status, 0, or 1 when a run diverged.
+    ``config.seeds`` and write into ``out_dir`` (default: the config's);
+    returns the exit status, 0, or 1 when a run diverged.
 
     Builds each seed's pools once, for all its strategies.  Writes a
     RunRecord JSON and a checkpoint per finished run, one ``metrics.csv``
     over all of them, a ``MANIFEST.json`` that marks a diverged run and sets
     the status to "failed" without stopping the rest, and ``summary.csv``
     (see :func:`_summary_lines`).  Rows and manifest entries go strategy by
-    strategy, then seed by seed, in list order.  No strategy or no seed, a
-    repeated pair, a bad seed or strategy, a ``TrainConfig`` field that its
-    own check refuses, or a dataset that the first seed's pools cannot be
-    built from, is a ConfigError before anything is written.
+    strategy, then seed by seed, in list order.  An empty output root, no
+    strategy or no seed, a repeated pair, a bad seed or strategy, a
+    ``TrainConfig`` field that its own check refuses, or a dataset that the
+    first seed's pools cannot be built from, is a ConfigError before
+    anything is written.
     """
-    out = out_dir if out_dir is not None else config.out_dir
+    out = _out_root(config, out_dir)
     pairs = [(strategy, run_seed) for strategy in config.strategies
              for run_seed in config.seeds]
     if not pairs:

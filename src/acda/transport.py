@@ -189,8 +189,10 @@ def fit_critic(points_a, points_b, steps: int = 2000, seed: int = 0):
     ``(step, estimate)`` pairs, every 100 steps and at the last.  The
     points are the features: the W1 term reads them and the penalty
     differentiates D at interpolates between them.  D is a fresh default
-    critic seeded by ``seed``.
+    critic seeded by ``seed``.  ValueError unless ``steps`` is at least 1.
     """
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
     xs = _check_points(points_a, "points_a")
     xt = _check_points(points_b, "points_b")
     dim = xs.shape[1]

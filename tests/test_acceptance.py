@@ -195,7 +195,7 @@ def test_criterion_4_query_machinery():
     c = init_network(nets.default_classifier_spec(2), 2)
     d = init_network(nets.default_critic_spec(), 3)
     pool = Dataset(rng.normal(size=(257, 2)), None)
-    scores = query_scores(f, c, d, pool, 0.0)
+    scores = query_scores({"F": f, "C": c, "D": d}, pool, 0.0)
     entropy = predictive_entropy(nets.forward(c, nets.forward(f, pool.features)))
     entropy_rank = np.lexsort((np.arange(len(entropy)), -entropy))
     ok = ok and np.array_equal(scores.indices, entropy_rank)

@@ -23,10 +23,10 @@ from acda.seeding import derive_seed
 
 
 def _nets_for(dim=2, n_classes=2, seed=0):
-    f = init_network(default_feature_spec(dim), derive_seed(seed, "f"))
-    c = init_network(default_classifier_spec(n_classes), derive_seed(seed, "c"))
-    d = init_network(default_critic_spec(), derive_seed(seed, "d"))
-    return f, c, d
+    """The ``{"F", "C", "D"}`` networks dict that the stages take."""
+    return {"F": init_network(default_feature_spec(dim), derive_seed(seed, "f")),
+            "C": init_network(default_classifier_spec(n_classes), derive_seed(seed, "c")),
+            "D": init_network(default_critic_spec(), derive_seed(seed, "d"))}
 
 
 def _stage1_seed(seed):
@@ -111,22 +111,22 @@ def test_query_scores_hand_example():
     entropy = predictive_entropy(nets.forward(c, pool.features))
     assert entropy[1] == entropy[2]
 
-    flat = query_scores(f, c, d, pool, 0.0)
+    flat = query_scores({"F": f, "C": c, "D": d}, pool, 0.0)
     np.testing.assert_array_equal(flat.indices, [3, 1, 2, 0])
     np.testing.assert_array_equal(flat.combined, entropy)
 
-    scores = query_scores(f, c, d, pool, 0.01)
+    scores = query_scores({"F": f, "C": c, "D": d}, pool, 0.01)
     np.testing.assert_allclose(scores.diversity, [1.0, 0.4, 0.0, 0.24], atol=1e-15)
     np.testing.assert_array_equal(scores.combined, entropy - 0.01 * scores.diversity)
     np.testing.assert_array_equal(scores.indices, [3, 2, 1, 0])
 
 
 def test_query_scores_with_zero_lambda_is_entropy_ranking():
-    f, c, d = _nets_for()
+    params = _nets_for()
     source, target = _small_pair(seed=3)
-    scores = query_scores(f, c, d, target, 0.0)
+    scores = query_scores(params, target, 0.0)
     from acda import nets
-    ent = predictive_entropy(nets.forward(c, nets.forward(f, target.features)))
+    ent = predictive_entropy(nets.forward(params["C"], nets.forward(params["F"], target.features)))
     np.testing.assert_array_equal(scores.indices,
                                   np.lexsort((np.arange(len(ent)), -ent)))
     np.testing.assert_allclose(scores.combined, ent, atol=0)
@@ -144,10 +144,9 @@ def test_query_scores_minmax_is_shift_invariant_and_handles_degenerate():
 
 
 def test_query_scores_rejects_empty_pool():
-    f, c, d = _nets_for()
     empty = Dataset(np.zeros((0, 2)), None)
     with pytest.raises(ValueError):
-        query_scores(f, c, d, empty, 10.0)
+        query_scores(_nets_for(), empty, 10.0)
 
 
 def test_select_queries_matches_brute_force_top_k():
@@ -255,6 +254,10 @@ def test_uncertainty_weights_single_class_and_bad_labels():
         uncertainty_weights([0, 3], [0.1, 0.1], n_classes=3)
     with pytest.raises(ValueError):
         uncertainty_weights([], [], n_classes=2)
+    with pytest.raises(ValueError, match="one entropy per label, got 1 for 2 labels"):
+        uncertainty_weights([0, 1], [0.0], n_classes=2)  # not the zero-entropy fallback
+    with pytest.raises(ValueError, match="one entropy per label, got 3 for 2 labels"):
+        uncertainty_weights([0, 1], [0.2, 0.3, 0.4], n_classes=2)
 
 
 @settings(derandomize=True, max_examples=100)
@@ -291,18 +294,29 @@ def test_weighted_query_loss_hand_case():
     assert abs(loss - 0.346574) < 1e-6
 
 
+@pytest.mark.parametrize("rows, labels", [(1, [0, 1, 1]), (3, [0, 1])],
+                         ids=["one-row-three-labels", "three-rows-two-labels"])
+def test_weighted_query_loss_needs_one_probability_row_per_label(rows, labels):
+    """One row is not broadcast over several labels, and extra rows are not
+    an IndexError."""
+    wv = WeightVector(alpha=np.array([0.5, 0.5]), counts=np.array([1, 1]))
+    with pytest.raises(ValueError, match=f"got {rows} rows for {len(labels)} labels"):
+        weighted_query_loss(np.full((rows, 2), 0.5), labels, wv)
+
+
 # ----------------------------------------------------------------- training
 
 
 def test_stage1_same_seed_is_bitwise_reproducible():
     source, target = _small_pair(seed=5)
     cfg = TrainConfig(stage1_epochs=3, batch_size=32)
-    f, c, d = _nets_for(seed=1)
-    a = stage1_train(f, c, d, source, target, cfg, 99)
-    b = stage1_train(f, c, d, source, target, cfg, 99)
-    for wa, wb in zip(a[0].weights + a[1].weights + a[2].weights,
-                      b[0].weights + b[1].weights + b[2].weights):
-        np.testing.assert_array_equal(wa, wb)
+    params = _nets_for(seed=1)
+    a, _ = stage1_train(params, source, target, cfg, 99)
+    b, _ = stage1_train(params, source, target, cfg, 99)
+    assert list(a) == list(b) == ["F", "C", "D"]
+    for name in a:
+        for wa, wb in zip(a[name].weights, b[name].weights):
+            np.testing.assert_array_equal(wa, wb)
 
 
 def test_stage1_adapts_identical_pools_toward_zero_w1():
@@ -311,9 +325,8 @@ def test_stage1_adapts_identical_pools_toward_zero_w1():
     labels = (x[:, 0] > 0).astype(np.int64)
     source = Dataset(x, labels)
     target = Dataset(x.copy(), None)
-    f, c, d = _nets_for(seed=2)
     cfg = TrainConfig(stage1_epochs=30, batch_size=60, learning_rate=2e-3)
-    _, _, _, hist = stage1_train(f, c, d, source, target, cfg, _stage1_seed(3))
+    _, hist = stage1_train(_nets_for(seed=2), source, target, cfg, _stage1_seed(3))
     first = abs(hist.epochs[0]["W1_estimate"])
     last = abs(hist.epochs[-1]["W1_estimate"])
     assert last <= max(0.1 * first, 0.05)
@@ -328,14 +341,15 @@ def test_critic_graph_penalty_equals_gradient_penalty_on_the_same_features():
     from acda.acda import _StepGraphs
     from acda.autodiff import forward_eval
 
-    f_spec, c_spec, d_spec = (default_feature_spec(2), default_classifier_spec(2),
-                              default_critic_spec())
-    sg = _StepGraphs((128, 100, 128, 0, 2), (f_spec, c_spec, d_spec), 2)
+    f_spec = default_feature_spec(2)
+    specs = {"F": f_spec, "C": default_classifier_spec(2), "D": default_critic_spec()}
+    sg = _StepGraphs((128, 100, 128, 0), specs)
     assert sg.critic.graph.shapes[sg.critic.graph.leaves["xhat"]] == (100, f_spec.output_dim)
 
     rng = np.random.default_rng(9)
     xs_adv, xt = rng.normal(size=(128, 2)), rng.normal(size=(100, 2)) + 1.0
-    f, _, d = _nets_for(seed=4)
+    params = _nets_for(seed=4)
+    f, d = params["F"], params["D"]
     bindings = {**nets.param_bindings(f, "F"), **nets.param_bindings(d, "D"),
                 "lambda_w": np.asarray(0.7)}
     bindings["fs_adv"] = nets.forward_bound(f_spec, bindings, "F", xs_adv)
@@ -361,9 +375,11 @@ def test_model_graph_losses_equal_the_numpy_references():
     from acda.acda import _StepGraphs
     from acda.autodiff import forward_eval
 
-    specs = (default_feature_spec(2), default_classifier_spec(2), default_critic_spec())
-    sg = _StepGraphs((40, 30, 40, 7, 2), specs, 2)
-    f, c, d = _nets_for(seed=6)
+    specs = {"F": default_feature_spec(2), "C": default_classifier_spec(2),
+             "D": default_critic_spec()}
+    sg = _StepGraphs((40, 30, 40, 7), specs)
+    params = _nets_for(seed=6)
+    f, c, d = params["F"], params["C"], params["D"]
     rng = np.random.default_rng(10)
     xs_cls, qx = rng.normal(size=(40, 2)), rng.normal(size=(7, 2))
     y, qy = rng.integers(0, 2, size=40), np.array([0, 1, 1, 0, 1, 1, 1])
@@ -375,7 +391,7 @@ def test_model_graph_losses_equal_the_numpy_references():
                 "lambda_w": np.asarray(0.5)}
     vals = forward_eval(sg.model.graph, bindings, sg.model.outputs)
 
-    logits = nets.forward_bound(specs[1], bindings, "C", nets.forward(f, xs_cls))
+    logits = nets.forward_bound(specs["C"], bindings, "C", nets.forward(f, xs_cls))
     l_cls = float(vals[sg.model.terms["L_cls"]])
     assert abs(l_cls - nets.cross_entropy_from_logits(logits, y)) < 1e-12
     q_probs = nets.forward(c, nets.forward(f, qx))
@@ -388,12 +404,12 @@ def test_stopping_rule_matches_the_recorded_objectives():
     lower the best objective by EARLY_STOP_TOL; with a patience of at least
     the epoch count, every epoch runs."""
     source, target = _small_pair(seed=17, n=30)
-    f, c, d = _nets_for(seed=7)
+    params = _nets_for(seed=7)
     epochs = 6
     stopped = {}
     for patience in (1, 2, epochs, epochs + 3):
         cfg = TrainConfig(stage1_epochs=epochs, batch_size=15, early_stop_patience=patience)
-        _, _, _, hist = stage1_train(f, c, d, source, target, cfg, _stage1_seed(9))
+        _, hist = stage1_train(params, source, target, cfg, _stage1_seed(9))
         objectives = [rec["objective"] for rec in hist.epochs]
         best, stale, ran, stop = np.inf, 0, epochs, False
         for epoch, objective in enumerate(objectives):
@@ -413,10 +429,9 @@ def test_stopping_rule_matches_the_recorded_objectives():
 def test_training_diverged_error_carries_epoch():
     source, target = _small_pair(seed=7, n=30)
     bad = Dataset(source.features * np.inf, source.labels)
-    f, c, d = _nets_for(seed=3)
     cfg = TrainConfig(stage1_epochs=2, batch_size=16)
     with pytest.raises(TrainingDivergedError) as err:
-        stage1_train(f, c, d, bad, target, cfg, _stage1_seed(0))
+        stage1_train(_nets_for(seed=3), bad, target, cfg, _stage1_seed(0))
     assert err.value.epoch == 0
 
 
@@ -436,9 +451,8 @@ def test_l_grad_is_the_mean_penalty_over_the_critic_steps(monkeypatch):
 
     monkeypatch.setattr(algorithm, "forward_eval", spy)
     source, target = _small_pair(seed=15, n=60)
-    f, c, d = _nets_for(seed=5)
     cfg = TrainConfig(stage1_epochs=1, batch_size=20)
-    _, _, _, hist = stage1_train(f, c, d, source, target, cfg, _stage1_seed(8))
+    _, hist = stage1_train(_nets_for(seed=5), source, target, cfg, _stage1_seed(8))
     per_step = np.array(penalties).reshape(3, CRITIC_STEPS)  # 3 model steps
     assert np.ptp(per_step, axis=1).min() > 0
     assert hist.epochs[0]["L_grad"] == pytest.approx(per_step.mean(axis=1).mean(), rel=1e-12)
@@ -446,20 +460,20 @@ def test_l_grad_is_the_mean_penalty_over_the_critic_steps(monkeypatch):
 
 def test_stage3_with_empty_query_set_equals_stage1_dynamics():
     source, target = _small_pair(seed=8)
-    f, c, d = _nets_for(seed=4)
+    params = _nets_for(seed=4)
     cfg = TrainConfig(stage1_epochs=3, stage3_epochs=3, batch_size=32)
-    a = stage1_train(f, c, d, source, target, cfg, 123)
-    b = stage3_train(f, c, d, source, source, target, None, cfg, 123)
-    for wa, wb in zip(a[0].weights + a[1].weights, b[0].weights + b[1].weights):
+    a, _ = stage1_train(params, source, target, cfg, 123)
+    b, _ = stage3_train(params, source, source, target, None, cfg, 123)
+    for wa, wb in zip(a["F"].weights + a["C"].weights, b["F"].weights + b["C"].weights):
         np.testing.assert_array_equal(wa, wb)
 
 
 def test_accuracy_is_nan_without_labels():
     source, _ = _small_pair(seed=2, n=20)
-    f, c, _ = _nets_for()
-    predicted = nets.forward(c, nets.forward(f, source.features)).argmax(axis=1)
-    assert accuracy(f, c, source) == np.mean(predicted == source.labels)
-    assert np.isnan(accuracy(f, c, Dataset(source.features, None)))
+    params = _nets_for()
+    predicted = nets.forward(params["C"], nets.forward(params["F"], source.features)).argmax(1)
+    assert accuracy(params, source) == np.mean(predicted == source.labels)
+    assert np.isnan(accuracy(params, Dataset(source.features, None)))
 
 
 # ----------------------------------------------------------------- pipeline

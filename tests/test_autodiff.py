@@ -241,12 +241,12 @@ def _step_graphs(query: bool):
     from acda import nets
     from acda.acda import _StepGraphs
 
-    specs = (nets.default_feature_spec(2), nets.default_classifier_spec(2),
-             nets.default_critic_spec())
-    sg = _StepGraphs((128, 128, 128, 5 if query else 0, 2), specs, 2)
+    specs = {"F": nets.default_feature_spec(2), "C": nets.default_classifier_spec(2),
+             "D": nets.default_critic_spec()}
+    sg = _StepGraphs((128, 128, 128, 5 if query else 0), specs)
     rng = np.random.default_rng(8)
     bindings = {}
-    for spec, name in zip(specs, "FCD"):
+    for name, spec in specs.items():
         bindings.update(nets.param_bindings(nets.init_network(spec, 3), name))
     for graph in (sg.critic.graph, sg.model.graph):
         for name, nid in graph.leaves.items():

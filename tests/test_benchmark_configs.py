@@ -71,8 +71,9 @@ def test_every_traced_callable_exists():
 
 
 def test_step_graphs_carry_the_leaves_that_tell_critic_from_model():
-    specs = (default_feature_spec(2), default_classifier_spec(2), default_critic_spec())
-    sg = _StepGraphs((40, 30, 40, 7, 2), specs, 2)
+    specs = {"F": default_feature_spec(2), "C": default_classifier_spec(2),
+             "D": default_critic_spec()}
+    sg = _StepGraphs((40, 30, 40, 7), specs)
     assert "xhat" in sg.critic.graph.leaves and "xs_cls" not in sg.critic.graph.leaves
     assert "xs_cls" in sg.model.graph.leaves and "xhat" not in sg.model.graph.leaves
 
@@ -88,9 +89,10 @@ def test_a_training_stage_evaluates_only_critic_and_model_graphs(monkeypatch):
 
     monkeypatch.setattr(algorithm, "forward_eval", spy)
     pair = gen_two_moons_pair(40, 40, 30.0, 0.1, 0.0, seed=1)
-    nets = [init_network(spec, seed) for seed, spec in enumerate(
-        (default_feature_spec(2), default_classifier_spec(2), default_critic_spec()))]
-    stage1_train(*nets, pair.source, pair.target,
+    nets = {name: init_network(spec, seed) for seed, (name, spec) in enumerate(
+        (("F", default_feature_spec(2)), ("C", default_classifier_spec(2)),
+         ("D", default_critic_spec())))}
+    stage1_train(nets, pair.source, pair.target,
                  TrainConfig(stage1_epochs=1, batch_size=20), seed=3)
     assert kinds.count("model") == 2
     assert kinds.count("critic") == 2 * algorithm.CRITIC_STEPS

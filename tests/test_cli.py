@@ -231,8 +231,9 @@ def test_step_terms_epoch_losses_and_metrics_columns_share_their_names(tmp_path)
     """The step graphs' terms, the epoch record's losses and metrics.csv's
     loss columns are one set of names, so a term renamed in one place only
     fails here."""
-    specs = (default_feature_spec(2), default_classifier_spec(2), default_critic_spec())
-    sg = _StepGraphs((40, 30, 40, 7, 2), specs, 2)
+    specs = {"F": default_feature_spec(2), "C": default_classifier_spec(2),
+             "D": default_critic_spec()}
+    sg = _StepGraphs((40, 30, 40, 7), specs)
     terms = (set(sg.critic.terms) | set(sg.model.terms)) - {"objective"}
     cfg = parse_config(write_cfg(tmp_path, SMALL_TRAIN + SMALL_DATASET + "seeds = 1\n"))
     out = tmp_path / "out"
@@ -348,6 +349,27 @@ def test_compare_refuses_an_empty_strategy_list(tmp_path, capsys):
     assert main(["run", empty_path, "--out", str(out)]) == 2
     assert "strategy list ',' has an empty entry" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_an_empty_output_root_is_refused_before_any_pool_is_built(tmp_path, monkeypatch,
+                                                                  capsys):
+    """``run_experiment`` owns the output root: an empty one, given or
+    configured, is a ConfigError, and ``--out ""`` reaches it as given
+    rather than falling back to the config's out_dir."""
+    from acda import experiments
+    from acda.experiments import ExperimentConfig
+
+    monkeypatch.setattr(experiments, "_pools_for_run",
+                        lambda *a: pytest.fail("a pool was built"))
+    configured = tmp_path / "configured"
+    cfg_path = write_cfg(tmp_path, SMALL_TRAIN + SMALL_DATASET + f"out_dir = {configured}\n")
+    for config, out_dir in ((parse_config(cfg_path), ""), (ExperimentConfig(out_dir=""), None)):
+        with pytest.raises(ConfigError, match="out_dir is empty"):
+            run_experiment(config, out_dir=out_dir)
+    for command in ("run", "gen"):
+        assert main([command, cfg_path, "--out", ""]) == 2
+        assert "error: out_dir is empty" in capsys.readouterr().err
+    assert not configured.exists()
 
 
 def test_checkpoints_reload_with_final_parameters(tmp_path):

@@ -196,6 +196,13 @@ def test_normalized_critic_never_beats_exact_distance():
         assert est <= exact + 1e-6
 
 
+@pytest.mark.parametrize("steps", [0, -3])
+def test_fit_critic_needs_at_least_one_step(steps):
+    a = np.zeros((4, 2))
+    with pytest.raises(ValueError, match=f"steps must be >= 1, got {steps}"):
+        fit_critic(a, a + 1.0, steps=steps)
+
+
 def test_fit_critic_reaches_duality_band_quickly():
     rng = np.random.default_rng(2024)
     a = rng.normal(size=(32, 2))
