@@ -283,12 +283,15 @@ def uncertainty_weights(labels, entropies, n_classes: int) -> WeightVector:
 
     Classes absent from the queried set get weight 0.  If the total entropy
     is below 1e-12 the weights fall back to class frequencies N_j / m_q.
-    ValueError unless there is one entropy per label.
+    ValueError unless the labels are a non-empty 1-d list with one entropy
+    per label.
     """
     labels = np.asarray(labels, dtype=np.int64)
     entropies = np.asarray(entropies, dtype=np.float64)
     if labels.size == 0:
         raise ValueError("need at least one queried instance")
+    if labels.ndim != 1:
+        raise ValueError(f"labels must be 1-d, got shape {labels.shape}")
     if entropies.shape != labels.shape:
         raise ValueError(f"need one entropy per label, got {entropies.size} for "
                          f"{labels.size} labels")
@@ -309,10 +312,14 @@ def weighted_query_loss(probabilities, labels, weights: WeightVector) -> float:
 
     Training computes this loss in the model graph (``L_w_q``); this numpy
     form ships as the reference that graph is tested against, and as a
-    ``check`` item.  ValueError unless there is one probability row per
-    label."""
+    ``check`` item.  ValueError unless the labels are a non-empty 1-d list
+    with one probability row per label."""
     p = np.atleast_2d(np.asarray(probabilities, dtype=np.float64))
     labels = np.asarray(labels, dtype=np.int64)
+    if labels.ndim != 1:
+        raise ValueError(f"labels must be 1-d, got shape {labels.shape}")
+    if labels.size == 0:
+        raise ValueError("need at least one queried label")
     if p.shape[0] != labels.size:
         raise ValueError(f"need one probability row per label, got {p.shape[0]} rows for "
                          f"{labels.size} labels")

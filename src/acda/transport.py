@@ -74,31 +74,52 @@ def _check_points(points, label: str) -> np.ndarray:
     return x
 
 
-def exact_w1(a_points, b_points):
-    """Exact W1 between uniform empirical measures on two point sets.
-
-    Equal sizes go through ``scipy.optimize.linear_sum_assignment``; unequal
-    sizes through a transportation linear program.  Returns ``(value, TransportPlan)``.
-    Either side larger than ``EXACT_W1_SIZE_LIMIT`` (512) is a CapacityError.
-    """
-    a = _check_points(a_points, "a_points")
-    b = _check_points(b_points, "b_points")
+def _check_widths(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
+
+
+def _check_pair(a_points, b_points, a_label: str, b_label: str):
+    """Two point sets as finite, non-empty float arrays of the same width."""
+    a = _check_points(a_points, a_label)
+    b = _check_points(b_points, b_label)
+    _check_widths(a, b)
+    return a, b
+
+
+def exact_w1(a_points, b_points):
+    """Exact W1 between uniform empirical measures on m and n points.
+
+    When L = lcm(m, n) is at most ``EXACT_W1_SIZE_LIMIT`` (512), every point
+    is split into L/m (or L/n) points of mass 1/L, and one
+    ``scipy.optimize.linear_sum_assignment`` matches the L split points of
+    each side; equal sizes are the case L = m = n.  Otherwise a
+    transportation linear program solves the pair.  Returns
+    ``(value, TransportPlan)``; the plan's coupling is an optimal one, and
+    on the assignment path its entries are whole multiples of 1/L.  Either
+    side larger than ``EXACT_W1_SIZE_LIMIT`` is a CapacityError.
+    """
+    a, b = _check_pair(a_points, b_points, "a_points", "b_points")
     m, n = a.shape[0], b.shape[0]
     if max(m, n) > EXACT_W1_SIZE_LIMIT:
         raise CapacityError(
             f"instance size {max(m, n)} exceeds the exact-solver bound {EXACT_W1_SIZE_LIMIT}"
         )
     cost = cdist(a, b)
-    if m == n:
-        _, col = linear_sum_assignment(cost)
-        coupling = np.zeros((m, n))
-        coupling[np.arange(m), col] = 1.0 / m
-        value = float(cost[np.arange(m), col].mean())
-    else:
+    size = int(np.lcm(m, n))
+    if size > EXACT_W1_SIZE_LIMIT:
         coupling = _transport_lp(cost, m, n)
         value = float((coupling * cost).sum())
+    else:
+        # Split point k of a side stands for its original point k // (L/m).
+        rows = np.arange(size) // (size // m)
+        split_cols = np.arange(size) // (size // n)
+        _, col = linear_sum_assignment(cost[np.ix_(rows, split_cols)])
+        cols = split_cols[col]
+        coupling = np.zeros((m, n))
+        np.add.at(coupling, (rows, cols), 1.0)  # whole counts, exact in float64
+        coupling /= size
+        value = float(cost[rows, cols].mean())
     return value, TransportPlan(coupling=coupling, cost=cost)
 
 
@@ -126,8 +147,9 @@ def critic_w1_estimate(d_params: NetworkParams, fs, ft) -> float:
     """Mean critic score on the source features ``fs`` minus mean critic
     score on the target features ``ft``: the numpy form of
     :func:`build_critic_w1`, which the tests check the graphs against."""
-    score_s = nets.forward(d_params, _check_points(fs, "fs"))
-    score_t = nets.forward(d_params, _check_points(ft, "ft"))
+    fs, ft = _check_pair(fs, ft, "fs", "ft")
+    score_s = nets.forward(d_params, fs)
+    score_t = nets.forward(d_params, ft)
     return float(score_s.mean() - score_t.mean())
 
 
@@ -159,7 +181,9 @@ def interpolates(batch_s: np.ndarray, batch_t: np.ndarray, seed: int) -> np.ndar
     """Per-pair convex combinations eps*x_s + (1-eps)*x_t, eps ~ U(0,1).
 
     Longer batch truncated to the shorter; deterministic in ``seed``.
+    ValueError unless both batches have the same width.
     """
+    _check_widths(batch_s, batch_t)
     k = min(batch_s.shape[0], batch_t.shape[0])
     eps = make_rng(seed, "gp-eps").uniform(size=(k, 1))
     return eps * batch_s[:k] + (1.0 - eps) * batch_t[:k]
@@ -168,7 +192,7 @@ def interpolates(batch_s: np.ndarray, batch_t: np.ndarray, seed: int) -> np.ndar
 def gradient_penalty(d_params: NetworkParams, fs, ft, seed: int) -> float:
     """Mean over feature interpolates of (||grad_f D(f)||_2 - 1)^2, the
     interpolates drawn between the features ``fs`` and ``ft``."""
-    fhat = interpolates(_check_points(fs, "fs"), _check_points(ft, "ft"), seed)
+    fhat = interpolates(*_check_pair(fs, ft, "fs", "ft"), seed)
     g = Graph()
     penalty = build_gradient_penalty(g, d_params.spec, g.leaf("xhat", fhat.shape))
     bindings = {"xhat": fhat, **nets.param_bindings(d_params, "D")}
@@ -189,12 +213,14 @@ def fit_critic(points_a, points_b, steps: int = 2000, seed: int = 0):
     ``(step, estimate)`` pairs, every 100 steps and at the last.  The
     points are the features: the W1 term reads them and the penalty
     differentiates D at interpolates between them.  D is a fresh default
-    critic seeded by ``seed``.  ValueError unless ``steps`` is at least 1.
+    critic seeded by ``seed``.  ValueError unless ``steps`` is an integer
+    of at least 1 and the two point sets have the same width.
     """
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
+        raise ValueError(f"steps must be an integer, got {steps!r}")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    xs = _check_points(points_a, "points_a")
-    xt = _check_points(points_b, "points_b")
+    xs, xt = _check_pair(points_a, points_b, "points_a", "points_b")
     dim = xs.shape[1]
     d_params = nets.init_network(nets.default_critic_spec(dim),
                                  make_rng(seed, "critic-init").integers(2**63))
@@ -252,8 +278,7 @@ def bound_rhs(h_params: NetworkParams, source_x, target_x, f_s, f_t) -> BoundRep
     """
     if f_s is None or f_t is None:
         raise ValueError("bound diagnostic needs both labeling functions")
-    xs = _check_points(source_x, "source_x")
-    xt = _check_points(target_x, "target_x")
+    xs, xt = _check_pair(source_x, target_x, "source_x", "target_x")
     h_s = nets.forward(h_params, xs).reshape(-1)
     h_t = nets.forward(h_params, xt).reshape(-1)
     fs_s = f_s.score(xs)

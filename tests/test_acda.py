@@ -258,6 +258,8 @@ def test_uncertainty_weights_single_class_and_bad_labels():
         uncertainty_weights([0, 1], [0.0], n_classes=2)  # not the zero-entropy fallback
     with pytest.raises(ValueError, match="one entropy per label, got 3 for 2 labels"):
         uncertainty_weights([0, 1], [0.2, 0.3, 0.4], n_classes=2)
+    with pytest.raises(ValueError, match=r"labels must be 1-d, got shape \(1, 2\)"):
+        uncertainty_weights([[0, 1]], [[0.1, 0.2]], n_classes=2)  # not bincount's message
 
 
 @settings(derandomize=True, max_examples=100)
@@ -302,6 +304,18 @@ def test_weighted_query_loss_needs_one_probability_row_per_label(rows, labels):
     wv = WeightVector(alpha=np.array([0.5, 0.5]), counts=np.array([1, 1]))
     with pytest.raises(ValueError, match=f"got {rows} rows for {len(labels)} labels"):
         weighted_query_loss(np.full((rows, 2), 0.5), labels, wv)
+
+
+@pytest.mark.parametrize("probabilities, labels, message", [
+    ([[0.2, 0.8], [0.6, 0.4]], [[1], [0]], r"labels must be 1-d, got shape \(2, 1\)"),
+    (np.zeros((0, 2)), [], "need at least one queried label"),
+], ids=["column-of-labels", "no-labels"])
+def test_weighted_query_loss_needs_a_non_empty_1d_label_list(probabilities, labels, message):
+    """A column of labels is not broadcast to a 2 x 2 pick, and an empty
+    batch is not numpy's zero-size reduction error."""
+    wv = WeightVector(alpha=np.array([0.5, 0.5]), counts=np.array([1, 1]))
+    with pytest.raises(ValueError, match=message):
+        weighted_query_loss(probabilities, labels, wv)
 
 
 # ----------------------------------------------------------------- training

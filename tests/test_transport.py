@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from acda import transport
 from acda._assignment import backend
 from acda.data import gen_two_moons_pair
 from acda.errors import CapacityError
@@ -79,6 +80,49 @@ def test_unequal_sizes_match_rational_quantile_oracle():
         oracle = float(quantile_w1_1d(a, b))
         assert abs(value - oracle) < 1e-9
         assert plan.marginal_error() < 1e-9
+
+
+def _count_lp_calls(monkeypatch) -> list:
+    """Record the size of every transportation LP that exact_w1 solves."""
+    calls = []
+    real = transport._transport_lp
+
+    def spy(cost, m, n):
+        calls.append((m, n))
+        return real(cost, m, n)
+
+    monkeypatch.setattr(transport, "_transport_lp", spy)
+    return calls
+
+
+def test_pair_with_lcm_above_the_limit_goes_through_the_lp(monkeypatch):
+    calls = _count_lp_calls(monkeypatch)
+    rng = np.random.default_rng(29)
+    a = rng.normal(size=23)
+    b = rng.normal(size=29) + 0.4
+    value, plan = exact_w1(a[:, None], b[:, None])  # lcm(23, 29) = 667 > 512
+    assert calls == [(23, 29)]
+    assert abs(value - float(quantile_w1_1d(a, b))) < 1e-9
+    assert plan.marginal_error() < 1e-9
+
+
+@pytest.mark.parametrize("m, n", [(1, 5), (2, 4), (3, 6), (6, 9), (64, 128), (128, 256)])
+def test_split_point_assignment_matches_the_lp(monkeypatch, m, n):
+    """Unequal sizes with lcm(m, n) <= 512 are one assignment on split
+    points: its value is the LP's, and its coupling is an exact plan in
+    whole multiples of 1/lcm(m, n)."""
+    calls = _count_lp_calls(monkeypatch)
+    rng = np.random.default_rng(m * 1000 + n)
+    a = rng.normal(size=(m, 2))
+    b = rng.normal(size=(n, 2)) + [0.5, 0.0]
+    value, plan = exact_w1(a, b)
+    assert calls == []
+    lp = transport._transport_lp(plan.cost, m, n)
+    assert abs(value - float((lp * plan.cost).sum())) < 1e-9
+    assert plan.marginal_error() < 1e-12
+    assert abs(float((plan.coupling * plan.cost).sum()) - value) < 1e-9
+    counts = plan.coupling * np.lcm(m, n)
+    np.testing.assert_allclose(counts, np.round(counts), rtol=0, atol=1e-9)
 
 
 def test_metric_axioms_on_random_triples():
@@ -201,6 +245,25 @@ def test_fit_critic_needs_at_least_one_step(steps):
     a = np.zeros((4, 2))
     with pytest.raises(ValueError, match=f"steps must be >= 1, got {steps}"):
         fit_critic(a, a + 1.0, steps=steps)
+
+
+@pytest.mark.parametrize("steps", [2.5, "10", True])
+def test_fit_critic_steps_must_be_an_integer(steps):
+    a = np.zeros((4, 2))
+    with pytest.raises(ValueError, match="steps must be an integer"):
+        fit_critic(a, a + 1.0, steps=steps)
+
+
+def test_point_pairs_of_different_widths_are_one_value_error():
+    a = np.zeros((4, 2))
+    b = np.ones((4, 3))
+    d_params = init_network(NetworkSpec((2, 8, 1), "identity"), seed=0)
+    for call in (lambda: exact_w1(a, b), lambda: fit_critic(a, b, steps=2),
+                 lambda: gradient_penalty(d_params, a, b, seed=0),
+                 lambda: interpolates(a, b, seed=0),
+                 lambda: critic_w1_estimate(d_params, a, b)):
+        with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
+            call()
 
 
 def test_fit_critic_reaches_duality_band_quickly():
