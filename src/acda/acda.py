@@ -425,17 +425,20 @@ def _adversarial_fit(params: dict, source: Dataset, target: Dataset, config: Tra
     term; the queried rows, the ones past ``len(source)``, add the loss
     weighted by ``weights``.  Stage 1 is exactly this with no queried rows.
 
-    One ``bindings`` dict feeds both graphs for the whole fit: the F, C and
-    D parameters, which each Adam step replaces, the query leaves, bound
-    once, and the batch leaves, which each step rebinds.
+    Each network is copied once, as float64, and each Adam step updates
+    the copies in place; ``eval_cb`` reads, and the fit returns, their dict.
+    One ``bindings`` dict feeds both graphs for the whole fit: the copies'
+    arrays, the query leaves, bound once, and the batch leaves, which each
+    step rebinds.
     """
     one_hot = np.eye(params["C"].spec.output_dim)
     query_y = labelled.labels[len(source):]
     specs = {name: net.spec for name, net in params.items()}
 
+    params = {name: net.copy() for name, net in params.items()}
     bindings = {}
     for name, net in params.items():
-        bindings.update(nets.param_bindings(net.copy(), name))
+        bindings.update(nets.param_bindings(net, name))
     if query_y.size:
         bindings.update(qx=labelled.features[len(source):], q_onehot=one_hot[query_y],
                         q_alpha=weights.alpha[query_y])
@@ -480,9 +483,8 @@ def _adversarial_fit(params: dict, source: Dataset, target: Dataset, config: Tra
             sg = graphs[key]
 
             if nt:
-                f_spec = specs["F"]
-                bindings["fs_adv"] = nets.forward_bound(f_spec, bindings, "F", bindings["xs_adv"])
-                bindings["ft"] = nets.forward_bound(f_spec, bindings, "F", bindings["xt"])
+                bindings["fs_adv"] = nets.logits(params["F"], bindings["xs_adv"])
+                bindings["ft"] = nets.logits(params["F"], bindings["xt"])
                 penalty = 0.0
                 for critic_step in range(CRITIC_STEPS):
                     eps_seed = derive_seed(seed, "eps", epoch, step, critic_step)
@@ -490,20 +492,20 @@ def _adversarial_fit(params: dict, source: Dataset, target: Dataset, config: Tra
                                                               bindings["ft"], eps_seed)
                     terms, grads = sg.critic.evaluate(bindings)
                     penalty += terms["L_grad"]
-                    bindings = opt_critic.step_ascent(bindings, grads)
+                    opt_critic.step_ascent(bindings, grads)
                 sums["L_grad"] += penalty / CRITIC_STEPS
 
             terms, grads = sg.model.evaluate(bindings)
             if not np.isfinite(terms["objective"]):
                 raise TrainingDivergedError(epoch)
-            bindings = opt_model.step(bindings, grads)
+            opt_model.step(bindings, grads)
             for name, value in terms.items():
                 sums[name] += value
             sums["lambda_w"] += lamw
 
         record = {"epoch": epoch, **{k: v / steps_per_epoch for k, v in sums.items()}}
         if eval_cb is not None:
-            record.update(eval_cb(_unbind(bindings, params)))
+            record.update(eval_cb(params))
         history.epochs.append(record)
 
         if best - record["objective"] < EARLY_STOP_TOL:
@@ -515,11 +517,7 @@ def _adversarial_fit(params: dict, source: Dataset, target: Dataset, config: Tra
             stale = 0
         best = min(best, record["objective"])
 
-    return _unbind(bindings, params), history
-
-
-def _unbind(bindings: dict, like: dict) -> dict:
-    return {name: nets.params_from_bindings(bindings, net, name) for name, net in like.items()}
+    return params, history
 
 
 def stage1_train(params: dict, source: Dataset, target: Dataset, config: TrainConfig,
@@ -538,8 +536,11 @@ def stage3_train(params: dict, source: Dataset, labelled: Dataset, remaining_tar
     ``labelled`` is ``source`` followed by the queried rows, as
     :func:`update_pools` builds it.  With no queried rows this is exactly
     the stage-1 dynamics on (source, target): same graphs, same batch
-    streams, same updates.
+    streams, same updates.  ValueError for an empty ``source``, or queried
+    rows without ``weights``.
     """
+    if len(source) == 0:
+        raise ValueError("stage 3 needs a non-empty source pool")
     if len(labelled) > len(source) and weights is None:
         raise ValueError("queried retraining needs uncertainty weights")
     return _adversarial_fit(params, source, remaining_target, config, config.stage3_epochs,

@@ -136,9 +136,9 @@ def _coerce(raw, typ, key, line_no):
 
 
 def parse_seeds(raw: str, line_no: int | None = None) -> list:
-    """Seeds from 'lo..hi' (inclusive) or 'a,b,c'; ConfigError if malformed,
-    empty, repeated or negative.  ``line_no`` locates a config-file value in
-    the message."""
+    """Seeds from 'lo..hi' (inclusive) or 'a,b,c'; ConfigError if malformed
+    (an empty value or list entry is), repeated or negative.  ``line_no``
+    locates a config-file value in the message."""
     raw = raw.strip()
     if ".." in raw:
         lo, _, hi = raw.partition("..")
@@ -148,9 +148,7 @@ def parse_seeds(raw: str, line_no: int | None = None) -> list:
             raise ConfigError(f"{_at(line_no)}seeds range '{raw}' is empty")
         seeds = list(range(lo, hi + 1))
     else:
-        seeds = [_coerce(p, int, "seeds", line_no) for p in raw.split(",") if p.strip()]
-    if not seeds:
-        raise ConfigError(f"{_at(line_no)}seeds list is empty")
+        seeds = [_coerce(p, int, "seeds", line_no) for p in raw.split(",")]
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"{_at(line_no)}seeds list '{raw}' repeats a seed")
     if min(seeds) < 0:

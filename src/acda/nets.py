@@ -22,10 +22,9 @@ __all__ = [
     "NetworkParams",
     "init_network",
     "forward",
-    "forward_bound",
+    "logits",
     "build_forward",
     "param_bindings",
-    "params_from_bindings",
     "cross_entropy",
     "cross_entropy_from_logits",
     "predictive_entropy",
@@ -100,10 +99,11 @@ class NetworkParams:
                 )
 
     def copy(self) -> "NetworkParams":
+        """A float64 copy: in-place updates of its arrays never reach these."""
         return NetworkParams(
             spec=self.spec,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
+            weights=[w.astype(np.float64) for w in self.weights],
+            biases=[b.astype(np.float64) for b in self.biases],
             init_seed=self.init_seed,
         )
 
@@ -132,34 +132,20 @@ def init_network(spec: NetworkSpec, seed: int) -> NetworkParams:
 
 
 def forward(params: NetworkParams, x: np.ndarray) -> np.ndarray:
-    """Batch inference; applies the configured output activation."""
-    h = _pre_output(params.spec, params.weights, params.biases, x)
+    """Batch inference; applies the configured output activation to :func:`logits`."""
+    h = logits(params, x)
     return softmax(h, axis=-1) if params.spec.output_activation == "softmax" else h
 
 
-def forward_bound(spec: NetworkSpec, bindings: dict, name: str, x: np.ndarray) -> np.ndarray:
-    """The value of :func:`build_forward`'s output node, in numpy: the
-    network's output before its output activation, with parameters read
-    from ``bindings`` as :func:`param_bindings` lays them out.  It builds no
-    :class:`NetworkParams`, so it is cheap to call once per training step."""
-    layers = range(spec.n_layers)
-    return _pre_output(spec, [bindings[f"{name}.W{i}"] for i in layers],
-                       [bindings[f"{name}.b{i}"] for i in layers], x)
-
-
-def _pre_output(spec: NetworkSpec, weights, biases, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != spec.input_dim:
-        raise ValueError(
-            f"expected input of shape (n, {spec.input_dim}), got {x.shape}"
-        )
-    h = x
-    last = spec.n_layers - 1
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        h = h @ w + b
-        if i != last:
-            h = np.tanh(h)
-    return h
+def logits(params: NetworkParams, x: np.ndarray) -> np.ndarray:
+    """The network's output before its output activation: the value of
+    :func:`build_forward`'s output node, in numpy."""
+    h = np.asarray(x, dtype=np.float64)
+    if h.ndim != 2 or h.shape[1] != params.spec.input_dim:
+        raise ValueError(f"expected input of shape (n, {params.spec.input_dim}), got {h.shape}")
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        h = np.tanh(h @ w + b)
+    return h @ params.weights[-1] + params.biases[-1]
 
 
 def build_forward(graph: Graph, spec: NetworkSpec, input_node: int, name: str) -> int:
@@ -188,22 +174,10 @@ def build_forward(graph: Graph, spec: NetworkSpec, input_node: int, name: str) -
 
 
 def param_bindings(params: NetworkParams, name: str) -> dict:
-    """Leaf-name bindings for :func:`build_forward` graphs."""
-    out = {}
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        out[f"{name}.W{i}"] = w
-        out[f"{name}.b{i}"] = b
-    return out
-
-
-def params_from_bindings(bindings: dict, like: NetworkParams, name: str) -> NetworkParams:
-    """Inverse of :func:`param_bindings`: ``like``'s spec and init seed with
-    the arrays bound to ``{name}.W{i}`` / ``{name}.b{i}``."""
-    layers = range(like.spec.n_layers)
-    return NetworkParams(spec=like.spec,
-                         weights=[bindings[f"{name}.W{i}"] for i in layers],
-                         biases=[bindings[f"{name}.b{i}"] for i in layers],
-                         init_seed=like.init_seed)
+    """Leaf-name bindings for :func:`build_forward` graphs, to the network's
+    own arrays (an in-place step on a binding updates the network)."""
+    arrays = [a for pair in zip(params.weights, params.biases) for a in pair]
+    return dict(zip(param_leaf_names(params.spec, name), arrays))
 
 
 def param_leaf_names(spec: NetworkSpec, name: str) -> list:
@@ -281,7 +255,9 @@ _ACT_NAME = {v: k for k, v in _ACT_CODE.items()}
 
 
 def save_checkpoint(path, networks: dict):
-    """Write named networks to ``path``; iteration order is preserved."""
+    """Write named networks to ``path``; iteration order is preserved.
+    CheckpointError, before the file is opened, for a name longer than 255
+    UTF-8 bytes or an init seed outside [0, 2**64)."""
     blob = bytearray()
     blob += _MAGIC
     blob += struct.pack("<BB", _VERSION, len(networks))
@@ -289,6 +265,8 @@ def save_checkpoint(path, networks: dict):
         encoded = name.encode("utf8")
         if len(encoded) > 255:
             raise CheckpointError(f"network name too long: {name!r}")
+        if not 0 <= params.init_seed < 2**64:
+            raise CheckpointError(f"{name!r}: init seed {params.init_seed} is outside [0, 2**64)")
         spec = params.spec
         blob += struct.pack("<B", len(encoded)) + encoded
         blob += struct.pack("<I", len(spec.layer_widths))
@@ -297,7 +275,7 @@ def save_checkpoint(path, networks: dict):
             "<BBQ",
             _ACT_CODE["tanh"],
             _ACT_CODE[spec.output_activation],
-            params.init_seed & 0xFFFFFFFFFFFFFFFF,
+            params.init_seed,
         )
         for w, b in zip(params.weights, params.biases):
             blob += np.ascontiguousarray(w, dtype="<f8").tobytes()

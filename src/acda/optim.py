@@ -1,4 +1,4 @@
-"""Adam optimizer over named parameter dictionaries.
+"""Adam optimizer that steps named parameter arrays in place.
 
 Parameters live in plain ``{name: ndarray}`` dicts (the same names used for
 graph leaves), so one optimizer instance can drive any subset of networks.
@@ -22,23 +22,30 @@ class Adam:
         self.v: dict[str, np.ndarray] = {}
         self.t = 0
 
-    def step(self, params: dict, grads: dict) -> dict:
-        """One descent step; returns a new parameter dict (inputs untouched)."""
+    def step(self, params: dict, grads: dict) -> None:
+        """One descent step, in place: each writable float64 ``params[name]``
+        with a gradient becomes p - lr * (m / bias1) / (sqrt(v / bias2) + eps),
+        computed in that order, so bit for bit the expression written out."""
         self.t += 1
         bias1 = 1.0 - BETA1 ** self.t
         bias2 = 1.0 - BETA2 ** self.t
-        out = dict(params)
         for name, g in grads.items():
             if name not in self.m:
                 self.m[name] = np.zeros_like(g)
                 self.v[name] = np.zeros_like(g)
-            m = self.m[name] = BETA1 * self.m[name] + (1.0 - BETA1) * g
-            v = self.v[name] = BETA2 * self.v[name] + (1.0 - BETA2) * (g * g)
-            m_hat = m / bias1
-            v_hat = v / bias2
-            out[name] = params[name] - self.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
-        return out
+            m, v = self.m[name], self.v[name]
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            update = m / bias1
+            update *= self.learning_rate
+            denom = v / bias2
+            np.sqrt(denom, out=denom)
+            denom += EPS
+            update /= denom
+            params[name] -= update
 
-    def step_ascent(self, params: dict, grads: dict) -> dict:
-        """One ascent step (maximization) on the same moment estimates."""
-        return self.step(params, {k: -g for k, g in grads.items()})
+    def step_ascent(self, params: dict, grads: dict) -> None:
+        """One ascent step (maximization) on the same moment estimates, in place."""
+        self.step(params, {k: -g for k, g in grads.items()})

@@ -235,17 +235,15 @@ def fit_critic(points_a, points_b, steps: int = 2000, seed: int = 0):
     outputs = [w1] + [grads[g.leaves[nm]] for nm in d_names]
 
     opt = Adam(_FIT_LEARNING_RATE)
-    params = nets.param_bindings(d_params, "D")
+    bindings = {**nets.param_bindings(d_params, "D"), "fs": xs, "ft": xt}
     history = []
     for step in range(steps):
-        bindings = {**params, "fs": xs, "ft": xt,
-                    "xhat": interpolates(xs, xt, make_rng(seed, "step", step).integers(2**63))}
+        bindings["xhat"] = interpolates(xs, xt, make_rng(seed, "step", step).integers(2**63))
         vals = forward_eval(g, bindings, outputs)
-        step_grads = {nm: vals[grads[g.leaves[nm]]] for nm in d_names}
-        params = opt.step_ascent(params, step_grads)
+        opt.step_ascent(bindings, {nm: vals[grads[g.leaves[nm]]] for nm in d_names})
         if (step + 1) % _FIT_RECORD_EVERY == 0 or step == steps - 1:
             history.append((step + 1, float(vals[w1])))
-    return nets.params_from_bindings(params, d_params, "D"), history
+    return d_params, history
 
 
 # ----------------------------------------------------------------------

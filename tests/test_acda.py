@@ -366,8 +366,8 @@ def test_critic_graph_penalty_equals_gradient_penalty_on_the_same_features():
     f, d = params["F"], params["D"]
     bindings = {**nets.param_bindings(f, "F"), **nets.param_bindings(d, "D"),
                 "lambda_w": np.asarray(0.7)}
-    bindings["fs_adv"] = nets.forward_bound(f_spec, bindings, "F", xs_adv)
-    bindings["ft"] = nets.forward_bound(f_spec, bindings, "F", xt)
+    bindings["fs_adv"] = nets.logits(f, xs_adv)
+    bindings["ft"] = nets.logits(f, xt)
     bindings["xhat"] = transport.interpolates(bindings["fs_adv"], bindings["ft"], 11)
     vals = forward_eval(sg.critic.graph, bindings)
     step = forward_eval(sg.critic.graph, bindings, sg.critic.outputs)
@@ -405,7 +405,7 @@ def test_model_graph_losses_equal_the_numpy_references():
                 "lambda_w": np.asarray(0.5)}
     vals = forward_eval(sg.model.graph, bindings, sg.model.outputs)
 
-    logits = nets.forward_bound(specs["C"], bindings, "C", nets.forward(f, xs_cls))
+    logits = nets.logits(c, nets.forward(f, xs_cls))
     l_cls = float(vals[sg.model.terms["L_cls"]])
     assert abs(l_cls - nets.cross_entropy_from_logits(logits, y)) < 1e-12
     q_probs = nets.forward(c, nets.forward(f, qx))
@@ -480,6 +480,43 @@ def test_stage3_with_empty_query_set_equals_stage1_dynamics():
     b, _ = stage3_train(params, source, source, target, None, cfg, 123)
     for wa, wb in zip(a["F"].weights + a["C"].weights, b["F"].weights + b["C"].weights):
         np.testing.assert_array_equal(wa, wb)
+
+
+def test_stage3_with_an_empty_source_pool_fails_before_any_step(monkeypatch):
+    import acda.acda as algorithm
+
+    monkeypatch.setattr(algorithm, "_adversarial_fit", lambda *a, **k: pytest.fail("trained"))
+    _, target = _small_pair(seed=8, n=20)
+    empty = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
+    cfg = TrainConfig(stage3_epochs=1, batch_size=8)
+    with pytest.raises(ValueError, match="non-empty source"):
+        stage3_train(_nets_for(seed=4), empty, empty, target, None, cfg, 5)
+
+
+def _net_bytes(params):
+    return {name: [a.tobytes() for a in net.weights + net.biases]
+            for name, net in params.items()}
+
+
+def test_stages_train_copies_and_leave_the_callers_networks_alone():
+    """Adam steps the stage's own float64 copies in place: the caller's
+    arrays keep their bytes, and ``eval_cb`` sees the dict the stage returns."""
+    source, target = _small_pair(seed=12, n=40)
+    cfg = TrainConfig(stage1_epochs=2, stage3_epochs=2, batch_size=16)
+    params = _nets_for(seed=7)
+    before = _net_bytes(params)
+    seen = []
+    out1, _ = stage1_train(params, source, target, cfg, 31, eval_cb=lambda p: seen.append(p) or {})
+    assert len(seen) == 2 and all(p is out1 for p in seen)
+    after1 = _net_bytes(out1)
+    labelled, pool = update_pools(source, target, [0, 3, 5], target.labels[[0, 3, 5]])
+    weights = uncertainty_weights(labelled.labels[len(source):], [0.2, 0.5, 0.1], 2)
+    out3, _ = stage3_train(out1, source, labelled, pool, weights, cfg, 32)
+    assert _net_bytes(params) == before and _net_bytes(out1) == after1
+    for name, net in out3.items():
+        assert not any(np.shares_memory(a, b) for a in net.weights + net.biases
+                       for b in out1[name].weights + out1[name].biases)
+    assert _net_bytes(out3) != _net_bytes(out1)
 
 
 def test_accuracy_is_nan_without_labels():

@@ -154,7 +154,7 @@ def test_config_range_errors_report_line(tmp_path, key, value, message):
 
 
 @pytest.mark.parametrize("body", ["seeds = 5..1\n", "seeds = x\n", "seeds = ,\n",
-                                  "seeds = 1,1\n"])
+                                  "seeds = 1,1\n", "seeds = 1,,2\n", "seeds = 1,\n"])
 def test_config_bad_seeds_rejected_with_line(tmp_path, body):
     with pytest.raises(ConfigError, match="line 1.*seeds"):
         parse_config(write_cfg(tmp_path, body))

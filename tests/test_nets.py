@@ -114,11 +114,13 @@ def test_checkpoint_round_trip(tmp_path):
     nets = {
         "F": init_network(NetworkSpec((3, 8, 4), "identity"), seed=1),
         "C": init_network(NetworkSpec((4, 5, 2), "softmax"), seed=2),
+        "lo": init_network(NetworkSpec((2, 1), "identity"), seed=0),
+        "hi": init_network(NetworkSpec((2, 1), "identity"), seed=2**64 - 1),
     }
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, nets)
     loaded = load_checkpoint(path)
-    assert set(loaded) == {"F", "C"}
+    assert list(loaded) == ["F", "C", "lo", "hi"]
     for name in nets:
         assert loaded[name].spec == nets[name].spec
         assert loaded[name].init_seed == nets[name].init_seed
@@ -126,6 +128,16 @@ def test_checkpoint_round_trip(tmp_path):
             np.testing.assert_array_equal(wa, wb)
         for ba, bb in zip(nets[name].biases, loaded[name].biases):
             np.testing.assert_array_equal(ba, bb)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64 + 5])
+def test_checkpoint_refuses_a_seed_outside_u64_before_writing(tmp_path, seed):
+    net = init_network(NetworkSpec((2, 1), "identity"), seed=0)
+    net.init_seed = seed
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(CheckpointError, match=f"init seed {seed} is outside"):
+        save_checkpoint(path, {"F": net})
+    assert not path.exists()
 
 
 def test_checkpoint_rejects_corruption(tmp_path):

@@ -266,6 +266,18 @@ def test_point_pairs_of_different_widths_are_one_value_error():
             call()
 
 
+def test_fit_critic_returns_its_own_critic_and_leaves_the_points_alone():
+    rng = np.random.default_rng(5)
+    a, b = rng.normal(size=(12, 2)), rng.normal(size=(9, 2)) + 1.0
+    a0, b0 = a.tobytes(), b.tobytes()
+    first, history = fit_critic(a, b, steps=3, seed=4)
+    second, again = fit_critic(a, b, steps=3, seed=4)
+    assert (a.tobytes(), b.tobytes()) == (a0, b0) and history == again
+    fresh = init_network(first.spec, first.init_seed)
+    for x, y, z in zip(first.weights, second.weights, fresh.weights):
+        assert x is not y and x.tobytes() == y.tobytes() != z.tobytes()
+
+
 def test_fit_critic_reaches_duality_band_quickly():
     rng = np.random.default_rng(2024)
     a = rng.normal(size=(32, 2))
