@@ -18,7 +18,7 @@ import numpy as np
 
 from . import nets, transport
 from .autodiff import Graph, forward_eval
-from .data import Dataset, batch_iterator
+from .data import Dataset, batch_iterator, class_ids
 from .errors import CapacityError, DataError, TrainingDivergedError
 from .optim import Adam
 from .seeding import derive_seed, make_rng
@@ -104,12 +104,16 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
 
 
-def _check_run(seed, strategy):
-    """ValueError unless ``seed`` is a non-negative int (no bool) and ``strategy`` known."""
+def _check_seed(seed):
+    """ValueError unless ``seed`` is a non-negative int (no bool)."""
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
         raise ValueError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
+
+
+def _check_strategy(strategy):
+    """ValueError unless ``strategy`` is one of ``_STRATEGIES``."""
     if strategy not in _STRATEGIES:
         raise ValueError(f"unknown strategy '{strategy}' (choose from {list(_STRATEGIES)})")
 
@@ -254,9 +258,14 @@ def random_queries(m_t: int, budget: float, seed: int) -> np.ndarray:
 def update_pools(source: Dataset, target: Dataset, query_indices,
                  query_labels) -> tuple:
     """Move queried target instances (with their oracle labels) into the
-    labeled pool: returns (source + queried, target without queried)."""
-    idx = np.asarray(query_indices, dtype=np.int64)
-    labels = np.asarray(query_labels, dtype=np.int64)
+    labeled pool: returns (source + queried, target without queried).
+    ValueError for a repeated, fractional or out-of-range index, labels that
+    :func:`class_ids` refuses or that differ in count, or an unlabeled source."""
+    idx = np.asarray(query_indices)
+    if not np.array_equal(idx, idx.astype(np.int64)):
+        raise ValueError("query indices must be whole numbers")
+    idx = idx.astype(np.int64)
+    labels = class_ids(query_labels)
     if idx.size != np.unique(idx).size:
         raise ValueError("duplicate query index")
     if idx.size != labels.size:
@@ -283,20 +292,16 @@ def uncertainty_weights(labels, entropies, n_classes: int) -> WeightVector:
 
     Classes absent from the queried set get weight 0.  If the total entropy
     is below 1e-12 the weights fall back to class frequencies N_j / m_q.
-    ValueError unless the labels are a non-empty 1-d list with one entropy
-    per label.
+    ValueError unless the labels are a non-empty list of class ids in
+    [0, n_classes) (see :func:`class_ids`) with one entropy per label.
     """
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = class_ids(labels, n_classes)
     entropies = np.asarray(entropies, dtype=np.float64)
     if labels.size == 0:
         raise ValueError("need at least one queried instance")
-    if labels.ndim != 1:
-        raise ValueError(f"labels must be 1-d, got shape {labels.shape}")
     if entropies.shape != labels.shape:
         raise ValueError(f"need one entropy per label, got {entropies.size} for "
                          f"{labels.size} labels")
-    if labels.min() < 0 or labels.max() >= n_classes:
-        raise ValueError(f"label outside [0, {n_classes})")
     counts = np.bincount(labels, minlength=n_classes).astype(np.int64)
     total = entropies.sum()
     if total < 1e-12:
@@ -312,19 +317,15 @@ def weighted_query_loss(probabilities, labels, weights: WeightVector) -> float:
 
     Training computes this loss in the model graph (``L_w_q``); this numpy
     form ships as the reference that graph is tested against, and as a
-    ``check`` item.  ValueError unless the labels are a non-empty 1-d list
-    with one probability row per label."""
+    ``check`` item.  ValueError unless the labels are a non-empty list of
+    class ids (see :func:`class_ids`) with one probability row per label."""
     p = np.atleast_2d(np.asarray(probabilities, dtype=np.float64))
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.ndim != 1:
-        raise ValueError(f"labels must be 1-d, got shape {labels.shape}")
+    labels = class_ids(labels, p.shape[1])
     if labels.size == 0:
         raise ValueError("need at least one queried label")
     if p.shape[0] != labels.size:
         raise ValueError(f"need one probability row per label, got {p.shape[0]} rows for "
                          f"{labels.size} labels")
-    if labels.min() < 0 or labels.max() >= p.shape[1]:
-        raise ValueError(f"label outside [0, {p.shape[1]})")
     picked = p[np.arange(p.shape[0]), labels]
     per_instance = weights.alpha[labels] * -np.log(np.maximum(picked, 1e-300))
     return float(per_instance.mean())
@@ -536,13 +537,14 @@ def stage3_train(params: dict, source: Dataset, labelled: Dataset, remaining_tar
     ``labelled`` is ``source`` followed by the queried rows, as
     :func:`update_pools` builds it.  With no queried rows this is exactly
     the stage-1 dynamics on (source, target): same graphs, same batch
-    streams, same updates.  ValueError for an empty ``source``, or queried
-    rows without ``weights``.
+    streams, same updates.  ValueError for an empty ``source``, or a queried
+    label that has no weight in ``weights.alpha`` (or no ``weights``).
     """
     if len(source) == 0:
         raise ValueError("stage 3 needs a non-empty source pool")
-    if len(labelled) > len(source) and weights is None:
-        raise ValueError("queried retraining needs uncertainty weights")
+    queried = labelled.labels[len(source):]
+    if queried.size and (weights is None or queried.max() >= len(weights.alpha)):
+        raise ValueError("queried retraining needs an uncertainty weight for each queried label")
     return _adversarial_fit(params, source, remaining_target, config, config.stage3_epochs,
                             seed, labelled=labelled, weights=weights, eval_cb=eval_cb)
 
@@ -565,7 +567,8 @@ def run_algorithm_1(source: Dataset, target: Dataset, config: TrainConfig, seed:
     class (DataError) and a querying strategy without target labels
     (ValueError) fail before stage 1.
     """
-    _check_run(seed, strategy)
+    _check_seed(seed)
+    _check_strategy(strategy)
     if source.labels is None:
         raise ValueError("source pool must be labeled")
     n_classes = int(source.labels.max()) + 1 if source.labels.size else 2

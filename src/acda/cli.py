@@ -9,9 +9,11 @@ Every run setting is a config key (the TrainConfig fields, the dataset.*
 keys of the chosen kind, strategy, seeds, standardize and out_dir), each set
 once in the file; ``strategy`` takes a list such as 'active,random,none'.
 Flags pick only the seed and the output root: run and gen take --seed, one
-seed that replaces the config's seeds, and --out, which defaults to the
-config's out_dir.  check takes no flags.  A negative seed or an empty output
-root exits with status 2 before anything is written.
+seed that replaces the config's seeds, and --out, which replaces its
+out_dir.  Both are applied with ``dataclasses.replace``, so the config
+checks them as it checks its file's values: a negative seed or an empty
+output root exits with status 2 before anything is written.  check takes
+no flags.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -26,7 +29,7 @@ from . import experiments, transport
 from .acda import lambda_w, uncertainty_weights, weighted_query_loss
 from .data import export_csv
 from .errors import AcdaError
-from .experiments import parse_config, parse_seeds, run_experiment
+from .experiments import parse_config, run_experiment
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -50,24 +53,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args):
-    """The command's config, with its seed flag written into ``seeds``."""
+    """The command's config, with its --seed and --out flags applied."""
     config = parse_config(args.config)
     if args.seeds is not None:
-        config.seeds = parse_seeds(str(args.seeds))
+        config = replace(config, seeds=[args.seeds])
+    if args.out is not None:
+        config = replace(config, out_dir=args.out)
     return config
 
 
 def _cmd_run(args) -> int:
-    config = _load(args)
-    return run_experiment(config, out_dir=args.out)
+    return run_experiment(_load(args))
 
 
 def _cmd_gen(args) -> int:
     config = _load(args)
-    out = experiments._out_root(config, args.out)
     source, target = experiments._pools_for_run(config, config.seeds[0])
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, "dataset.csv")
+    os.makedirs(config.out_dir, exist_ok=True)
+    path = os.path.join(config.out_dir, "dataset.csv")
     export_csv(path, source, target)
     print(path)
     return 0

@@ -25,6 +25,7 @@ from .seeding import derive_seed, make_rng
 __all__ = [
     "Dataset",
     "DomainPair",
+    "class_ids",
     "LabelingFunction",
     "gen_two_moons_pair",
     "gen_gaussian_shift_pair",
@@ -38,9 +39,26 @@ __all__ = [
 ]
 
 
+def class_ids(labels, n_classes: int | None = None) -> np.ndarray:
+    """``labels`` as a 1-d int64 array, the one check of class labels; ValueError
+    unless they are 1-d, whole numbers (0.6 is refused, never truncated) and in
+    [0, ``n_classes``), or non-negative when ``n_classes`` is None."""
+    given = np.asarray(labels)
+    if given.ndim != 1:
+        raise ValueError(f"labels must be 1-d, got shape {given.shape}")
+    with np.errstate(invalid="ignore"):  # NaN and overflow fail the comparison below
+        ids = given.astype(np.int64)
+    if not np.array_equal(ids, given):
+        raise ValueError("labels must be integer class ids")
+    top = np.inf if n_classes is None else n_classes
+    if ids.size and (ids.min() < 0 or ids.max() >= top):
+        raise ValueError(f"labels must lie in [0, {top}), got range [{ids.min()}, {ids.max()}]")
+    return ids
+
+
 @dataclass
 class Dataset:
-    """A feature matrix with optional labels."""
+    """A feature matrix with optional labels (see :func:`class_ids`)."""
 
     features: np.ndarray
     labels: np.ndarray | None
@@ -50,14 +68,9 @@ class Dataset:
         if self.features.ndim != 2:
             raise ValueError(f"features must be (n, d), got {self.features.shape}")
         if self.labels is not None:
-            given = np.asarray(self.labels)
-            self.labels = given.astype(np.int64)
-            if not np.array_equal(self.labels, given):
-                raise ValueError("labels must be integer class ids")
-            if self.labels.shape != (self.features.shape[0],):
+            self.labels = class_ids(self.labels)
+            if self.labels.size != self.features.shape[0]:
                 raise ValueError("label count must equal row count")
-            if self.labels.size and self.labels.min() < 0:
-                raise ValueError("labels must be non-negative class ids")
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -349,9 +362,9 @@ def load_csv(path):
     run trains on can be read back and tests can round-trip them."""
     reader = csv.reader(io.StringIO(read_text(path), newline=""))
     header = next(reader, [])  # an empty file fails the column check
-    if len(header) < 3 or header[-2:] != ["label", "domain"]:
-        raise DataError(f"{path}: expected columns x_0..x_(d-1), label, domain")
     d = len(header) - 2
+    if d < 1 or header != [f"x_{i}" for i in range(d)] + ["label", "domain"]:
+        raise DataError(f"{path}: expected columns x_0..x_(d-1), label, domain")
     feats = {"source": [], "target": []}
     labels = {"source": [], "target": []}
     for line_no, row in enumerate(reader, start=2):

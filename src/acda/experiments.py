@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import nets
-from .acda import (_STRATEGIES, LOSS_NAMES, RunRecord, TrainConfig, _check_run, accuracy,
+from .acda import (LOSS_NAMES, RunRecord, TrainConfig, _check_seed, _check_strategy, accuracy,
                    run_algorithm_1)
 from .data import (Dataset, DomainPair, gen_gaussian_shift_pair,
                    gen_two_moons_pair, load_idx_pair, read_text, standardize_features)
@@ -100,10 +100,16 @@ def _parse_dataset(entries: dict) -> dict:
     return recipe
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """A TrainConfig plus dataset recipe, strategy and seed lists and output
-    location; each run takes its strategy and seed from the lists."""
+    location; each run takes its strategy and seed from the lists.
+
+    Frozen, and checked when built, so ``dataclasses.replace`` checks too:
+    ConfigError for an empty ``out_dir``, strategy list or seed list; an
+    empty, repeated or unknown strategy; a repeated, negative or non-integer
+    seed; or a dataset kind or key that the dataset table refuses.  The
+    recipe's values are checked when its pools are built."""
 
     train: TrainConfig = field(default_factory=TrainConfig)
     dataset: dict = field(default_factory=lambda: _dataset_defaults(_DEFAULT_KIND))
@@ -111,6 +117,29 @@ class ExperimentConfig:
     strategies: list = field(default_factory=lambda: ["active"])
     seeds: list = field(default_factory=lambda: [0])
     standardize: bool = True
+
+    def __post_init__(self):
+        if not self.out_dir:
+            raise ConfigError("out_dir is empty")
+        # both lists keep the same rules; each entry is checked by its owner
+        for key, noun, values, check in (("strategy", "strategy", self.strategies, _check_strategy),
+                                         ("seeds", "seed", self.seeds, _check_seed)):
+            listed = ",".join(map(str, values))
+            if not values:
+                raise ConfigError(f"{key} list is empty: need at least one {noun}")
+            if "" in values:
+                raise ConfigError(f"{key} list '{listed}' has an empty entry")
+            try:
+                for value in values:
+                    check(value)
+            except ValueError as exc:
+                raise ConfigError(f"{exc}, in the {key} list") from None
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{key} list '{listed}' repeats a {noun}")
+        try:
+            _check_dataset(self.dataset)
+        except ConfigError as exc:
+            raise ConfigError(f"dataset: {exc}") from None
 
 
 _TRAIN_DEFAULTS = {f.name: f.default for f in fields(TrainConfig)}
@@ -136,43 +165,20 @@ def _coerce(raw, typ, key, line_no):
 
 
 def parse_seeds(raw: str, line_no: int | None = None) -> list:
-    """Seeds from 'lo..hi' (inclusive) or 'a,b,c'; ConfigError if malformed
-    (an empty value or list entry is), repeated or negative.  ``line_no``
-    locates a config-file value in the message."""
+    """Seeds from 'lo..hi' (inclusive) or 'a,b,c'; syntax only, a ConfigError
+    unless each bound or entry is an integer (an empty one is not), located
+    by ``line_no``.  :class:`ExperimentConfig` checks the list itself."""
     raw = raw.strip()
     if ".." in raw:
         lo, _, hi = raw.partition("..")
-        lo = _coerce(lo, int, "seeds", line_no)
-        hi = _coerce(hi, int, "seeds", line_no)
-        if hi < lo:
-            raise ConfigError(f"{_at(line_no)}seeds range '{raw}' is empty")
-        seeds = list(range(lo, hi + 1))
-    else:
-        seeds = [_coerce(p, int, "seeds", line_no) for p in raw.split(",")]
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError(f"{_at(line_no)}seeds list '{raw}' repeats a seed")
-    if min(seeds) < 0:
-        raise ConfigError(f"{_at(line_no)}seeds must be non-negative, got '{raw}'")
-    return seeds
-
-
-def _parse_strategies(raw: str, line_no: int) -> list:
-    """Strategies from 'a' or 'a,b,c', spaces stripped; ConfigError if one is
-    empty, repeated or unknown."""
-    names = [name.strip() for name in raw.split(",")]
-    if "" in names:
-        raise ConfigError(f"line {line_no}: strategy list '{raw}' has an empty entry")
-    if len(set(names)) != len(names):
-        raise ConfigError(f"line {line_no}: strategy list '{raw}' repeats a strategy")
-    for name in names:
-        if name not in _STRATEGIES:
-            raise ConfigError(f"line {line_no}: unknown strategy '{name}' "
-                              f"(choose from {list(_STRATEGIES)})")
-    return names
+        return list(range(_coerce(lo, int, "seeds", line_no),
+                          _coerce(hi, int, "seeds", line_no) + 1))
+    return [_coerce(p, int, "seeds", line_no) for p in raw.split(",")]
 
 
 def parse_config(path: str) -> ExperimentConfig:
-    """Parse a flat key=value config file; unknown or repeated keys are errors."""
+    """Parse a flat key=value config file; an unknown or repeated key, or a
+    value that its field's check refuses, is a ConfigError naming the line."""
     entries: dict = {}  # key -> (raw value, line number)
     lines = io.StringIO(read_text(path, ConfigError), newline=None)
     for line_no, line in enumerate(lines, start=1):
@@ -191,32 +197,31 @@ def parse_config(path: str) -> ExperimentConfig:
     dataset = {"kind": (_DEFAULT_KIND, None)}
     for key in [key for key in entries if key.startswith("dataset.")]:
         dataset[key[len("dataset."):]] = entries.pop(key)
-    cfg = ExperimentConfig(dataset=_parse_dataset(dataset))
+    config_kw: dict = {"dataset": _parse_dataset(dataset)}
     train_kw: dict = {}
     for key, (raw, line_no) in entries.items():
+        owner, kw, name = ExperimentConfig, config_kw, key
         if key == "out_dir":
-            if not raw:
-                raise ConfigError(f"line {line_no}: out_dir is empty")
-            cfg.out_dir = raw
+            value = raw
         elif key == "seeds":
-            cfg.seeds = parse_seeds(raw, line_no)
+            value = parse_seeds(raw, line_no)
         elif key == "strategy":
-            cfg.strategies = _parse_strategies(raw, line_no)
+            name, value = "strategies", [strategy.strip() for strategy in raw.split(",")]
         elif key == "standardize":
             if raw.lower() not in ("true", "false"):
                 raise ConfigError(f"line {line_no}: standardize expects true/false")
-            cfg.standardize = raw.lower() == "true"
+            value = raw.lower() == "true"
         elif key in _TRAIN_DEFAULTS:
+            owner, kw = TrainConfig, train_kw
             value = _coerce(raw, type(_TRAIN_DEFAULTS[key]), key, line_no)
-            try:  # each TrainConfig check reads one field, so check it alone
-                TrainConfig(**{key: value})
-            except ValueError as exc:
-                raise ConfigError(f"line {line_no}: {exc}") from None
-            train_kw[key] = value
         else:
             raise ConfigError(f"line {line_no}: unknown key '{key}'")
-    cfg.train = TrainConfig(**train_kw)
-    return cfg
+        try:  # each check reads one field, so check it alone
+            owner(**{name: value})
+        except (ConfigError, ValueError) as exc:
+            raise ConfigError(f"line {line_no}: {exc}") from None
+        kw[name] = value
+    return ExperimentConfig(train=TrainConfig(**train_kw), **config_kw)
 
 
 def build_pair(dataset: dict, seed: int) -> DomainPair:
@@ -288,15 +293,6 @@ def _run_and_save(config: ExperimentConfig, run_seed: int, strategy: str, pools,
     }
 
 
-def _out_root(config: ExperimentConfig, out_dir: str | None) -> str:
-    """The output root: ``out_dir``, or the config's when it is None;
-    ConfigError if it is empty."""
-    out = config.out_dir if out_dir is None else out_dir
-    if not out:
-        raise ConfigError("out_dir is empty")
-    return out
-
-
 def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> int:
     """Run every strategy of ``config.strategies`` on every seed of
     ``config.seeds`` and write into ``out_dir`` (default: the config's);
@@ -307,30 +303,19 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> int:
     over all of them, a ``MANIFEST.json`` that marks a diverged run and sets
     the status to "failed" without stopping the rest, and ``summary.csv``
     (see :func:`_summary_lines`).  Rows and manifest entries go strategy by
-    strategy, then seed by seed, in list order.  An empty output root, no
-    strategy or no seed, a repeated pair, a bad seed or strategy, a
-    ``TrainConfig`` field that its own check refuses, or a dataset that the
-    first seed's pools cannot be built from, is a ConfigError before
-    anything is written.
+    strategy, then seed by seed, in list order.  ``out_dir`` goes into the
+    config with ``dataclasses.replace``, so an empty one is a ConfigError;
+    so is a dataset whose values its builder refuses, as the first seed's
+    pools are built before anything is written.
     """
-    out = _out_root(config, out_dir)
+    if out_dir is not None:
+        config = replace(config, out_dir=out_dir)
+    out = config.out_dir
     pairs = [(strategy, run_seed) for strategy in config.strategies
              for run_seed in config.seeds]
-    if not pairs:
-        raise ConfigError("nothing to run: need at least one strategy and one seed")
-    for i, (strategy, run_seed) in enumerate(pairs):
-        tag = f"{strategy}-seed{run_seed}"
-        if (strategy, run_seed) in pairs[:i]:
-            raise ConfigError(f"run '{tag}' is named twice")
-        try:
-            replace(config.train)  # re-checks fields set after construction
-            _check_run(run_seed, strategy)
-        except ValueError as exc:
-            raise ConfigError(f"run '{tag}': {exc}") from None
     try:
-        _check_dataset(config.dataset)
         pools = _pools_for_run(config, config.seeds[0])
-    except (ConfigError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"dataset: {exc}") from None
     os.makedirs(out, exist_ok=True)
     results, finals = {}, {strategy: [] for strategy in config.strategies}

@@ -14,6 +14,7 @@ import numpy as np
 from scipy.special import softmax
 
 from .autodiff import Graph
+from .data import class_ids
 from .errors import CheckpointError
 from .seeding import make_rng
 
@@ -188,14 +189,6 @@ def param_leaf_names(spec: NetworkSpec, name: str) -> list:
 # losses and uncertainty
 
 
-def _check_labels(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    labels = np.asarray(labels)
-    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
-        raise ValueError(f"labels must lie in [0, {n_classes}), got range "
-                         f"[{labels.min()}, {labels.max()}]")
-    return labels.astype(np.int64)
-
-
 def cross_entropy(probabilities: np.ndarray, labels: np.ndarray) -> float:
     """Mean negative log-probability of the true class.
 
@@ -203,7 +196,7 @@ def cross_entropy(probabilities: np.ndarray, labels: np.ndarray) -> float:
     ships as the reference that ``weighted_query_loss`` is checked against
     (acceptance criterion 5)."""
     p = np.atleast_2d(np.asarray(probabilities, dtype=np.float64))
-    labels = _check_labels(labels, p.shape[1])
+    labels = class_ids(labels, p.shape[1])
     picked = p[np.arange(p.shape[0]), labels]
     return float(np.mean(-np.log(np.maximum(picked, 1e-300))))
 
@@ -214,7 +207,7 @@ def cross_entropy_from_logits(logits: np.ndarray, labels: np.ndarray) -> float:
     Training computes this loss in the model graph (``L_cls``); this numpy
     form ships as the reference that graph is tested against."""
     z = np.asarray(logits, dtype=np.float64)
-    labels = _check_labels(labels, z.shape[1])
+    labels = class_ids(labels, z.shape[1])
     m = z.max(axis=1, keepdims=True)
     lse = np.log(np.exp(z - m).sum(axis=1)) + m[:, 0]
     picked = z[np.arange(z.shape[0]), labels]

@@ -225,6 +225,30 @@ def test_update_pools_moves_instances_with_labels():
         update_pools(source, target, np.array([1, 1]), np.array([0, 0]))
     with pytest.raises(ValueError):
         update_pools(source, target, np.array([25]), np.array([0]))
+    with pytest.raises(ValueError, match="query indices must be whole numbers"):
+        update_pools(source, target, [1.7], [0])  # not target row 1
+
+
+_PROBS = np.array([[0.4, 0.6]])
+_FRACTIONAL_LABEL_CALLERS = {
+    "Dataset": lambda y: Dataset(np.zeros((1, 2)), y),
+    "update_pools": lambda y: update_pools(*_small_pair(seed=1, n=20), [3], y),
+    "uncertainty_weights": lambda y: uncertainty_weights(y, [0.5], n_classes=2),
+    "weighted_query_loss": lambda y: weighted_query_loss(
+        _PROBS, y, WeightVector(alpha=np.array([0.5, 0.5]), counts=np.array([1, 1]))),
+    "cross_entropy": lambda y: nets.cross_entropy(_PROBS, y),
+    "cross_entropy_from_logits": lambda y: nets.cross_entropy_from_logits(_PROBS, y),
+}
+
+
+@pytest.mark.parametrize("caller", list(_FRACTIONAL_LABEL_CALLERS))
+def test_every_label_reader_refuses_a_fractional_label(caller):
+    """Each reads its labels through ``class_ids``: 0.6 is no class id, and
+    is never truncated to class 0; the whole-number float 1.0 is class 1."""
+    read = _FRACTIONAL_LABEL_CALLERS[caller]
+    with pytest.raises(ValueError, match="labels must be integer class ids"):
+        read([0.6])
+    read([1.0])
 
 
 # ----------------------------------------------------------------- weights
@@ -491,6 +515,20 @@ def test_stage3_with_an_empty_source_pool_fails_before_any_step(monkeypatch):
     cfg = TrainConfig(stage3_epochs=1, batch_size=8)
     with pytest.raises(ValueError, match="non-empty source"):
         stage3_train(_nets_for(seed=4), empty, empty, target, None, cfg, 5)
+
+
+def test_stage3_with_a_queried_label_alpha_lacks_fails_before_any_step(monkeypatch):
+    """A queried label past the end of ``alpha`` is a ValueError, not an
+    IndexError from the weight lookup."""
+    import acda.acda as algorithm
+
+    monkeypatch.setattr(algorithm, "_adversarial_fit", lambda *a, **k: pytest.fail("trained"))
+    source, target = _small_pair(seed=8, n=20)
+    labelled, rest = update_pools(source, target, [2], [1])
+    short = WeightVector(alpha=np.array([1.0]), counts=np.array([1]))
+    cfg = TrainConfig(stage3_epochs=1, batch_size=8)
+    with pytest.raises(ValueError, match="needs an uncertainty weight for each queried label"):
+        stage3_train(_nets_for(seed=4), source, labelled, rest, short, cfg, 5)
 
 
 def _net_bytes(params):

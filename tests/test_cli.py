@@ -189,6 +189,58 @@ def test_config_idx_builds_pair_from_files(tmp_path):
     np.testing.assert_array_equal(pair.target.labels, labels[:3])
 
 
+# ------------------------------------------------------- ExperimentConfig
+
+
+_CONFIG_RULES = [
+    ({"out_dir": ""}, "out_dir is empty"),
+    ({"strategies": []}, "strategy list is empty: need at least one strategy"),
+    ({"strategies": ["active", ""]}, "strategy list 'active,' has an empty entry"),
+    ({"strategies": ["none", "none"]}, "strategy list 'none,none' repeats a strategy"),
+    ({"strategies": ["bogus"]}, r"unknown strategy 'bogus' \(choose from .*\), in the "
+                                "strategy list"),
+    ({"seeds": []}, "seeds list is empty: need at least one seed"),
+    ({"seeds": [3, 4, 3]}, "seeds list '3,4,3' repeats a seed"),
+    ({"seeds": [0, -1]}, "seed must be non-negative, got -1, in the seeds list"),
+    ({"seeds": [2.0]}, "seed must be an integer, got 2.0, in the seeds list"),
+    ({"seeds": [True]}, "seed must be an integer, got True, in the seeds list"),
+    ({"seeds": ["1"]}, "seed must be an integer, got '1', in the seeds list"),
+    ({"dataset": {"kind": "spiral"}}, "dataset: unknown dataset kind 'spiral'"),
+    ({"dataset": {"kind": "gaussian", "radius": 2.0}},
+     "dataset: dataset key 'radius' not valid for kind 'gaussian'"),
+    ({"dataset": {"kind": "idx"}}, "dataset: dataset kind 'idx' needs keys"),
+]
+
+
+@pytest.mark.parametrize("change,message", _CONFIG_RULES,
+                         ids=["out_dir-empty", "strategies-none", "strategy-empty",
+                              "strategy-repeated", "strategy-unknown", "seeds-none",
+                              "seed-repeated", "seed-negative", "seed-float", "seed-bool",
+                              "seed-str", "dataset-kind", "dataset-key", "dataset-missing-key"])
+def test_experiment_config_refuses_each_rule_when_built_or_replaced(change, message):
+    """The config checks itself, so building one and replacing a field of a
+    good one refuse the same values with the same message."""
+    from acda.experiments import ExperimentConfig
+
+    good = ExperimentConfig(strategies=["active", "random"], seeds=[1, 2])
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig(**change)
+    with pytest.raises(ConfigError, match=message):
+        replace(good, **change)
+    with pytest.raises(AttributeError):  # frozen: no field can be set past the checks
+        setattr(good, *next(iter(change.items())))
+
+
+def test_experiment_config_keeps_the_values_its_rules_accept():
+    from acda.experiments import ExperimentConfig, _dataset_defaults
+
+    recipe = {**_dataset_defaults("gaussian"), "dim": 3}
+    cfg = ExperimentConfig(strategies=["none", "active"], seeds=[np.int64(5), 0],
+                           dataset=recipe, out_dir="o", standardize=False)
+    assert (cfg.strategies, cfg.seeds, cfg.dataset, cfg.out_dir, cfg.standardize) == (
+        ["none", "active"], [5, 0], recipe, "o", False)
+
+
 # --------------------------------------------------------- run_experiment
 
 
@@ -277,28 +329,17 @@ def test_run_experiment_is_byte_identical_across_invocations(tmp_path):
     assert rec_a == rec_b
 
 
-@pytest.mark.parametrize("seeds,train,message", [
-    ([1, -1], {}, "run 'active-seed-1': seed must be non-negative"),
-    ([1, 1.5], {}, "run 'active-seed1.5': seed must be an integer"),
-    ([2, 2], {}, "run 'active-seed2' is named twice"),
-    ([1], {"stage1_epochs": 2.5}, "run 'active-seed1': stage1_epochs must be an integer, got 2.5"),
-    ([1], {"batch_size": 40.0}, "run 'active-seed1': batch_size must be an integer, got 40.0"),
-    ([1], {"early_stop_patience": 1.5}, "early_stop_patience must be an integer, got 1.5"),
-    ([1], {"query_rounds": True}, "query_rounds must be an integer, got True"),
-], ids=["negative", "float", "repeated", "float-epochs", "float-batch", "float-patience",
-        "bool-rounds"])
-def test_run_experiment_checks_every_seed_before_writing(tmp_path, seeds, train, message):
-    """A config built in code skips parse_config's checks; the runner itself
-    refuses a bad seed or TrainConfig field before it trains or writes
-    anything."""
+@pytest.mark.parametrize("seeds,message", [
+    ([1, -1], "seed must be non-negative, got -1, in the seeds list"),
+    ([1, 1.5], "seed must be an integer, got 1.5, in the seeds list"),
+    ([2, 2], "seeds list '2,2' repeats a seed"),
+], ids=["negative", "float", "repeated"])
+def test_run_experiment_checks_every_seed_before_writing(tmp_path, seeds, message):
+    """A config built in code checks its seeds itself: a bad seed list fails
+    when it is put into the config, so no run can start with it."""
     cfg = parse_config(write_cfg(tmp_path, SMALL_TRAIN + SMALL_DATASET))
-    cfg.seeds = seeds
-    for name, value in train.items():  # set past TrainConfig's own check
-        object.__setattr__(cfg.train, name, value)
-    out = tmp_path / "out"
     with pytest.raises(ConfigError, match=message):
-        run_experiment(cfg, out_dir=str(out))
-    assert not out.exists()
+        replace(cfg, seeds=seeds)
 
 
 _MOONS = {"kind": "two_moons", "n_source": 120, "n_target": 120, "rotation_deg": 30.0,
@@ -325,14 +366,16 @@ _MISSING_IDX = "".join(f"dataset.{domain}_{part} = missing-{domain}.{part}\n"
                          ids=["run_experiment", "several-strategies"])
 def test_a_dataset_the_builder_refuses_is_a_config_error_before_writing(tmp_path, dataset,
                                                                         message, strategy):
-    """A dict is a recipe built in code, which no parser has checked."""
+    """A dict is a recipe built in code, which no parser has checked: the
+    config refuses its kind and keys when the recipe is put into it, and
+    ``run_experiment`` refuses its values when it builds the first pools."""
     built_in_code = isinstance(dataset, dict)
     cfg = parse_config(write_cfg(tmp_path, SMALL_TRAIN + ("" if built_in_code else dataset)
                                  + strategy + "seeds = 1,2\n"))
-    if built_in_code:
-        cfg.dataset = dataset
     out = tmp_path / "out"
     with pytest.raises(ConfigError, match=f"dataset: {message}"):
+        if built_in_code:
+            cfg = replace(cfg, dataset=dataset)
         run_experiment(cfg, out_dir=str(out))
     assert not out.exists()
 
@@ -342,9 +385,8 @@ def test_compare_refuses_an_empty_strategy_list(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path, SMALL_TRAIN + SMALL_DATASET)
     out = tmp_path / "out"
     cfg = parse_config(cfg_path)
-    cfg.strategies = []
     with pytest.raises(ConfigError, match="at least one strategy"):
-        run_experiment(cfg, out_dir=str(out))
+        replace(cfg, strategies=[])
     empty_path = write_cfg(tmp_path, SMALL_TRAIN + SMALL_DATASET + "strategy = ,\n", "e.cfg")
     assert main(["run", empty_path, "--out", str(out)]) == 2
     assert "strategy list ',' has an empty entry" in capsys.readouterr().err
@@ -353,9 +395,9 @@ def test_compare_refuses_an_empty_strategy_list(tmp_path, capsys):
 
 def test_an_empty_output_root_is_refused_before_any_pool_is_built(tmp_path, monkeypatch,
                                                                   capsys):
-    """``run_experiment`` owns the output root: an empty one, given or
-    configured, is a ConfigError, and ``--out ""`` reaches it as given
-    rather than falling back to the config's out_dir."""
+    """The config owns the output root: an empty one, built in, replaced in,
+    or given to ``run_experiment``, is a ConfigError, and ``--out ""``
+    reaches it as given rather than falling back to the config's out_dir."""
     from acda import experiments
     from acda.experiments import ExperimentConfig
 
@@ -363,9 +405,11 @@ def test_an_empty_output_root_is_refused_before_any_pool_is_built(tmp_path, monk
                         lambda *a: pytest.fail("a pool was built"))
     configured = tmp_path / "configured"
     cfg_path = write_cfg(tmp_path, SMALL_TRAIN + SMALL_DATASET + f"out_dir = {configured}\n")
-    for config, out_dir in ((parse_config(cfg_path), ""), (ExperimentConfig(out_dir=""), None)):
+    for build in (lambda: run_experiment(parse_config(cfg_path), out_dir=""),
+                  lambda: replace(parse_config(cfg_path), out_dir=""),
+                  lambda: ExperimentConfig(out_dir="")):
         with pytest.raises(ConfigError, match="out_dir is empty"):
-            run_experiment(config, out_dir=out_dir)
+            build()
     for command in ("run", "gen"):
         assert main([command, cfg_path, "--out", ""]) == 2
         assert "error: out_dir is empty" in capsys.readouterr().err
@@ -397,18 +441,15 @@ def test_compare_single_strategy_has_no_difference_rows(tmp_path):
 
 
 @pytest.mark.parametrize("strategies,message", [
-    (["random", "random"], "run 'random-seed1' is named twice"),
-    (["random", "bogus"], "run 'bogus-seed1': unknown strategy 'bogus'"),
+    (["random", "random"], "strategy list 'random,random' repeats a strategy"),
+    (["random", "bogus"], "unknown strategy 'bogus'"),
 ], ids=["repeated", "unknown"])
 def test_compare_rejects_bad_strategies_before_training(tmp_path, strategies, message):
-    """A config built in code skips parse_config's checks; the runner refuses
-    a bad strategy list before it trains or writes anything."""
+    """A config built in code checks its strategies itself: a bad list fails
+    when it is put into the config, so no run can start with it."""
     cfg = parse_config(write_cfg(tmp_path, SMALL_TRAIN + SMALL_DATASET + "seeds = 1\n"))
-    cfg.strategies = strategies
-    out = tmp_path / "cmp"
     with pytest.raises(ConfigError, match=message):
-        run_experiment(cfg, out_dir=str(out))
-    assert not out.exists()
+        replace(cfg, strategies=strategies)
 
 
 def test_compare_reports_active_minus_random(tmp_path):

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from acda.data import (Dataset, LabelingFunction, batch_iterator, export_csv,
+from acda.data import (Dataset, LabelingFunction, batch_iterator, class_ids, export_csv,
                        gen_gaussian_shift_pair, gen_two_moons_pair, load_csv,
                        load_idx, standardize_features)
 from acda.errors import CheckpointError, ConfigError, DataError
@@ -252,6 +252,30 @@ def test_load_csv_rejects_malformed_rows_with_their_line(tmp_path, rows, line):
     path.write_text("\n".join(["x_0,x_1,label,domain"] + rows) + "\n")
     with pytest.raises(DataError, match=f"bad.csv: line {line}: "):
         load_csv(path)
+
+
+@pytest.mark.parametrize("header", ["a,b,label,domain", "x_1,x_0,label,domain",
+                                    "x_0,label,domain,x_1", "label,domain"])
+def test_load_csv_rejects_feature_columns_other_than_x_0_to_x_d(tmp_path, header):
+    path = tmp_path / "cols.csv"
+    path.write_text(header + "\n0.0,0.0,0,source\n")
+    with pytest.raises(DataError, match=r"cols.csv: expected columns x_0..x_\(d-1\), label, "
+                                        "domain"):
+        load_csv(path)
+
+
+def test_class_ids_are_1d_whole_numbers_in_range():
+    np.testing.assert_array_equal(class_ids([0.0, 2.0, 1]), [0, 2, 1])
+    assert class_ids(np.array([1, 0], dtype=np.uint8)).dtype == np.int64
+    assert class_ids([]).shape == (0,)
+    for labels, n_classes, message in [
+            ([[0, 1]], None, r"labels must be 1-d, got shape \(1, 2\)"),
+            ([0.6], None, "labels must be integer class ids"),
+            ([np.nan], None, "labels must be integer class ids"),
+            ([-1], None, r"labels must lie in \[0, inf\), got range \[-1, -1\]"),
+            ([0, 2], 2, r"labels must lie in \[0, 2\), got range \[0, 2\]")]:
+        with pytest.raises(ValueError, match=message):
+            class_ids(labels, n_classes)
 
 
 def test_load_csv_rejects_an_empty_file(tmp_path):

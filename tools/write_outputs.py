@@ -36,6 +36,7 @@ import os
 import platform
 import sys
 import tempfile
+from dataclasses import replace
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
@@ -129,9 +130,8 @@ def main(argv=None) -> int:
         ("check", _cli(["check"], "check.stdout")),
     ]
     for name in PERFBENCH_CONFIGS:
-        config = experiments.parse_config(os.path.join(ROOT, "perfbench", "configs",
-                                                       f"{name}.cfg"))
-        config.seeds = [1]
+        config = replace(experiments.parse_config(os.path.join(ROOT, "perfbench", "configs",
+                                                               f"{name}.cfg")), seeds=[1])
         statuses.append((name, experiments.run_experiment(config,
                                                           out_dir=f"perfbench-{name}")))
     with open("status.txt", "w", encoding="utf-8") as fh:
