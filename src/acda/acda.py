@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import nets, transport
-from .autodiff import Graph, forward_eval
+from .autodiff import Graph, Step
 from .data import Dataset, batch_iterator, class_ids
 from .errors import CapacityError, DataError, TrainingDivergedError
 from .optim import Adam
@@ -335,58 +335,21 @@ def weighted_query_loss(probabilities, labels, weights: WeightVector) -> float:
 # adversarial training (shared by stage 1 and stage 3)
 
 
-class _Step:
-    """One step graph as a step reads it: ``terms`` maps epoch-record names
-    to scalar nodes, and ``grads`` maps each leaf in ``wrt`` to the gradient
-    of ``objective`` with respect to it.  An evaluation computes the terms,
-    then the gradients, and nothing else."""
-
-    def __init__(self, graph: Graph, objective: int, terms: dict, wrt: list):
-        grads = graph.add_gradient_nodes(objective, [graph.leaves[nm] for nm in wrt])
-        self.graph, self.objective, self.terms = graph, objective, terms
-        self.grads = {nm: grads[graph.leaves[nm]] for nm in wrt}
-        self.outputs = (*terms.values(), *self.grads.values())
-
-    def evaluate(self, bindings: dict) -> tuple:
-        """(terms as floats, gradients as arrays), both keyed by name."""
-        vals = forward_eval(self.graph, bindings, self.outputs)
-        return ({name: float(vals[n]) for name, n in self.terms.items()},
-                {name: vals[n] for name, n in self.grads.items()})
-
-
 class _StepGraphs:
-    """Static graphs for one (batch-shape) combination.
+    """Static step graphs for one (batch-shape) combination.
 
-    The critic graph ascends the adversarial objective in theta_d; the model
-    graph descends classification (+ weighted query) loss plus the W1 term
-    in (theta_f, theta_c).  Parameters enter as leaves so the same graph
-    serves every step.  F is frozen while the critic steps, so the critic
-    graph holds D alone: its W1 term reads the features F(xs_adv), F(xt) as
-    leaves ``fs_adv``, ``ft``, and its gradient penalty differentiates D at
-    the feature interpolates ``xhat`` between them.  ``critic_w1`` is that
-    W1 node, which no step reads alone.  Without a target batch there is no
-    critic graph: ``critic`` is None.  ``dims`` holds the batch row counts
+    ``critic`` is :func:`transport.build_critic_step` at penalty weight 1,
+    on the features F(xs_adv) and F(xt); without a target batch it is None.
+    The model graph descends classification (+ weighted query) loss plus
+    the W1 term in (theta_f, theta_c).  Parameters enter as leaves so the
+    same graph serves every step.  ``dims`` holds the batch row counts
     ``(ns_cls, nt, ns_adv, nq)``, and ``specs`` the F, C and D specs by name.
     """
 
     def __init__(self, dims, specs: dict):
         ns_cls, nt, ns_adv, nq = dims
         f_spec, c_spec, d_spec = specs["F"], specs["C"], specs["D"]
-
-        self.critic = None
-        if nt:
-            g = Graph()
-            fs_adv = g.leaf("fs_adv", (ns_adv, f_spec.output_dim))
-            ft = g.leaf("ft", (nt, f_spec.output_dim))
-            xhat = g.leaf("xhat", (min(ns_adv, nt), f_spec.output_dim))
-            lamw = g.leaf("lambda_w", ())
-            # D(fs) < D(ft) < w1 < penalty path: the order in which the
-            # D-gradient sums accumulate
-            self.critic_w1 = transport.build_critic_w1(g, d_spec, fs_adv, ft)
-            penalty = transport.build_gradient_penalty(g, d_spec, xhat)
-            objective = g.mul(lamw, g.sub(self.critic_w1, penalty))
-            self.critic = _Step(g, objective, {"L_grad": penalty},
-                                nets.param_leaf_names(d_spec, "D"))
+        self.critic = transport.build_critic_step(d_spec, ns_adv, nt, 1.0) if nt else None
 
         m = Graph()
         xs_cls = m.leaf("xs_cls", (ns_cls, f_spec.input_dim))
@@ -412,8 +375,8 @@ class _StepGraphs:
                 m, d_spec, nets.build_forward(m, f_spec, xs_adv_m, "F"),
                 nets.build_forward(m, f_spec, xt_m, "F"))
             objective = m.add(objective, m.mul(lamw_m, terms["W1_estimate"]))
-        self.model = _Step(m, objective, {"objective": objective, **terms},
-                           nets.param_leaf_names(f_spec, "F") + nets.param_leaf_names(c_spec, "C"))
+        self.model = Step(m, objective, {"objective": objective, **terms},
+                          nets.param_leaf_names(f_spec, "F") + nets.param_leaf_names(c_spec, "C"))
 
 
 def _adversarial_fit(params: dict, source: Dataset, target: Dataset, config: TrainConfig,
@@ -488,12 +451,9 @@ def _adversarial_fit(params: dict, source: Dataset, target: Dataset, config: Tra
                 bindings["ft"] = nets.logits(params["F"], bindings["xt"])
                 penalty = 0.0
                 for critic_step in range(CRITIC_STEPS):
-                    eps_seed = derive_seed(seed, "eps", epoch, step, critic_step)
-                    bindings["xhat"] = transport.interpolates(bindings["fs_adv"],
-                                                              bindings["ft"], eps_seed)
-                    terms, grads = sg.critic.evaluate(bindings)
-                    penalty += terms["L_grad"]
-                    opt_critic.step_ascent(bindings, grads)
+                    penalty += transport.critic_ascent(
+                        sg.critic, bindings, opt_critic,
+                        derive_seed(seed, "eps", epoch, step, critic_step))
                 sums["L_grad"] += penalty / CRITIC_STEPS
 
             terms, grads = sg.model.evaluate(bindings)

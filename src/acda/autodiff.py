@@ -41,6 +41,7 @@ _NORM_EPS = 1e-24
 
 __all__ = [
     "Graph",
+    "Step",
     "forward_eval",
     "gradient",
     "finite_difference_check",
@@ -545,6 +546,25 @@ def forward_eval(graph: Graph, bindings: dict, outputs=None) -> list:
     the graph grows (see :meth:`Graph.compile`).
     """
     return graph.compile(outputs).run(bindings)
+
+
+class Step:
+    """One step graph as a training step reads it: ``terms`` maps
+    epoch-record names to scalar nodes, and ``grads`` maps each leaf in
+    ``wrt`` to the gradient of ``objective`` with respect to it.  An
+    evaluation computes the terms, then the gradients, and nothing else."""
+
+    def __init__(self, graph: Graph, objective: int, terms: dict, wrt: list):
+        grads = graph.add_gradient_nodes(objective, [graph.leaves[nm] for nm in wrt])
+        self.graph, self.objective, self.terms = graph, objective, terms
+        self.grads = {nm: grads[graph.leaves[nm]] for nm in wrt}
+        self.outputs = (*terms.values(), *self.grads.values())
+
+    def evaluate(self, bindings: dict) -> tuple:
+        """(terms as floats, gradients as arrays), both keyed by name."""
+        vals = forward_eval(self.graph, bindings, self.outputs)
+        return ({name: float(vals[n]) for name, n in self.terms.items()},
+                {name: vals[n] for name, n in self.grads.items()})
 
 
 def _leaf_id(graph: Graph, leaf) -> int:

@@ -276,6 +276,8 @@ def load_idx(images_path, labels_path, max_items: int | None = None) -> Dataset:
         magic, count, rows, cols = struct.unpack(">iiii", _read_exact(fh, 16, images_path, "header"))
         if magic != 2051:
             raise DataError(f"{images_path}: bad magic {magic}, expected 2051")
+        if min(count, rows, cols) < 0:
+            raise DataError(f"{images_path}: negative size in header {(count, rows, cols)}")
         take = count if max_items is None else min(count, max_items)
         pixels = _read_exact(fh, take * rows * cols, images_path, "pixel data")
     with open(labels_path, "rb") as fh:

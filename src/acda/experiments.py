@@ -60,12 +60,8 @@ _DATASETS = {
 _DEFAULT_KIND = "two_moons"
 
 
-def _dataset_defaults(kind: str) -> dict:
-    return {"kind": kind, **_DATASETS[kind][1]}
-
-
-def _check_dataset(dataset: dict, lines: dict | None = None) -> tuple:
-    """``(kind, its keys with their defaults)`` for the recipe ``dataset``;
+def _check_dataset(dataset: dict, lines: dict | None = None) -> dict:
+    """The recipe ``dataset`` with every key it leaves out at its default;
     ConfigError unless the kind is in ``_DATASETS``, every other key is one
     of its keys, and every required key is set.  ``lines`` maps a key to
     the config-file line that set it."""
@@ -79,10 +75,11 @@ def _check_dataset(dataset: dict, lines: dict | None = None) -> tuple:
         if key != "kind" and key not in defaults:
             raise ConfigError(f"{_at(lines.get(key))}dataset key '{key}' not valid for kind "
                               f"'{kind}'")
-    missing = [k for k, v in defaults.items() if dataset.get(k, v) is None]
+    recipe = {"kind": kind, **defaults, **dataset}
+    missing = [k for k, v in recipe.items() if v is None]
     if missing:
         raise ConfigError(f"dataset kind '{kind}' needs keys {missing}")
-    return kind, defaults
+    return recipe
 
 
 def _parse_dataset(entries: dict) -> dict:
@@ -91,9 +88,8 @@ def _parse_dataset(entries: dict) -> dict:
     key the file leaves out at its default, each value of its default's
     type."""
     lines = {key: line for key, (_, line) in entries.items()}
-    given = {key: raw for key, (raw, _) in entries.items()}
-    kind, defaults = _check_dataset(given, lines)
-    recipe = {"kind": kind, **defaults}
+    recipe = _check_dataset({key: raw for key, (raw, _) in entries.items()}, lines)
+    defaults = _DATASETS[recipe["kind"]][1]
     for key, (raw, line) in entries.items():
         if key != "kind":
             recipe[key] = _coerce(raw, type(defaults[key]), f"dataset.{key}", line)
@@ -109,18 +105,21 @@ class ExperimentConfig:
     ConfigError for an empty ``out_dir``, strategy list or seed list; an
     empty, repeated or unknown strategy; a repeated, negative or non-integer
     seed; or a dataset kind or key that the dataset table refuses.  The
-    recipe's values are checked when its pools are built."""
+    lists are stored as tuples, and the recipe with every key it leaves out
+    at its default; its values are checked when its pools are built."""
 
     train: TrainConfig = field(default_factory=TrainConfig)
-    dataset: dict = field(default_factory=lambda: _dataset_defaults(_DEFAULT_KIND))
+    dataset: dict = field(default_factory=lambda: {"kind": _DEFAULT_KIND})
     out_dir: str = "runs"
-    strategies: list = field(default_factory=lambda: ["active"])
-    seeds: list = field(default_factory=lambda: [0])
+    strategies: tuple = ("active",)
+    seeds: tuple = (0,)
     standardize: bool = True
 
     def __post_init__(self):
         if not self.out_dir:
             raise ConfigError("out_dir is empty")
+        object.__setattr__(self, "strategies", tuple(self.strategies))
+        object.__setattr__(self, "seeds", tuple(self.seeds))
         # both lists keep the same rules; each entry is checked by its owner
         for key, noun, values, check in (("strategy", "strategy", self.strategies, _check_strategy),
                                          ("seeds", "seed", self.seeds, _check_seed)):
@@ -137,7 +136,7 @@ class ExperimentConfig:
             if len(set(values)) < len(values):
                 raise ConfigError(f"{key} list '{listed}' repeats a {noun}")
         try:
-            _check_dataset(self.dataset)
+            object.__setattr__(self, "dataset", _check_dataset(self.dataset))
         except ConfigError as exc:
             raise ConfigError(f"dataset: {exc}") from None
 

@@ -1,8 +1,8 @@
 """Wasserstein-1 machinery.
 
-Four pieces: an exact small-instance optimal-transport oracle, the
-critic-based empirical W1 estimate, the gradient penalty at feature
-interpolates that keeps the critic near 1-Lipschitz, and a finite-sample
+Three pieces: an exact small-instance optimal-transport oracle; the critic's
+ascent step on the empirical W1 estimate minus a gradient penalty at feature
+interpolates, which keeps the critic near 1-Lipschitz; and a finite-sample
 diagnostic for the target-risk bound  eps_T <= eps_S + 2*W1 + disagreement.
 """
 
@@ -16,11 +16,11 @@ from scipy.optimize import linear_sum_assignment, linprog
 from scipy.spatial.distance import cdist
 
 from . import nets
-from .autodiff import Graph, forward_eval
+from .autodiff import Graph, Step, forward_eval
 from .errors import CapacityError, TransportError
 from .nets import NetworkParams, NetworkSpec
 from .optim import Adam
-from .seeding import make_rng
+from .seeding import derive_seed, make_rng
 
 __all__ = [
     "TransportPlan",
@@ -30,6 +30,8 @@ __all__ = [
     "gradient_penalty",
     "build_critic_w1",
     "build_gradient_penalty",
+    "build_critic_step",
+    "critic_ascent",
     "fit_critic",
     "lipschitz_normalize",
     "bound_rhs",
@@ -199,51 +201,64 @@ def gradient_penalty(d_params: NetworkParams, fs, ft, seed: int) -> float:
     return float(forward_eval(g, bindings, [penalty])[penalty])
 
 
-# fit_critic's Adam step size, gradient-penalty weight and history stride.
+def build_critic_step(d_spec: NetworkSpec, ns: int, nt: int, penalty_weight: float) -> Step:
+    """The critic's step: ascend  lambda_w * (W1_estimate - penalty_weight *
+    penalty)  in D's parameters ``D.*``.  Its one term ``L_grad`` is the
+    unweighted penalty; ``step.w1`` is the W1 node, which it does not
+    evaluate.  The other leaves are the features ``fs_adv`` (``ns`` rows)
+    and ``ft`` (``nt``), their interpolates ``xhat`` and the scalar
+    ``lambda_w``.  A weight of 1 adds no node to W1 - penalty."""
+    g = Graph()
+    width = d_spec.input_dim
+    fs = g.leaf("fs_adv", (ns, width))
+    ft = g.leaf("ft", (nt, width))
+    xhat = g.leaf("xhat", (min(ns, nt), width))
+    lamw = g.leaf("lambda_w", ())
+    # D(fs) < D(ft) < w1 < penalty path: the order in which the D-gradient
+    # sums accumulate
+    w1 = build_critic_w1(g, d_spec, fs, ft)
+    penalty = build_gradient_penalty(g, d_spec, xhat)
+    objective = g.mul(lamw, g.add(w1, g.affine(penalty, -penalty_weight, 0.0)))
+    step = Step(g, objective, {"L_grad": penalty}, nets.param_leaf_names(d_spec, "D"))
+    step.w1 = w1
+    return step
+
+
+def critic_ascent(step: Step, bindings: dict, opt: Adam, seed: int) -> float:
+    """One Adam ascent step of a :func:`build_critic_step` step on the D
+    arrays in ``bindings``, in place, at interpolates ``xhat`` drawn with
+    ``seed`` between the bound ``fs_adv`` and ``ft``; returns its penalty."""
+    bindings["xhat"] = interpolates(bindings["fs_adv"], bindings["ft"], seed)
+    terms, grads = step.evaluate(bindings)
+    opt.step_ascent(bindings, grads)
+    return terms["L_grad"]
+
+
+# fit_critic's gradient-penalty weight and Adam step size.
+_FIT_PENALTY_WEIGHT = 50.0
 _FIT_LEARNING_RATE = 1e-3
-_FIT_GP_COEFF = 50.0
-_FIT_RECORD_EVERY = 100
 
 
-def fit_critic(points_a, points_b, steps: int = 2000, seed: int = 0):
-    """Train a critic alone to realize the dual W1 estimate on two clouds.
-
-    Full-batch Adam ascent (step 1e-3) on  W1_estimate - 50 * penalty.
-    Returns ``(d_params, history)`` where history is a list of
-    ``(step, estimate)`` pairs, every 100 steps and at the last.  The
-    points are the features: the W1 term reads them and the penalty
-    differentiates D at interpolates between them.  D is a fresh default
-    critic seeded by ``seed``.  ValueError unless ``steps`` is an integer
-    of at least 1 and the two point sets have the same width.
-    """
+def fit_critic(points_a, points_b, steps: int = 2000, seed: int = 0) -> NetworkParams:
+    """Train a fresh default critic D, seeded by ``seed``, to realize the
+    dual W1 estimate on two clouds of features; returns D.  It takes
+    ``steps`` full-batch :func:`critic_ascent` steps of training's critic
+    step, at penalty weight 50, lambda_w = 1 and Adam step size 1e-3.
+    ValueError unless ``steps`` is an integer of at least 1 and the two
+    point sets have the same width."""
     if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
         raise ValueError(f"steps must be an integer, got {steps!r}")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     xs, xt = _check_pair(points_a, points_b, "points_a", "points_b")
-    dim = xs.shape[1]
-    d_params = nets.init_network(nets.default_critic_spec(dim),
+    d_params = nets.init_network(nets.default_critic_spec(xs.shape[1]),
                                  make_rng(seed, "critic-init").integers(2**63))
-    k = min(xs.shape[0], xt.shape[0])
-
-    g = Graph()
-    w1 = build_critic_w1(g, d_params.spec, g.leaf("fs", xs.shape), g.leaf("ft", xt.shape))
-    penalty = build_gradient_penalty(g, d_params.spec, g.leaf("xhat", (k, dim)))
-    objective = g.sub(w1, g.affine(penalty, _FIT_GP_COEFF, 0.0))
-    d_names = nets.param_leaf_names(d_params.spec, "D")
-    grads = g.add_gradient_nodes(objective, [g.leaves[nm] for nm in d_names])
-    outputs = [w1] + [grads[g.leaves[nm]] for nm in d_names]
-
+    step = build_critic_step(d_params.spec, len(xs), len(xt), _FIT_PENALTY_WEIGHT)
     opt = Adam(_FIT_LEARNING_RATE)
-    bindings = {**nets.param_bindings(d_params, "D"), "fs": xs, "ft": xt}
-    history = []
-    for step in range(steps):
-        bindings["xhat"] = interpolates(xs, xt, make_rng(seed, "step", step).integers(2**63))
-        vals = forward_eval(g, bindings, outputs)
-        opt.step_ascent(bindings, {nm: vals[grads[g.leaves[nm]]] for nm in d_names})
-        if (step + 1) % _FIT_RECORD_EVERY == 0 or step == steps - 1:
-            history.append((step + 1, float(vals[w1])))
-    return d_params, history
+    bindings = {**nets.param_bindings(d_params, "D"), "fs_adv": xs, "ft": xt, "lambda_w": 1.0}
+    for i in range(steps):
+        critic_ascent(step, bindings, opt, derive_seed(seed, "eps", i))
+    return d_params
 
 
 # ----------------------------------------------------------------------

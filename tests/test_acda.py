@@ -370,19 +370,21 @@ def test_stage1_adapts_identical_pools_toward_zero_w1():
     assert last <= max(0.1 * first, 0.05)
 
 
-def test_critic_graph_penalty_equals_gradient_penalty_on_the_same_features():
-    """The critic graph reads F(xs_adv), F(xt) and the interpolates between
+@pytest.mark.parametrize("weight", [1.0, 50.0])
+def test_critic_graph_penalty_equals_gradient_penalty_on_the_same_features(weight):
+    """The critic step reads F(xs_adv), F(xt) and the interpolates between
     them as leaves; its penalty is bit for bit ``gradient_penalty`` on the
     same inputs, networks and seed, and its objective is lambda_w times W1
-    minus that penalty."""
+    minus ``weight`` times that penalty.  Training's critic is weight 1."""
     from acda import nets, transport
     from acda.acda import _StepGraphs
     from acda.autodiff import forward_eval
 
     f_spec = default_feature_spec(2)
     specs = {"F": f_spec, "C": default_classifier_spec(2), "D": default_critic_spec()}
-    sg = _StepGraphs((128, 100, 128, 0), specs)
-    assert sg.critic.graph.shapes[sg.critic.graph.leaves["xhat"]] == (100, f_spec.output_dim)
+    critic = (_StepGraphs((128, 100, 128, 0), specs).critic if weight == 1.0
+              else transport.build_critic_step(specs["D"], 128, 100, weight))
+    assert critic.graph.shapes[critic.graph.leaves["xhat"]] == (100, f_spec.output_dim)
 
     rng = np.random.default_rng(9)
     xs_adv, xt = rng.normal(size=(128, 2)), rng.normal(size=(100, 2)) + 1.0
@@ -393,16 +395,16 @@ def test_critic_graph_penalty_equals_gradient_penalty_on_the_same_features():
     bindings["fs_adv"] = nets.logits(f, xs_adv)
     bindings["ft"] = nets.logits(f, xt)
     bindings["xhat"] = transport.interpolates(bindings["fs_adv"], bindings["ft"], 11)
-    vals = forward_eval(sg.critic.graph, bindings)
-    step = forward_eval(sg.critic.graph, bindings, sg.critic.outputs)
+    vals = forward_eval(critic.graph, bindings)
+    step = forward_eval(critic.graph, bindings, critic.outputs)
 
-    penalty, w1, objective = sg.critic.terms["L_grad"], sg.critic_w1, sg.critic.objective
+    penalty, w1, objective = critic.terms["L_grad"], critic.w1, critic.objective
     fs, ft = nets.forward(f, xs_adv), nets.forward(f, xt)
     expected = transport.gradient_penalty(d, fs, ft, 11)
     assert vals[penalty].tobytes() == np.float64(expected).tobytes()
     assert float(vals[w1]) == transport.critic_w1_estimate(d, fs, ft)
-    assert float(vals[objective]) == 0.7 * (float(vals[w1]) - expected)
-    for node in sg.critic.outputs:
+    assert float(vals[objective]) == 0.7 * (float(vals[w1]) - weight * expected)
+    for node in critic.outputs:
         assert step[node].tobytes() == vals[node].tobytes()
 
 
@@ -476,10 +478,10 @@ def test_training_diverged_error_carries_epoch():
 def test_l_grad_is_the_mean_penalty_over_the_critic_steps(monkeypatch):
     """An epoch's L_grad averages every critic step's penalty, not only the
     last critic step of each model step."""
-    import acda.acda as algorithm
+    import acda.autodiff as autodiff
 
     penalties = []
-    real_eval = algorithm.forward_eval
+    real_eval = autodiff.forward_eval
 
     def spy(graph, bindings, outputs=None):
         vals = real_eval(graph, bindings, outputs)
@@ -487,7 +489,7 @@ def test_l_grad_is_the_mean_penalty_over_the_critic_steps(monkeypatch):
             penalties.append(float(vals[outputs[0]]))
         return vals
 
-    monkeypatch.setattr(algorithm, "forward_eval", spy)
+    monkeypatch.setattr(autodiff, "forward_eval", spy)
     source, target = _small_pair(seed=15, n=60)
     cfg = TrainConfig(stage1_epochs=1, batch_size=20)
     _, hist = stage1_train(_nets_for(seed=5), source, target, cfg, _stage1_seed(8))

@@ -19,6 +19,7 @@ import os
 import pytest
 
 import acda.acda as algorithm
+import acda.autodiff as autodiff
 from acda.acda import TrainConfig, _StepGraphs, stage1_train
 from acda.data import gen_two_moons_pair
 from acda.experiments import _pools_for_run, build_pair, parse_config, run_experiment
@@ -80,14 +81,14 @@ def test_step_graphs_carry_the_leaves_that_tell_critic_from_model():
 
 def test_a_training_stage_evaluates_only_critic_and_model_graphs(monkeypatch):
     kinds = []
-    real_eval = algorithm.forward_eval
+    real_eval = autodiff.forward_eval
 
     def spy(graph, bindings, outputs=None):
         leaves = graph.leaves
         kinds.append("critic" if "xhat" in leaves else "model" if "xs_cls" in leaves else "other")
         return real_eval(graph, bindings, outputs)
 
-    monkeypatch.setattr(algorithm, "forward_eval", spy)
+    monkeypatch.setattr(autodiff, "forward_eval", spy)
     pair = gen_two_moons_pair(40, 40, 30.0, 0.1, 0.0, seed=1)
     nets = {name: init_network(spec, seed) for seed, (name, spec) in enumerate(
         (("F", default_feature_spec(2)), ("C", default_classifier_spec(2)),

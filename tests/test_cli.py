@@ -49,8 +49,8 @@ def test_empty_config_gets_documented_defaults(tmp_path):
     assert cfg.train.lambda_div == 10.0
     assert cfg.dataset == {"kind": "two_moons", "n_source": 1000, "n_target": 1000,
                            "rotation_deg": 40.0, "noise_sd": 0.1, "label_flip_rate": 0.1}
-    assert cfg.seeds == [0]
-    assert cfg.strategies == ["active"]
+    assert cfg.seeds == (0,)
+    assert cfg.strategies == ("active",)
     assert cfg.standardize is True
 
 
@@ -66,14 +66,14 @@ out_dir = /tmp/somewhere
 """))
     assert cfg.train.budget == 0.05
     assert cfg.train.lambda_div == 2.5
-    assert cfg.strategies == ["random"]
-    assert cfg.seeds == [1, 2, 3, 4]
+    assert cfg.strategies == ("random",)
+    assert cfg.seeds == (1, 2, 3, 4)
     assert cfg.dataset["n_classes"] == 3
     assert cfg.out_dir == "/tmp/somewhere"
     cfg2 = parse_config(write_cfg(tmp_path, "seeds = 3,5,8\nstrategy = active, random\n",
                                   "b.cfg"))
-    assert cfg2.seeds == [3, 5, 8]
-    assert cfg2.strategies == ["active", "random"]
+    assert cfg2.seeds == (3, 5, 8)
+    assert cfg2.strategies == ("active", "random")
 
 
 def test_config_unknown_key_reports_line_number(tmp_path):
@@ -232,13 +232,21 @@ def test_experiment_config_refuses_each_rule_when_built_or_replaced(change, mess
 
 
 def test_experiment_config_keeps_the_values_its_rules_accept():
-    from acda.experiments import ExperimentConfig, _dataset_defaults
+    """The lists are kept as tuples, which refuse an in-place edit, and a
+    recipe that leaves keys out is kept with their defaults, so it builds."""
+    from acda.experiments import _DATASETS, ExperimentConfig
 
-    recipe = {**_dataset_defaults("gaussian"), "dim": 3}
-    cfg = ExperimentConfig(strategies=["none", "active"], seeds=[np.int64(5), 0],
-                           dataset=recipe, out_dir="o", standardize=False)
+    lists = ["none", "active"], [np.int64(5), 0]
+    cfg = ExperimentConfig(strategies=lists[0], seeds=lists[1],
+                           dataset={"kind": "gaussian", "dim": 3}, out_dir="o", standardize=False)
+    recipe = {"kind": "gaussian", **_DATASETS["gaussian"][1], "dim": 3}
     assert (cfg.strategies, cfg.seeds, cfg.dataset, cfg.out_dir, cfg.standardize) == (
-        ["none", "active"], [5, 0], recipe, "o", False)
+        ("none", "active"), (5, 0), recipe, "o", False)
+    lists[1].append(-1)  # the config holds its own copies
+    assert cfg.seeds == (5, 0)
+    with pytest.raises(AttributeError):
+        cfg.seeds.append(-1)
+    assert build_pair(cfg.dataset, 0).source.dim == 3
 
 
 # --------------------------------------------------------- run_experiment

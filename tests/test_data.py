@@ -161,11 +161,18 @@ def test_idx_max_items(tmp_path):
 
 
 def test_idx_bad_magic_rejected(tmp_path):
+    """A bad magic number, and a negative count or dimension, are refused
+    from the header, naming the file."""
     images_path, labels_path, _, _ = _write_idx_pair(tmp_path)
     blob = images_path.read_bytes()
     images_path.write_bytes(struct.pack(">iiii", 1234, 7, 3, 2) + blob[16:])
     with pytest.raises(DataError):
         load_idx(images_path, labels_path)
+    # (2, -2, -2) asks for 2 * -2 * -2 = 8 pixel bytes, which the file has
+    for header in ((2051, 2, -2, -2), (2051, -1, 3, 2), (2051, 7, 3, -2)):
+        images_path.write_bytes(struct.pack(">iiii", *header) + blob[16:24])
+        with pytest.raises(DataError, match="imgs.idx3-ubyte: negative size in header"):
+            load_idx(images_path, labels_path)
 
 
 def test_idx_count_mismatch_rejected(tmp_path):

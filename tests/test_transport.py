@@ -270,9 +270,9 @@ def test_fit_critic_returns_its_own_critic_and_leaves_the_points_alone():
     rng = np.random.default_rng(5)
     a, b = rng.normal(size=(12, 2)), rng.normal(size=(9, 2)) + 1.0
     a0, b0 = a.tobytes(), b.tobytes()
-    first, history = fit_critic(a, b, steps=3, seed=4)
-    second, again = fit_critic(a, b, steps=3, seed=4)
-    assert (a.tobytes(), b.tobytes()) == (a0, b0) and history == again
+    first = fit_critic(a, b, steps=3, seed=4)
+    second = fit_critic(a, b, steps=3, seed=4)
+    assert (a.tobytes(), b.tobytes()) == (a0, b0)
     fresh = init_network(first.spec, first.init_seed)
     for x, y, z in zip(first.weights, second.weights, fresh.weights):
         assert x is not y and x.tobytes() == y.tobytes() != z.tobytes()
@@ -283,10 +283,9 @@ def test_fit_critic_reaches_duality_band_quickly():
     a = rng.normal(size=(32, 2))
     b = rng.normal(size=(32, 2)) + [2.0, -1.0]
     exact, _ = exact_w1(a, b)
-    d_params, history = fit_critic(a, b, steps=800, seed=0)
+    d_params = fit_critic(a, b, steps=800, seed=0)
     est = critic_w1_estimate(d_params, a, b)
     assert 0.6 * exact <= est <= 1.15 * exact  # acceptance uses the tighter band
-    assert len(history) >= 2
 
 
 def test_bound_report_holds_and_serializes():
