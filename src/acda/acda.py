@@ -21,7 +21,7 @@ from .autodiff import Graph, Step
 from .data import Dataset, batch_iterator, class_ids
 from .errors import CapacityError, DataError, TrainingDivergedError
 from .optim import Adam
-from .seeding import derive_seed, make_rng
+from .seeding import check_seed, derive_seed, make_rng
 
 __all__ = [
     "TrainConfig",
@@ -102,14 +102,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-
-
-def _check_seed(seed):
-    """ValueError unless ``seed`` is a non-negative int (no bool)."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
 
 
 def _check_strategy(strategy):
@@ -527,7 +519,7 @@ def run_algorithm_1(source: Dataset, target: Dataset, config: TrainConfig, seed:
     class (DataError) and a querying strategy without target labels
     (ValueError) fail before stage 1.
     """
-    _check_seed(seed)
+    check_seed(seed)
     _check_strategy(strategy)
     if source.labels is None:
         raise ValueError("source pool must be labeled")

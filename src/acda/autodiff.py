@@ -15,14 +15,15 @@ primitives are the ones the training graphs build: tanh networks, the
 log-sum-exp cross-entropy, the critic's W1 term and the gradient-norm
 penalty, and the adjoints of those.
 
-``forward_eval`` runs a graph through a plan that ``Graph.compile`` makes on
-first use and keeps until the graph grows.  The plan resolves every node's
-kernel once, drops the nodes the requested outputs do not need, collapses
-nodes that repeat an earlier node's (op, parents, attrs), evaluates
-constant-only nodes once, and releases each intermediate value after its
-last reader.  Kernels call numpy's ufuncs directly and repeat
-numpy's own arithmetic, so a plan's values equal those of a node-by-node
-evaluation bit for bit.
+A graph holds each computation once: a builder call that repeats an
+existing node's (op, parents, attrs) returns that node, and one whose inputs
+are all constants returns a constant holding its value.  ``forward_eval``
+runs a graph through a plan that ``Graph.compile`` makes on first use and
+keeps until the graph grows.  The plan resolves every node's kernel once,
+drops the nodes the requested outputs do not need, and releases each
+intermediate value after its last reader.  Kernels call numpy's ufuncs
+directly and repeat numpy's own arithmetic, so a plan's values equal those
+of a node-by-node evaluation bit for bit.
 
 Tensors are 64-bit float numpy arrays, row-major; scalars are 0-d arrays.
 No fusion, no dynamic shapes: correctness and determinism over speed.
@@ -54,6 +55,14 @@ def _as_shape(shape) -> tuple:
     return tuple(int(s) for s in shape)
 
 
+def _attr_key(op: str, at: dict):
+    """Hashable attrs; repr keeps -0.0 apart from 0.0, and a constant is
+    keyed by its shape and bytes."""
+    if op == "const":
+        return at["value"].shape, at["value"].tobytes()
+    return repr(sorted(at.items()))
+
+
 class Graph:
     """Append-only computation graph.
 
@@ -61,6 +70,10 @@ class Graph:
     (ids of its inputs, all ``< i``), ``attrs[i]`` (op-specific constants)
     and ``shapes[i]`` (statically inferred output shape).  Acyclicity is
     guaranteed by construction: a node may only reference earlier nodes.
+    Repeats and constant-only nodes are resolved when a node is built: a
+    builder call that repeats a node's (op, parents, attrs) returns that
+    node, and one whose parents are all constants returns a ``const`` of its
+    value.  Leaves have unique names, so they are never merged.
     """
 
     def __init__(self):
@@ -69,6 +82,7 @@ class Graph:
         self.attrs: list[dict] = []
         self.shapes: list[tuple] = []
         self.leaves: dict[str, int] = {}
+        self._index: dict = {}  # (op, parents, attr key) -> node id
         self._plans: dict = {}
         self._planned_nodes = 0
 
@@ -98,6 +112,7 @@ class Graph:
         g.attrs = list(self.attrs)  # attr dicts are never mutated after creation
         g.shapes = list(self.shapes)
         g.leaves = dict(self.leaves)
+        g._index = dict(self._index)
         return g
 
     def _check(self, node) -> int:
@@ -107,11 +122,17 @@ class Graph:
 
     def _append(self, op: str, parents: tuple, shape: tuple, **attrs) -> int:
         # every builder has checked ``parents`` with :meth:`_check` already
-        self.ops.append(op)
-        self.parents.append(parents)
-        self.attrs.append(attrs)
-        self.shapes.append(tuple(shape))
-        return len(self.ops) - 1
+        if parents and all(self.ops[p] == "const" for p in parents):
+            value = np.asarray(_FORWARD[op](attrs)(*[self.attrs[p]["value"] for p in parents]))
+            op, parents, shape, attrs = "const", (), value.shape, {"value": value}
+        key = (op, parents, _attr_key(op, attrs))
+        if key not in self._index:
+            self._index[key] = len(self.ops)
+            self.ops.append(op)
+            self.parents.append(parents)
+            self.attrs.append(attrs)
+            self.shapes.append(tuple(shape))
+        return self._index[key]
 
     # ------------------------------------------------------------------
     # leaves and constants
@@ -125,7 +146,10 @@ class Graph:
         return nid
 
     def constant(self, value) -> int:
-        value = np.asarray(value, dtype=np.float64)
+        # a copy: a constant is keyed by its bytes, so the caller's later
+        # edits to ``value`` must not reach it (a folded value is kept as
+        # its kernel made it, whose layout later reductions' bits depend on)
+        value = np.array(value, dtype=np.float64)
         return self._append("const", (), value.shape, value=value)
 
     # ------------------------------------------------------------------
@@ -450,63 +474,49 @@ _GRAD = {
 class _Plan:
     """A graph's evaluation compiled for one set of requested nodes.
 
-    ``leaves`` are bound and checked on every run; ``steps`` are
-    ``(node, kernel, parents, done)`` in topological order, with each kernel
-    resolved from ``_FORWARD`` once.  Compiling drops the nodes the requested
-    ones do not need and collapses a node that repeats an earlier one's
-    (op, parents, attrs) onto it (``aliases``).  Nodes whose inputs are all
-    constants are evaluated once, into ``preset``.  ``done`` lists the
-    unrequested values whose last reader is this step; a run lets go of them
-    there, so the allocator hands their memory to later steps instead of
-    returning a large heap to the operating system after every run and
-    faulting it back in on the next.  Every value a run returns is computed
-    by the same kernel from the same inputs as a node-by-node evaluation,
-    so the two agree bit for bit.
+    ``leaves`` are bound and checked on every run; each constant's value is
+    in ``preset``; ``steps`` are ``(node, kernel, parents, done)`` in
+    topological order, with each kernel resolved from ``_FORWARD`` once.
+    Compiling drops the nodes the requested ones do not need; the graph
+    has already resolved repeats and constant-only nodes as it was built.
+    ``done`` lists the unrequested values whose last reader is this step; a
+    run lets go of them there, so the allocator hands their memory to later
+    steps instead of returning a large heap to the operating system after
+    every run and faulting it back in on the next.  Every value a run
+    returns is computed by the same kernel from the same inputs as a
+    node-by-node evaluation, so the two agree bit for bit.
     """
 
     def __init__(self, graph: Graph, outputs):
         n_nodes = graph.num_nodes
-        rep = list(range(n_nodes))
-        seen: dict = {}
-        for n, (op, ps, at) in enumerate(zip(graph.ops, graph.parents, graph.attrs)):
-            if op != "leaf":
-                rep[n] = seen.setdefault((op, tuple(rep[p] for p in ps), _attr_key(op, at)), n)
-
         wanted = range(n_nodes) if outputs is None else [graph._check(o) for o in outputs]
         live = [False] * n_nodes
-        stack = [rep[o] for o in wanted]
+        stack = list(wanted)
         while stack:
             n = stack.pop()
             if not live[n]:
                 live[n] = True
-                stack.extend(rep[p] for p in graph.parents[n])
+                stack.extend(graph.parents[n])
 
         self.preset: list = [None] * n_nodes
         self.leaves: list = []
         self.steps: list = []
-        static = [False] * n_nodes
         for n in range(n_nodes):
             if not live[n]:
                 continue
             op, at = graph.ops[n], graph.attrs[n]
             if op == "leaf":
                 self.leaves.append((n, at["name"], graph.shapes[n]))
-                continue
-            ps = tuple(rep[p] for p in graph.parents[n])
-            kernel = _FORWARD[op](at)
-            if all(static[p] for p in ps):
-                self.preset[n] = kernel(*[self.preset[p] for p in ps])
-                static[n] = True
+            elif op == "const":
+                self.preset[n] = at["value"]
             else:
-                self.steps.append((n, kernel, ps))
-        self.aliases = [(n, rep[n]) for n in wanted if rep[n] != n]
+                self.steps.append((n, _FORWARD[op](at), graph.parents[n]))
 
-        last_reader = {p: i for i, (_, _, ps) in enumerate(self.steps) for p in ps}
+        kept = set(wanted)
+        last_reader = {p: i for i, (_, _, ps) in enumerate(self.steps) for p in ps if p not in kept}
         done: list = [[] for _ in self.steps]
-        kept = {rep[n] for n in wanted}
         for p, i in last_reader.items():
-            if p not in kept:
-                done[i].append(p)
+            done[i].append(p)
         self.steps = [step + (tuple(d),) for step, d in zip(self.steps, done)]
 
     def run(self, bindings: dict) -> list:
@@ -522,17 +532,7 @@ class _Plan:
             vals[n] = kernel(*[vals[p] for p in ps])
             for p in done:
                 vals[p] = None
-        for n, r in self.aliases:
-            vals[n] = vals[r]
         return vals
-
-
-def _attr_key(op: str, at: dict):
-    """Hashable attrs; repr keeps -0.0 apart from 0.0, and a constant is
-    keyed by its bytes."""
-    if op == "const":
-        return at["value"].shape, at["value"].tobytes()
-    return repr(sorted(at.items()))
 
 
 def forward_eval(graph: Graph, bindings: dict, outputs=None) -> list:

@@ -271,7 +271,11 @@ def _read_exact(fh, count: int, path, what: str) -> bytes:
 
 
 def load_idx(images_path, labels_path, max_items: int | None = None) -> Dataset:
-    """Load an IDX image/label file pair as a flat [0, 1]-scaled dataset."""
+    """Load an IDX image/label file pair as a flat [0, 1]-scaled dataset,
+    cut to its first ``max_items`` items (None: all; a negative count is a
+    ValueError, raised before either file is opened)."""
+    if max_items is not None and max_items < 0:
+        raise ValueError(f"max_items must be non-negative, got {max_items}")
     with open(images_path, "rb") as fh:
         magic, count, rows, cols = struct.unpack(">iiii", _read_exact(fh, 16, images_path, "header"))
         if magic != 2051:
@@ -301,8 +305,6 @@ def load_idx_pair(source_images, source_labels, target_images, target_labels,
     """Source and target IDX file pairs, each cut to ``max_items`` (0: all;
     a negative count is a ValueError), with no labeling functions.  ``seed``
     is ignored, so every dataset kind builds with the same call."""
-    if max_items < 0:
-        raise ValueError(f"max_items must be non-negative, got {max_items}")
     limit = max_items or None
     return DomainPair(load_idx(source_images, source_labels, limit),
                       load_idx(target_images, target_labels, limit), None, None)

@@ -21,12 +21,11 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import nets
-from .acda import (LOSS_NAMES, RunRecord, TrainConfig, _check_seed, _check_strategy, accuracy,
-                   run_algorithm_1)
+from .acda import LOSS_NAMES, RunRecord, TrainConfig, _check_strategy, accuracy, run_algorithm_1
 from .data import (Dataset, DomainPair, gen_gaussian_shift_pair,
                    gen_two_moons_pair, load_idx_pair, read_text, standardize_features)
 from .errors import ConfigError, TrainingDivergedError
-from .seeding import derive_seed
+from .seeding import check_seed, derive_seed
 
 __all__ = [
     "ExperimentConfig",
@@ -58,6 +57,24 @@ _DATASETS = {
                             "target_images": None, "target_labels": None, "max_items": 0}),
 }
 _DEFAULT_KIND = "two_moons"
+
+
+class _Recipe(dict):
+    """A checked dataset recipe, which cannot be edited in place: every
+    mutator is a TypeError.  It hashes by its sorted items and pickles to an
+    equal recipe, so a config that holds it can be hashed and pickled."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a checked dataset recipe is read-only; build a new config with "
+                        "dataclasses.replace")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __hash__(self):
+        return hash(tuple(sorted(self.items())))
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
 
 
 def _check_dataset(dataset: dict, lines: dict | None = None) -> dict:
@@ -105,8 +122,9 @@ class ExperimentConfig:
     ConfigError for an empty ``out_dir``, strategy list or seed list; an
     empty, repeated or unknown strategy; a repeated, negative or non-integer
     seed; or a dataset kind or key that the dataset table refuses.  The
-    lists are stored as tuples, and the recipe with every key it leaves out
-    at its default; its values are checked when its pools are built."""
+    lists are stored as tuples, and the recipe, read-only, with every key it
+    leaves out at its default; its values are checked when its pools are
+    built.  So a config cannot be edited in place, and it can be hashed."""
 
     train: TrainConfig = field(default_factory=TrainConfig)
     dataset: dict = field(default_factory=lambda: {"kind": _DEFAULT_KIND})
@@ -122,7 +140,7 @@ class ExperimentConfig:
         object.__setattr__(self, "seeds", tuple(self.seeds))
         # both lists keep the same rules; each entry is checked by its owner
         for key, noun, values, check in (("strategy", "strategy", self.strategies, _check_strategy),
-                                         ("seeds", "seed", self.seeds, _check_seed)):
+                                         ("seeds", "seed", self.seeds, check_seed)):
             listed = ",".join(map(str, values))
             if not values:
                 raise ConfigError(f"{key} list is empty: need at least one {noun}")
@@ -136,7 +154,7 @@ class ExperimentConfig:
             if len(set(values)) < len(values):
                 raise ConfigError(f"{key} list '{listed}' repeats a {noun}")
         try:
-            object.__setattr__(self, "dataset", _check_dataset(self.dataset))
+            object.__setattr__(self, "dataset", _Recipe(_check_dataset(self.dataset)))
         except ConfigError as exc:
             raise ConfigError(f"dataset: {exc}") from None
 

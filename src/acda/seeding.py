@@ -13,7 +13,15 @@ import functools
 
 import numpy as np
 
-__all__ = ["derive_seed", "make_rng"]
+__all__ = ["check_seed", "derive_seed", "make_rng"]
+
+
+def check_seed(seed):
+    """ValueError unless ``seed`` is a non-negative int (no bool)."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
 
 
 # Stable tag -> integer mapping so string tags hash identically across
@@ -42,8 +50,10 @@ def derive_seed(root: int, *tags) -> int:
     """Derive a child seed from ``root`` and a tuple of tags.
 
     The same (root, tags) always yields the same child seed; distinct
-    tag tuples yield statistically independent streams.
+    tag tuples yield statistically independent streams.  ``root`` must
+    pass :func:`check_seed`.
     """
+    check_seed(root)
     entropy = [int(root)] + [_tag_to_int(t) for t in tags]
     ss = np.random.SeedSequence(entropy)
     return int(ss.generate_state(1, dtype=np.uint64)[0])

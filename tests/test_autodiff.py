@@ -278,15 +278,17 @@ def test_plan_matches_node_by_node_reference(case):
 
 
 def test_step_graphs_use_exactly_the_engine_primitives():
-    """Pins the criterion-7 step graphs' sizes, and that the ops they build
-    are the engine's primitives: no primitive unused, none missing.  The
-    critic graph is D alone: it reads features, never F's parameters."""
+    """Pins the criterion-7 step graphs' sizes and their plans' step counts,
+    and that the ops they build are the engine's primitives: no primitive
+    unused, none missing.  The critic graph is D alone: it reads features,
+    never F's parameters."""
     with_query, _ = _step_graphs(query=True)
     without_query, _ = _step_graphs(query=False)
-    assert with_query.critic.graph.num_nodes == 121
+    for step, nodes, steps in ((with_query.critic, 115, 89), (with_query.model, 230, 193),
+                               (without_query.model, 156, 128)):
+        assert step.graph.num_nodes == nodes
+        assert len(step.graph.compile(step.outputs).steps) == steps
     assert not [name for name in with_query.critic.graph.leaves if name.startswith("F.")]
-    assert with_query.model.graph.num_nodes == 238
-    assert without_query.model.graph.num_nodes == 160
     used = {op for sg in (with_query, without_query)
             for graph in (sg.critic.graph, sg.model.graph) for op in graph.ops}
     assert used == set(_FORWARD) | {"leaf"}
@@ -321,17 +323,22 @@ def test_kernels_repeat_numpy_arithmetic(op, attrs, expression):
     assert _same_bits(_FORWARD[op](attrs)(x), expression(x))
 
 
-def test_plan_collapses_repeats_but_keeps_signed_zero_shifts():
+def test_graph_holds_repeats_once_but_keeps_signed_zero_shifts():
     g = Graph()
     x = g.leaf("x", (2,))
-    t1, t2 = g.tanh(x), g.tanh(x)
+    t = g.tanh(x)
+    assert g.tanh(x) == t
     plus, minus = g.affine(x, 1.0, 0.0), g.affine(x, 1.0, -0.0)
-    plan = g.compile()
-    assert (t2, t1) in plan.aliases
-    assert len(plan.steps) == 3
+    assert plus != minus
+    e = g.exp(g.constant(1.0))
+    assert g.ops[e] == "const" and _same_bits(g.attrs[e]["value"], np.exp(1.0))
+    value = np.array([np.exp(1.0)])
+    c = g.constant(value)
+    value[0] = 0.0  # the graph keeps its own copy, so the repeat still matches
+    assert g.constant(np.reshape(np.exp(1.0), (1,))) == c != g.constant(value)
+    assert g.num_nodes == 8 and len(g.compile().steps) == 3
     vals = forward_eval(g, {"x": np.array([-0.0, 1.5])})
     assert not np.signbit(vals[plus][0]) and np.signbit(vals[minus][0])
-    assert vals[t1] is vals[t2]
 
 
 def test_plan_is_recompiled_when_the_graph_grows():

@@ -2,6 +2,7 @@
 
 import json
 import os
+import pickle
 import struct
 from dataclasses import replace
 
@@ -247,6 +248,25 @@ def test_experiment_config_keeps_the_values_its_rules_accept():
     with pytest.raises(AttributeError):
         cfg.seeds.append(-1)
     assert build_pair(cfg.dataset, 0).source.dim == 3
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.__setitem__("n_source", -5), lambda d: d.__delitem__("kind"),
+    lambda d: d.update(n_source=-5), lambda d: d.setdefault("radius", 2.0),
+    lambda d: d.pop("kind"), lambda d: d.popitem(), lambda d: d.clear(),
+    lambda d: d.__ior__({"n_source": -5}),
+], ids=["setitem", "delitem", "update", "setdefault", "pop", "popitem", "clear", "ior"])
+def test_a_checked_recipe_cannot_be_edited_in_place(edit):
+    """The recipe is read-only, so a config stays as checked; it hashes and
+    pickles like the frozen value it is."""
+    from acda.experiments import ExperimentConfig
+
+    cfg = ExperimentConfig(out_dir="o")
+    with pytest.raises(TypeError, match="read-only"):
+        edit(cfg.dataset)
+    assert cfg.dataset["n_source"] == 1000 and cfg.dataset["kind"] == "two_moons"
+    assert hash(cfg) == hash(ExperimentConfig(out_dir="o"))
+    assert pickle.loads(pickle.dumps(cfg)) == cfg
 
 
 # --------------------------------------------------------- run_experiment

@@ -158,6 +158,8 @@ def test_idx_max_items(tmp_path):
     ds = load_idx(images_path, labels_path, max_items=3)
     assert len(ds) == 3
     np.testing.assert_array_equal(ds.labels, labels[:3])
+    with pytest.raises(ValueError, match="max_items must be non-negative, got -1"):
+        load_idx(images_path, labels_path, max_items=-1)
 
 
 def test_idx_bad_magic_rejected(tmp_path):
