@@ -309,10 +309,10 @@ def weighted_query_loss(probabilities, labels, weights: WeightVector) -> float:
 
     Training computes this loss in the model graph (``L_w_q``); this numpy
     form ships as the reference that graph is tested against, and as a
-    ``check`` item.  ValueError unless the labels are a non-empty list of
-    class ids (see :func:`class_ids`) with one probability row per label."""
+    ``check`` item.  ValueError unless the labels are a non-empty list of class
+    ids (see :func:`class_ids`) with an ``alpha`` entry and one probability row each."""
     p = np.atleast_2d(np.asarray(probabilities, dtype=np.float64))
-    labels = class_ids(labels, p.shape[1])
+    labels = class_ids(labels, min(p.shape[1], weights.alpha.size))
     if labels.size == 0:
         raise ValueError("need at least one queried label")
     if p.shape[0] != labels.size:
@@ -417,9 +417,9 @@ def _adversarial_fit(params: dict, source: Dataset, target: Dataset, config: Tra
     stale = 0
 
     for epoch in range(epochs):
-        cls_batches = list(batch_iterator(len(source), config.batch_size, cls_seed, epoch))
-        adv_batches = list(batch_iterator(len(labelled), config.batch_size, adv_seed, epoch))
-        tgt_batches = list(batch_iterator(len(target), config.batch_size, tgt_seed, epoch))
+        cls_batches = batch_iterator(len(source), config.batch_size, cls_seed, epoch)
+        adv_batches = batch_iterator(len(labelled), config.batch_size, adv_seed, epoch)
+        tgt_batches = batch_iterator(len(target), config.batch_size, tgt_seed, epoch)
         sums = dict.fromkeys(("objective", *LOSS_NAMES, "lambda_w"), 0.0)
         for step in range(steps_per_epoch):
             idx_cls = cls_batches[step % len(cls_batches)]

@@ -73,7 +73,8 @@ class Graph:
     Repeats and constant-only nodes are resolved when a node is built: a
     builder call that repeats a node's (op, parents, attrs) returns that
     node, and one whose parents are all constants returns a ``const`` of its
-    value.  Leaves have unique names, so they are never merged.
+    value.  Leaves have unique names, so they are never merged.  The nine
+    elementwise builders share ``_elementwise``, which broadcasts shapes.
     """
 
     def __init__(self):
@@ -153,26 +154,7 @@ class Graph:
         return self._append("const", (), value.shape, value=value)
 
     # ------------------------------------------------------------------
-    # arithmetic primitives
-
-    def add(self, a: int, b: int) -> int:
-        a, b = self._check(a), self._check(b)
-        shape = self._broadcast(a, b, "add")
-        return self._append("add", (a, b), shape)
-
-    def mul(self, a: int, b: int) -> int:
-        a, b = self._check(a), self._check(b)
-        shape = self._broadcast(a, b, "mul")
-        return self._append("mul", (a, b), shape)
-
-    def _broadcast(self, a: int, b: int, op: str) -> tuple:
-        try:
-            return np.broadcast_shapes(self.shapes[a], self.shapes[b])
-        except ValueError:
-            raise GraphError(
-                f"{op}: incompatible shapes {self.shapes[a]} and {self.shapes[b]} "
-                f"(nodes {a}, {b})"
-            ) from None
+    # matrix product
 
     def matmul(self, a: int, b: int) -> int:
         a, b = self._check(a), self._check(b)
@@ -181,38 +163,49 @@ class Graph:
             raise GraphError(f"matmul: incompatible shapes {sa} @ {sb} (nodes {a}, {b})")
         return self._append("matmul", (a, b), (sa[0], sb[1]))
 
+    # ------------------------------------------------------------------
+    # elementwise primitives: one builder broadcasts every parent's shape
+
+    def _elementwise(self, op: str, *parents: int, **attrs) -> int:
+        parents = tuple(self._check(p) for p in parents)
+        shapes = [self.shapes[p] for p in parents]
+        try:
+            shape = np.broadcast_shapes(*shapes)
+        except ValueError:
+            raise GraphError(f"{op}: incompatible shapes {' and '.join(map(str, shapes))} "
+                             f"(nodes {', '.join(map(str, parents))})") from None
+        return self._append(op, parents, shape, **attrs)
+
+    def add(self, a: int, b: int) -> int:
+        return self._elementwise("add", a, b)
+
+    def mul(self, a: int, b: int) -> int:
+        return self._elementwise("mul", a, b)
+
     def affine(self, a: int, scale: float, shift: float) -> int:
         """Elementwise ``scale * a + shift`` with scalar constants."""
-        a = self._check(a)
-        return self._append("affine", (a,), self.shapes[a], scale=float(scale), shift=float(shift))
+        return self._elementwise("affine", a, scale=float(scale), shift=float(shift))
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.affine(b, -1.0, 0.0))
 
-    # ------------------------------------------------------------------
-    # elementwise nonlinearities
-
-    def _unary(self, op: str, a: int) -> int:
-        a = self._check(a)
-        return self._append(op, (a,), self.shapes[a])
-
     def tanh(self, a: int) -> int:
-        return self._unary("tanh", a)
+        return self._elementwise("tanh", a)
 
     def exp(self, a: int) -> int:
-        return self._unary("exp", a)
+        return self._elementwise("exp", a)
 
     def log(self, a: int) -> int:
-        return self._unary("log", a)
+        return self._elementwise("log", a)
 
     def square(self, a: int) -> int:
-        return self._unary("square", a)
+        return self._elementwise("square", a)
 
     def sqrt(self, a: int) -> int:
-        return self._unary("sqrt", a)
+        return self._elementwise("sqrt", a)
 
     def reciprocal(self, a: int) -> int:
-        return self._unary("reciprocal", a)
+        return self._elementwise("reciprocal", a)
 
     # ------------------------------------------------------------------
     # reductions and shape ops

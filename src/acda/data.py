@@ -177,6 +177,12 @@ def _moon_rules(rotation_deg: float, label_flip_rate: float):
     return f_source, f_target
 
 
+def _check_finite(**values):
+    for name, value in values.items():
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite")
+
+
 def gen_two_moons_pair(n_source: int, n_target: int, rotation_deg: float,
                        noise_sd: float, label_flip_rate: float, seed: int) -> DomainPair:
     """Interleaved half-circles; the target generator is rotated about the
@@ -189,6 +195,7 @@ def gen_two_moons_pair(n_source: int, n_target: int, rotation_deg: float,
     """
     if n_source < 2 or n_target < 2:
         raise ValueError("need at least 2 points per domain")
+    _check_finite(rotation_deg=rotation_deg, noise_sd=noise_sd)
     if noise_sd < 0:
         raise ValueError("noise_sd must be non-negative")
     if not 0.0 <= label_flip_rate < 0.5:
@@ -228,6 +235,7 @@ def gen_gaussian_shift_pair(n_classes: int, dim: int, mean_shift: float,
         raise ValueError("need n_classes >= 2 and dim >= 1")
     if n_source < 2 or n_target < 2:
         raise ValueError("need at least 2 points per domain")
+    _check_finite(mean_shift=mean_shift, covariance_scale=covariance_scale)
     if covariance_scale <= 0:
         raise ValueError("covariance_scale must be positive")
     if not 0.0 <= swap_fraction <= 1.0:
@@ -317,14 +325,14 @@ def load_idx_pair(source_images, source_labels, target_images, target_labels,
 def batch_iterator(n: int, batch_size: int, seed: int, epoch: int):
     """Deterministic per-epoch permutation of 0..n-1 split into batches.
 
-    Yields index arrays; the final short batch is kept, and the union over
-    one epoch is 0..n-1.
+    Returns the epoch's list of index arrays; the final short batch is kept,
+    and their union is 0..n-1.  ValueError, at the call, for a batch size
+    below 1 or a bad seed.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     perm = make_rng(derive_seed(seed, "batches"), "epoch", epoch).permutation(n)
-    for start in range(0, n, batch_size):
-        yield perm[start : start + batch_size]
+    return [perm[start : start + batch_size] for start in range(0, n, batch_size)]
 
 
 def standardize_features(source_x: np.ndarray, target_x: np.ndarray):

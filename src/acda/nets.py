@@ -152,22 +152,18 @@ def logits(params: NetworkParams, x: np.ndarray) -> np.ndarray:
 def build_forward(graph: Graph, spec: NetworkSpec, input_node: int, name: str) -> int:
     """Append the network's computation to ``graph``; returns the output node.
 
-    Parameters become leaves named ``{name}.W{i}`` / ``{name}.b{i}``; if those
+    Parameters become leaves named by :func:`param_leaf_names`; if those
     leaves already exist in the graph (a second pass through the same
     network) they are reused, which shares parameters between paths.  The
     output activation is *not* applied: training losses work on logits and
     critic scores are linear outputs.
     """
+    names = param_leaf_names(spec, name)
     h = input_node
     last = spec.n_layers - 1
     for i, (fan_in, fan_out) in enumerate(zip(spec.layer_widths[:-1], spec.layer_widths[1:])):
-        wname, bname = f"{name}.W{i}", f"{name}.b{i}"
-        w = graph.leaves.get(wname)
-        if w is None:
-            w = graph.leaf(wname, (fan_in, fan_out))
-        b = graph.leaves.get(bname)
-        if b is None:
-            b = graph.leaf(bname, (fan_out,))
+        w, b = [graph.leaves[nm] if nm in graph.leaves else graph.leaf(nm, shape)
+                for nm, shape in zip(names[2 * i:2 * i + 2], ((fan_in, fan_out), (fan_out,)))]
         h = graph.add(graph.matmul(h, w), b)
         if i != last:
             h = graph.tanh(h)
@@ -182,6 +178,7 @@ def param_bindings(params: NetworkParams, name: str) -> dict:
 
 
 def param_leaf_names(spec: NetworkSpec, name: str) -> list:
+    """The one spelling of parameter leaf names: ``{name}.W{i}``, ``{name}.b{i}``."""
     return [f"{name}.{kind}{i}" for i in range(spec.n_layers) for kind in ("W", "b")]
 
 

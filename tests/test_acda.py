@@ -342,6 +342,14 @@ def test_weighted_query_loss_needs_a_non_empty_1d_label_list(probabilities, labe
         weighted_query_loss(probabilities, labels, wv)
 
 
+def test_weighted_query_loss_needs_a_weight_for_every_label():
+    """A label past alpha's last entry is a ValueError, not numpy's
+    IndexError, even when the probabilities have a column for it."""
+    short = WeightVector(alpha=np.array([1.0]), counts=np.array([1]))
+    with pytest.raises(ValueError, match=r"labels must lie in \[0, 1\)"):
+        weighted_query_loss([[0.5, 0.5]], [1], short)
+
+
 # ----------------------------------------------------------------- training
 
 

@@ -1,5 +1,7 @@
 """Unit tests for the reverse-mode engine, including gradient-of-gradient."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -136,6 +138,26 @@ def test_matmul_shape_mismatch_rejected_at_build_time():
     b = g.leaf("b", (2, 3))
     with pytest.raises(GraphError):
         g.matmul(a, b)
+
+
+def test_elementwise_builders_check_and_broadcast_their_parents():
+    """Every elementwise builder goes through one check: unknown ids and
+    shapes that do not broadcast are refused at build time, named by op."""
+    g = Graph()
+    a = g.leaf("a", (3, 2))
+    b = g.leaf("b", (4,))
+    for op in ("add", "mul"):
+        with pytest.raises(GraphError, match=re.escape(
+                f"{op}: incompatible shapes (3, 2) and (4,) (nodes 0, 1)")):
+            getattr(g, op)(a, b)
+    for op in ("tanh", "exp", "log", "square", "sqrt", "reciprocal"):
+        with pytest.raises(GraphError, match="unknown node id 9"):
+            getattr(g, op)(9)
+    with pytest.raises(GraphError, match="unknown node id -1"):
+        g.affine(-1, 2.0, 0.0)
+    assert g.shapes[g.mul(a, g.leaf("row", (1, 2)))] == (3, 2)
+    assert g.shapes[g.affine(b, 2.0, 1.0)] == (4,)
+    assert g.shapes[g.tanh(a)] == (3, 2)
 
 
 def test_eval_is_bitwise_deterministic():

@@ -387,9 +387,15 @@ _MISSING_IDX = "".join(f"dataset.{domain}_{part} = missing-{domain}.{part}\n"
     ({"kind": "idx", "source_images": "a", "source_labels": "b", "target_images": "c"},
      r"dataset kind 'idx' needs keys \['target_labels'\]"),
     ({**_MOONS, "n_source": "120"}, "'<' not supported between instances of 'str' and 'int'"),
+    ({"kind": "gaussian", "mean_shift": float("nan"), "n_source": 40, "n_target": 40},
+     "mean_shift must be finite"),
+    ({"kind": "gaussian", "covariance_scale": float("inf")}, "covariance_scale must be finite"),
+    ({**_MOONS, "rotation_deg": float("inf")}, "rotation_deg must be finite"),
+    ({**_MOONS, "noise_sd": float("nan")}, "noise_sd must be finite"),
 ], ids=["moons-n_source-1", "moons-noise_sd-negative", "gaussian-swap_fraction-2",
         "idx-max_items-negative", "code-unknown-kind", "code-unknown-key", "code-missing-key",
-        "code-str-n_source"])
+        "code-str-n_source", "code-gaussian-mean_shift-nan", "code-gaussian-covariance-inf",
+        "code-moons-rotation-inf", "code-moons-noise_sd-nan"])
 @pytest.mark.parametrize("strategy", ["", "strategy = active,random\n"],
                          ids=["run_experiment", "several-strategies"])
 def test_a_dataset_the_builder_refuses_is_a_config_error_before_writing(tmp_path, dataset,

@@ -210,6 +210,17 @@ def test_batch_iterator_varies_by_epoch_not_by_call():
     assert not np.array_equal(np.concatenate(a), np.concatenate(c))
 
 
+@pytest.mark.parametrize("batch_size, seed, message", [
+    (0, 0, "batch_size must be >= 1"),
+    (2, 2.5, "seed must be an integer, got 2.5"),
+], ids=["batch_size-0", "seed-2.5"])
+def test_batch_iterator_refuses_bad_arguments_at_the_call(batch_size, seed, message):
+    """The check runs when the epoch's batches are asked for, not when the
+    first batch is read."""
+    with pytest.raises(ValueError, match=message):
+        batch_iterator(10, batch_size, seed, 0)
+
+
 def test_standardize_is_fit_on_source_only():
     rng = np.random.default_rng(4)
     src = rng.normal(loc=5.0, scale=3.0, size=(200, 3))
