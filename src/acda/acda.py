@@ -285,7 +285,8 @@ def uncertainty_weights(labels, entropies, n_classes: int) -> WeightVector:
     Classes absent from the queried set get weight 0.  If the total entropy
     is below 1e-12 the weights fall back to class frequencies N_j / m_q.
     ValueError unless the labels are a non-empty list of class ids in
-    [0, n_classes) (see :func:`class_ids`) with one entropy per label.
+    [0, n_classes) (see :func:`class_ids`) with one finite, non-negative
+    entropy per label.
     """
     labels = class_ids(labels, n_classes)
     entropies = np.asarray(entropies, dtype=np.float64)
@@ -294,6 +295,8 @@ def uncertainty_weights(labels, entropies, n_classes: int) -> WeightVector:
     if entropies.shape != labels.shape:
         raise ValueError(f"need one entropy per label, got {entropies.size} for "
                          f"{labels.size} labels")
+    if not (np.isfinite(entropies) & (entropies >= 0.0)).all():
+        raise ValueError(f"entropies must be finite and non-negative, got {entropies}")
     counts = np.bincount(labels, minlength=n_classes).astype(np.int64)
     total = entropies.sum()
     if total < 1e-12:

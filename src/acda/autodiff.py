@@ -8,9 +8,9 @@ is itself a differentiable expression.  That property is what makes the
 input-gradient penalty used by adversarial training differentiable with
 respect to network parameters (double backpropagation).
 
-A primitive is one builder method on ``Graph`` plus one entry in each of two
-module-level tables: ``_FORWARD`` (a factory for its numpy kernel) and
-``_GRAD`` (its adjoint nodes, used by ``Graph.add_gradient_nodes``).  The
+A primitive is one builder method on ``Graph`` plus one row of the
+module-level table ``_OPS``: a factory for its numpy kernel and its gradient
+rule (its adjoint nodes, used by ``Graph.add_gradient_nodes``).  The
 primitives are the ones the training graphs build: tanh networks, the
 log-sum-exp cross-entropy, the critic's W1 term and the gradient-norm
 penalty, and the adjoints of those.
@@ -124,7 +124,7 @@ class Graph:
     def _append(self, op: str, parents: tuple, shape: tuple, **attrs) -> int:
         # every builder has checked ``parents`` with :meth:`_check` already
         if parents and all(self.ops[p] == "const" for p in parents):
-            value = np.asarray(_FORWARD[op](attrs)(*[self.attrs[p]["value"] for p in parents]))
+            value = np.asarray(_OPS[op][0](attrs)(*[self.attrs[p]["value"] for p in parents]))
             op, parents, shape, attrs = "const", (), value.shape, {"value": value}
         key = (op, parents, _attr_key(op, attrs))
         if key not in self._index:
@@ -336,7 +336,7 @@ class Graph:
         for n in range(scalar_node, -1, -1):
             if n not in adj or not active[n]:
                 continue
-            rule = _GRAD[self.ops[n]]
+            rule = _OPS[self.ops[n]][1]
             if rule is None:
                 continue
             for i, p in enumerate(self.parents[n]):
@@ -351,15 +351,15 @@ class Graph:
 
 
 # ----------------------------------------------------------------------
-# the op table: one forward rule and one gradient rule per primitive
+# the op table: one row per primitive, ``_OPS[op] = (kernel, grad)``
 #
-# ``_FORWARD[op](attrs)`` is a kernel factory: it returns ``fn`` with
-# ``fn(*parent_values)`` the node's value; a plan resolves it once per node.
-# ``_GRAD[op](graph, node, i, adjoint)`` appends the
-# nodes of the adjoint contribution to parent ``i`` and returns the last of
-# them; the entry itself is None for ops that pass no gradient on.  Gradient
-# rules read forward values only through nodes (``node`` itself or its
-# parents), which keeps them differentiable.
+# ``kernel(attrs)`` is a factory: it returns ``fn`` with ``fn(*parent_values)``
+# the node's value; a plan resolves it once per node.
+# ``grad(graph, node, i, adjoint)`` appends the nodes of the adjoint
+# contribution to parent ``i`` and returns the last of them; it is None for
+# ops that pass no gradient on.  Gradient rules read forward values only
+# through nodes (``node`` itself or its parents), which keeps them
+# differentiable.
 
 
 def _reduction(ufunc):
@@ -397,27 +397,6 @@ def _plain(fn):
     return lambda at: fn
 
 
-_FORWARD = {
-    "const": lambda at: lambda: at["value"],
-    "add": _plain(np.add),
-    "mul": _plain(np.multiply),
-    "matmul": _plain(np.matmul),
-    "affine": _affine,
-    "tanh": _plain(np.tanh),
-    "exp": _plain(np.exp),
-    "log": _plain(np.log),
-    "square": _plain(np.square),
-    "sqrt": _plain(np.sqrt),
-    "reciprocal": _plain(lambda x: 1.0 / x),
-    "sum": _reduction(np.add),
-    "mean": _mean,
-    "max_detached": _reduction(np.maximum),
-    "broadcast_to": lambda at: lambda x: np.broadcast_to(x, at["target"]),
-    "reshape": lambda at: lambda x: x.reshape(at["target"]),
-    "transpose": _plain(lambda x: x.T),
-}
-
-
 def _spread(g: Graph, n: int, adj: int) -> int:
     """Broadcast a reduction's adjoint back over the reduced operand."""
     p = g.parents[n][0]
@@ -432,31 +411,36 @@ def _grad_mean(g: Graph, n: int, i: int, adj: int) -> int:
     return g.affine(_spread(g, n, adj), 1.0 / count, 0.0)
 
 
-_GRAD = {
-    "leaf": None,
-    "const": None,
-    "add": lambda g, n, i, adj: g._unbroadcast(adj, g.shapes[g.parents[n][i]]),
-    "mul": lambda g, n, i, adj: g._unbroadcast(
-        g.mul(adj, g.parents[n][1 - i]), g.shapes[g.parents[n][i]]
-    ),
-    "matmul": lambda g, n, i, adj: (
+_OPS = {
+    "leaf": (None, None),
+    "const": (lambda at: lambda: at["value"], None),
+    "add": (_plain(np.add),
+            lambda g, n, i, adj: g._unbroadcast(adj, g.shapes[g.parents[n][i]])),
+    "mul": (_plain(np.multiply), lambda g, n, i, adj: g._unbroadcast(
+        g.mul(adj, g.parents[n][1 - i]), g.shapes[g.parents[n][i]])),
+    "matmul": (_plain(np.matmul), lambda g, n, i, adj: (
         g.matmul(adj, g.transpose(g.parents[n][1])) if i == 0
-        else g.matmul(g.transpose(g.parents[n][0]), adj)
-    ),
-    "affine": lambda g, n, i, adj: g.affine(adj, g.attrs[n]["scale"], 0.0),
-    "tanh": lambda g, n, i, adj: g.mul(adj, g.affine(g.square(n), -1.0, 1.0)),
-    "exp": lambda g, n, i, adj: g.mul(adj, n),
-    "log": lambda g, n, i, adj: g.mul(adj, g.reciprocal(g.parents[n][0])),
-    "square": lambda g, n, i, adj: g.mul(adj, g.affine(g.parents[n][0], 2.0, 0.0)),
-    "sqrt": lambda g, n, i, adj: g.mul(adj, g.affine(g.reciprocal(n), 0.5, 0.0)),
-    "reciprocal": lambda g, n, i, adj: g.mul(adj, g.affine(g.square(n), -1.0, 0.0)),
-    "sum": lambda g, n, i, adj: _spread(g, n, adj),
-    "mean": _grad_mean,
+        else g.matmul(g.transpose(g.parents[n][0]), adj))),
+    "affine": (_affine, lambda g, n, i, adj: g.affine(adj, g.attrs[n]["scale"], 0.0)),
+    "tanh": (_plain(np.tanh),
+             lambda g, n, i, adj: g.mul(adj, g.affine(g.square(n), -1.0, 1.0))),
+    "exp": (_plain(np.exp), lambda g, n, i, adj: g.mul(adj, n)),
+    "log": (_plain(np.log), lambda g, n, i, adj: g.mul(adj, g.reciprocal(g.parents[n][0]))),
+    "square": (_plain(np.square),
+               lambda g, n, i, adj: g.mul(adj, g.affine(g.parents[n][0], 2.0, 0.0))),
+    "sqrt": (_plain(np.sqrt),
+             lambda g, n, i, adj: g.mul(adj, g.affine(g.reciprocal(n), 0.5, 0.0))),
+    "reciprocal": (_plain(lambda x: 1.0 / x),
+                   lambda g, n, i, adj: g.mul(adj, g.affine(g.square(n), -1.0, 0.0))),
+    "sum": (_reduction(np.add), lambda g, n, i, adj: _spread(g, n, adj)),
+    "mean": (_mean, _grad_mean),
     # detached by design: the maximum cancels in value, so zero is exact
-    "max_detached": None,
-    "broadcast_to": lambda g, n, i, adj: g._unbroadcast(adj, g.shapes[g.parents[n][0]]),
-    "reshape": lambda g, n, i, adj: g.reshape(adj, g.shapes[g.parents[n][0]]),
-    "transpose": lambda g, n, i, adj: g.transpose(adj),
+    "max_detached": (_reduction(np.maximum), None),
+    "broadcast_to": (lambda at: lambda x: np.broadcast_to(x, at["target"]),
+                     lambda g, n, i, adj: g._unbroadcast(adj, g.shapes[g.parents[n][0]])),
+    "reshape": (lambda at: lambda x: x.reshape(at["target"]),
+                lambda g, n, i, adj: g.reshape(adj, g.shapes[g.parents[n][0]])),
+    "transpose": (_plain(lambda x: x.T), lambda g, n, i, adj: g.transpose(adj)),
 }
 
 
@@ -469,7 +453,7 @@ class _Plan:
 
     ``leaves`` are bound and checked on every run; each constant's value is
     in ``preset``; ``steps`` are ``(node, kernel, parents, done)`` in
-    topological order, with each kernel resolved from ``_FORWARD`` once.
+    topological order, with each kernel resolved from ``_OPS`` once.
     Compiling drops the nodes the requested ones do not need; the graph
     has already resolved repeats and constant-only nodes as it was built.
     ``done`` lists the unrequested values whose last reader is this step; a
@@ -503,7 +487,7 @@ class _Plan:
             elif op == "const":
                 self.preset[n] = at["value"]
             else:
-                self.steps.append((n, _FORWARD[op](at), graph.parents[n]))
+                self.steps.append((n, _OPS[op][0](at), graph.parents[n]))
 
         kept = set(wanted)
         last_reader = {p: i for i, (_, _, ps) in enumerate(self.steps) for p in ps if p not in kept}

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import csv
 import io
+import os
+import stat
 import struct
 from dataclasses import dataclass
 
@@ -269,7 +271,12 @@ def gen_gaussian_shift_pair(n_classes: int, dim: int, mean_shift: float,
 
 
 def _read_exact(fh, count: int, path, what: str) -> bytes:
-    data = fh.read(count)
+    """``count`` bytes of ``fh``, or a DataError; a regular file is asked
+    for no more than it holds, so a header that overstates its sizes is
+    refused before anything large is allocated."""
+    st = os.fstat(fh.fileno())
+    held = max(st.st_size - fh.tell(), 0) if stat.S_ISREG(st.st_mode) else count
+    data = fh.read(min(count, held))
     if len(data) != count:
         raise DataError(
             f"{path}: truncated while reading {what} at byte offset "
@@ -390,6 +397,8 @@ def load_csv(path):
             label = None if row[-2] == "" else int(row[-2])
         except ValueError as exc:
             raise DataError(f"{path}: line {line_no}: {exc}") from None
+        if label is not None and label < 0:
+            raise DataError(f"{path}: line {line_no}: negative label {label}")
         if not np.isfinite(x).all():
             raise DataError(f"{path}: line {line_no}: non-finite feature in {row[:d]}")
         feats[tag].append(x)

@@ -246,8 +246,10 @@ _ACT_NAME = {v: k for k, v in _ACT_CODE.items()}
 
 def save_checkpoint(path, networks: dict):
     """Write named networks to ``path``; iteration order is preserved.
-    CheckpointError, before the file is opened, for a name longer than 255
-    UTF-8 bytes or an init seed outside [0, 2**64)."""
+    CheckpointError, before the file is opened, for more than 255 networks,
+    a name longer than 255 UTF-8 bytes or an init seed outside [0, 2**64)."""
+    if len(networks) > 255:
+        raise CheckpointError(f"{len(networks)} networks; a checkpoint holds at most 255")
     blob = bytearray()
     blob += _MAGIC
     blob += struct.pack("<BB", _VERSION, len(networks))

@@ -89,6 +89,12 @@ def _check_pair(a_points, b_points, a_label: str, b_label: str):
     return a, b
 
 
+def _check_scalar(params: NetworkParams, label: str) -> None:
+    if params.spec.output_dim != 1:
+        raise ValueError(f"{label} must be a scalar-output network, got output width "
+                         f"{params.spec.output_dim}")
+
+
 def exact_w1(a_points, b_points):
     """Exact W1 between uniform empirical measures on m and n points.
 
@@ -148,7 +154,9 @@ def _transport_lp(cost: np.ndarray, m: int, n: int) -> np.ndarray:
 def critic_w1_estimate(d_params: NetworkParams, fs, ft) -> float:
     """Mean critic score on the source features ``fs`` minus mean critic
     score on the target features ``ft``: the numpy form of
-    :func:`build_critic_w1`, which the tests check the graphs against."""
+    :func:`build_critic_w1`, which the tests check the graphs against.
+    ValueError unless D has one output."""
+    _check_scalar(d_params, "d_params")
     fs, ft = _check_pair(fs, ft, "fs", "ft")
     score_s = nets.forward(d_params, fs)
     score_t = nets.forward(d_params, ft)
@@ -193,7 +201,9 @@ def interpolates(batch_s: np.ndarray, batch_t: np.ndarray, seed: int) -> np.ndar
 
 def gradient_penalty(d_params: NetworkParams, fs, ft, seed: int) -> float:
     """Mean over feature interpolates of (||grad_f D(f)||_2 - 1)^2, the
-    interpolates drawn between the features ``fs`` and ``ft``."""
+    interpolates drawn between the features ``fs`` and ``ft``.  ValueError
+    unless D has one output."""
+    _check_scalar(d_params, "d_params")
     fhat = interpolates(*_check_pair(fs, ft, "fs", "ft"), seed)
     g = Graph()
     penalty = build_gradient_penalty(g, d_params.spec, g.leaf("xhat", fhat.shape))
@@ -287,8 +297,10 @@ def bound_rhs(h_params: NetworkParams, source_x, target_x, f_s, f_t) -> BoundRep
     (see :func:`lipschitz_normalize`); ``f_s``/``f_t`` are the synthetic
     generators' labeling functions, whose ``score`` maps the input space to
     [0, 1].  Risks are mean absolute differences; the W1 term uses
-    the exact solver on the two samples, within its size limit.
+    the exact solver on the two samples, within its size limit.  ValueError
+    unless ``h_params`` has one output.
     """
+    _check_scalar(h_params, "h_params")
     if f_s is None or f_t is None:
         raise ValueError("bound diagnostic needs both labeling functions")
     xs, xt = _check_pair(source_x, target_x, "source_x", "target_x")

@@ -286,6 +286,22 @@ def test_uncertainty_weights_single_class_and_bad_labels():
         uncertainty_weights([[0, 1]], [[0.1, 0.2]], n_classes=2)  # not bincount's message
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entropies", [[np.nan, 0.2], [np.inf, 0.1], [-0.5, 0.2]],
+                         ids=["nan", "inf", "negative"])
+def test_uncertainty_weights_refuse_an_entropy_no_entropy_can_be(entropies):
+    """A NaN makes every weight NaN, an infinity warns and zeroes the rest,
+    and a negative entropy can pull the total under the class-frequency
+    fallback's threshold.  -0.0, which ``predictive_entropy`` returns for a
+    certain prediction, is a valid entropy."""
+    with pytest.raises(ValueError, match="entropies must be finite and non-negative"):
+        uncertainty_weights([0, 1], entropies, n_classes=2)
+    certain = predictive_entropy([1.0, 0.0])
+    assert certain == 0.0 and np.signbit(certain)
+    wv = uncertainty_weights([0, 1], [certain, 0.2], n_classes=2)
+    np.testing.assert_array_equal(wv.alpha, [0.0, 1.0])
+
+
 @settings(derandomize=True, max_examples=100)
 @given(st.integers(2, 6), st.integers(1, 30), st.integers(0, 2**31 - 1),
        st.booleans())

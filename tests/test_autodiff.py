@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acda.autodiff import (_FORWARD, _GRAD, Graph, finite_difference_check,
-                           forward_eval, gradient)
+from acda.autodiff import _OPS, Graph, finite_difference_check, forward_eval, gradient
 from acda.errors import GraphError
 
 
@@ -182,7 +181,11 @@ def test_elementwise_chain_gradients_fuzz(rows, cols, data):
 
 
 def test_every_op_has_a_gradient_rule():
-    assert set(_GRAD) == set(_FORWARD) | {"leaf"}
+    """Every primitive passes its gradient on except the graph's inputs and
+    the detached maximum; only a leaf has no kernel."""
+    assert {op for op, (_, grad) in _OPS.items() if grad is None} == {
+        "leaf", "const", "max_detached"}
+    assert {op for op, (kernel, _) in _OPS.items() if kernel is None} == {"leaf"}
 
 
 # (op applied to leaf x, shape of x, inputs kept positive)
@@ -227,7 +230,7 @@ def _reference_eval(graph, bindings):
         if op == "leaf":
             vals.append(np.asarray(bindings[at["name"]], dtype=np.float64))
         else:
-            vals.append(_FORWARD[op](at)(*[vals[p] for p in ps]))
+            vals.append(_OPS[op][0](at)(*[vals[p] for p in ps]))
     return vals
 
 
@@ -289,7 +292,7 @@ def _plan_case(case):
 def test_plan_matches_node_by_node_reference(case):
     graph, bindings, outputs = _plan_case(case)
     if case == "all_ops":
-        assert set(graph.ops) == set(_FORWARD) | {"leaf"}
+        assert set(graph.ops) == set(_OPS)
     reference = _reference_eval(graph, bindings)
     full = forward_eval(graph, bindings)
     assert all(_same_bits(a, b) for a, b in zip(full, reference))
@@ -313,7 +316,7 @@ def test_step_graphs_use_exactly_the_engine_primitives():
     assert not [name for name in with_query.critic.graph.leaves if name.startswith("F.")]
     used = {op for sg in (with_query, without_query)
             for graph in (sg.critic.graph, sg.model.graph) for op in graph.ops}
-    assert used == set(_FORWARD) | {"leaf"}
+    assert used == set(_OPS)
 
 
 _NUMPY = [  # (op, attrs, numpy expression the kernel must reproduce)
@@ -342,7 +345,7 @@ def test_kernels_repeat_numpy_arithmetic(op, attrs, expression):
     signed zeros included, are those of the plain numpy expression."""
     x = np.random.default_rng(10).normal(size=(5, 7))
     x[0, :2] = -0.0, 0.0
-    assert _same_bits(_FORWARD[op](attrs)(x), expression(x))
+    assert _same_bits(_OPS[op][0](attrs)(x), expression(x))
 
 
 def test_graph_holds_repeats_once_but_keeps_signed_zero_shifts():

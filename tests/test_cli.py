@@ -190,6 +190,21 @@ def test_config_idx_builds_pair_from_files(tmp_path):
     np.testing.assert_array_equal(pair.target.labels, labels[:3])
 
 
+def test_cli_run_on_an_idx_header_claiming_too_much_is_a_data_error(tmp_path, capsys):
+    """The header claims 2**31 - 1 items of (2**31 - 1)**2 pixels; the run
+    names the file and exits 2 without reading them or writing anything."""
+    body = SMALL_TRAIN + "dataset.kind = idx\n"
+    for domain in ("source", "target"):
+        (tmp_path / f"{domain}.img").write_bytes(struct.pack(">iiii", 2051, *[2**31 - 1] * 3))
+        (tmp_path / f"{domain}.lab").write_bytes(struct.pack(">ii", 2049, 2**31 - 1))
+        body += (f"dataset.{domain}_images = {tmp_path / (domain + '.img')}\n"
+                 f"dataset.{domain}_labels = {tmp_path / (domain + '.lab')}\n")
+    out = tmp_path / "out"
+    assert main(["run", write_cfg(tmp_path, body), "--out", str(out)]) == 2
+    assert "source.img: truncated while reading pixel data" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ------------------------------------------------------- ExperimentConfig
 
 

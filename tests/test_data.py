@@ -192,6 +192,25 @@ def test_idx_truncation_rejected(tmp_path):
         load_idx(images_path, labels_path)
 
 
+@pytest.mark.parametrize("images_header, labels_header, message", [
+    ((2051, 2**31 - 1, 2**31 - 1, 2**31 - 1), (2049, 7),
+     r"imgs.idx3-ubyte: truncated while reading pixel data at byte offset 16 "
+     rf"\(wanted {(2**31 - 1) ** 3}, got 42\)"),
+    ((2051, 2**31 - 1, 0, 0), (2049, 2**31 - 1),
+     r"labs.idx1-ubyte: truncated while reading label data at byte offset 8 "
+     rf"\(wanted {2**31 - 1}, got 7\)"),
+], ids=["pixels", "labels"])
+def test_idx_header_claiming_more_than_the_file_holds_is_refused_before_reading(
+        tmp_path, images_header, labels_header, message):
+    """Each byte count is compared with the file's size before it is read,
+    so an overstated header is a DataError, not a read of its size."""
+    images_path, labels_path, _, _ = _write_idx_pair(tmp_path)
+    images_path.write_bytes(struct.pack(">iiii", *images_header) + images_path.read_bytes()[16:])
+    labels_path.write_bytes(struct.pack(">ii", *labels_header) + labels_path.read_bytes()[8:])
+    with pytest.raises(DataError, match=message):
+        load_idx(images_path, labels_path)
+
+
 # --------------------------------------------------------------- utilities
 
 
@@ -265,8 +284,10 @@ def test_dataset_rejects_non_integer_labels():
     (["nan,0.5,0,source"], 2),
     (["0.0,0.5,0,source", "inf,0.5,1,target"], 3),
     (["0.0,0.5,0,source", "0.5,-inf,,target"], 3),
+    (["0.0,0.5,0,source", "0.5,0.5,-1,target"], 3),
 ], ids=["unlabelled-then-labelled", "labelled-then-unlabelled", "fractional-label",
-        "non-numeric-feature", "nan-feature", "inf-feature", "minus-inf-feature"])
+        "non-numeric-feature", "nan-feature", "inf-feature", "minus-inf-feature",
+        "negative-label"])
 def test_load_csv_rejects_malformed_rows_with_their_line(tmp_path, rows, line):
     path = tmp_path / "bad.csv"
     path.write_text("\n".join(["x_0,x_1,label,domain"] + rows) + "\n")

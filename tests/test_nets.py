@@ -140,6 +140,15 @@ def test_checkpoint_refuses_a_seed_outside_u64_before_writing(tmp_path, seed):
     assert not path.exists()
 
 
+def test_checkpoint_refuses_more_than_255_networks_before_writing(tmp_path):
+    """The network count is a one-byte field."""
+    net = init_network(NetworkSpec((2, 1), "identity"), seed=0)
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(CheckpointError, match="256 networks; a checkpoint holds at most 255"):
+        save_checkpoint(path, {f"n{i}": net for i in range(256)})
+    assert not path.exists()
+
+
 def test_checkpoint_rejects_corruption(tmp_path):
     nets = {"F": init_network(NetworkSpec((2, 3, 1), "identity"), seed=0)}
     path = tmp_path / "model.ckpt"

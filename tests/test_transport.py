@@ -266,6 +266,20 @@ def test_point_pairs_of_different_widths_are_one_value_error():
             call()
 
 
+def test_scalar_critic_functions_refuse_a_wider_network():
+    pair = gen_two_moons_pair(20, 20, rotation_deg=25.0, noise_sd=0.08,
+                              label_flip_rate=0.2, seed=3)
+    a, b = pair.source.features, pair.target.features
+    wide = init_network(NetworkSpec((2, 8, 2), "identity"), seed=0)
+    for label, call in (("d_params", lambda: critic_w1_estimate(wide, a, b)),
+                        ("d_params", lambda: gradient_penalty(wide, a, b, seed=0)),
+                        ("h_params", lambda: bound_rhs(wide, a, b, pair.f_source,
+                                                       pair.f_target))):
+        with pytest.raises(ValueError, match=f"{label} must be a scalar-output network, "
+                                             "got output width 2"):
+            call()
+
+
 def test_fit_critic_returns_its_own_critic_and_leaves_the_points_alone():
     rng = np.random.default_rng(5)
     a, b = rng.normal(size=(12, 2)), rng.normal(size=(9, 2)) + 1.0
